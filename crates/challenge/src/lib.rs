@@ -20,8 +20,9 @@
 //! * [`forward_pipelined`] — a crossbeam-channel depth-pipelined schedule,
 //!   bit-identical results, different parallel structure (ablation bench),
 //! * [`ServeEngine`] — an async serving front-end: concurrent clients
-//!   submit single rows, a deadline-aware [`MicroBatcher`] coalesces them
-//!   into tile blocks under a latency budget, and a demux stage routes
+//!   submit single rows, the engine executes whatever is queued at once
+//!   (a [`MicroBatcher`] block of at most one tile block; rows coalesce
+//!   only while a block is executing), and a demux stage routes
 //!   results back — zero-alloc in steady state (`serve`). Failure is part
 //!   of the API: every request resolves to exactly one typed
 //!   [`ServeError`] outcome (width/finiteness validation, deadline sheds,

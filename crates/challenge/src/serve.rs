@@ -1,14 +1,18 @@
 //! Asynchronous inference serving: many concurrent clients, one engine,
-//! deadline-aware micro-batching onto the fused tiled kernels.
+//! work-conserving micro-batching onto the fused tiled kernels.
 //!
 //! This turns the batch pipeline into a *service*. Clients submit
 //! single-row inference requests from any number of threads through a
 //! clonable [`ServeClient`]; a dedicated engine thread coalesces them into
 //! row blocks of at most [`ServeConfig::max_batch`] rows (the fused
-//! schedule's tile height) under a configurable latency budget, runs each
-//! block through [`ChallengeNetwork::forward_with`] on the persistent
-//! worker pool, and demuxes every row's result back to its requester in
-//! submission order. "Async" here is channel-and-thread asynchrony — the
+//! schedule's tile height), runs each block through
+//! [`ChallengeNetwork::forward_with`] on the persistent worker pool, and
+//! demuxes every row's result back to its requester in submission order.
+//! The engine never holds a request back hoping for company: whatever is
+//! queued when it looks is executed at once, and rows coalesce only by
+//! arriving while a block is executing (natural batching) — a lone request
+//! costs its compute plus two hand-offs, a backlog still fills blocks to
+//! `max_batch`. "Async" here is channel-and-thread asynchrony — the
 //! offline build image has no async runtime, and none is needed: the
 //! request path is two bounded hand-offs and a condvar.
 //!
@@ -19,9 +23,9 @@
 //!   │ validate row               │                                │
 //!   │ check out slot             │                                │
 //!   │ write row into slot        │                                │
-//!   │ send slot id ──bounded──▶  │ MicroBatcher: coalesce ids     │
-//!   │ wait on slot condvar       │   flush on full block OR       │
-//!   │                            │   deadline, whichever first    │
+//!   │ send slot id ──bounded──▶  │ MicroBatcher: drain queued ids │
+//!   │ wait on slot condvar       │   up to one full block, flush  │
+//!   │                            │   at once; park when idle      │
 //!   │                            │ shed rows past their deadline  │
 //!   │                            │ gather live rows → batch       │
 //!   │                            │ forward_with ───────────────▶  │ fused
@@ -78,7 +82,10 @@
 //! shutdown ([`ServeHandle::shutdown`]) stops admission first (new
 //! requests fail fast with [`ServeError::Shutdown`]), then drains: the
 //! engine keeps flushing until every queued request has been answered and
-//! every slot returned, and only then exits.
+//! every slot returned, and only then exits. An idle engine parks in a
+//! blocking receive and makes no periodic wake-ups: shutdown, reload, and
+//! the last slot release of a draining engine each push a control token
+//! through the request channel to wake it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -89,9 +96,8 @@ use radix_sparse::DenseMatrix;
 use crate::fault::FaultInjector;
 use crate::infer::{ChallengeNetwork, InferWorkspace};
 
-/// Default micro-batch latency budget in microseconds
-/// (`RADIX_SERVE_DEADLINE_US`): the end-to-end time a request may spend
-/// waiting for its block to fill *plus* being computed.
+/// Default end-to-end latency target in microseconds
+/// (`RADIX_SERVE_DEADLINE_US`).
 pub const DEFAULT_DEADLINE_US: usize = 10_000;
 
 /// Default number of pre-allocated in-flight request slots
@@ -108,14 +114,13 @@ pub struct ServeConfig {
     /// Defaults to `RADIX_SERVE_BATCH` or 32, the fused schedule's row
     /// block, so a full micro-batch is exactly one tile block.
     pub max_batch: usize,
-    /// End-to-end latency budget per request, in microseconds
-    /// (`RADIX_SERVE_DEADLINE_US`, default [`DEFAULT_DEADLINE_US`]). The
-    /// engine measures the cost of a full block at start-up and budgets
-    /// the batcher's *wait* deadline as half of
-    /// `deadline_us - measured_compute` — the other half stays as slack
-    /// for queueing and scheduler jitter — so at low load a lone
-    /// request's tail latency still fits the budget instead of idling the
-    /// full window before compute even starts.
+    /// End-to-end latency target per request, in microseconds
+    /// (`RADIX_SERVE_DEADLINE_US`, default [`DEFAULT_DEADLINE_US`]): the
+    /// bound callers and benches judge response latency against. It no
+    /// longer buys a hold — the engine is work-conserving and never keeps
+    /// a queued row waiting for its block to fill, so nothing in the
+    /// engine reads it; per-request shedding is governed by the timeout
+    /// passed to [`ServeClient::infer_within`].
     pub deadline_us: u64,
     /// Pre-allocated in-flight request slots (`RADIX_SERVE_SLOTS`, default
     /// `4 * max_batch`). This bounds memory *and* is the first
@@ -241,8 +246,9 @@ pub struct ServeStats {
     pub batches: u64,
     /// Blocks flushed because they reached [`ServeConfig::max_batch`] rows.
     pub full_flushes: u64,
-    /// Blocks flushed because the oldest pending request hit its wait
-    /// deadline (or the channel disconnected with rows pending).
+    /// Blocks flushed short of full because the engine was idle and
+    /// nothing else was queued (the name predates the work-conserving
+    /// engine, which has no wait deadline).
     pub deadline_flushes: u64,
     /// Largest block executed — never exceeds [`ServeConfig::max_batch`].
     pub max_rows: u64,
@@ -303,36 +309,28 @@ impl SharedStats {
     }
 }
 
-/// Deadline-aware micro-batching policy: a pure, tick-based accumulator
-/// the engine loop drives (and property tests exercise without threads or
-/// clocks). Requests are pushed with their arrival tick; the batch must be
-/// flushed when it is full **or** when the *oldest* pending request has
-/// waited `budget` ticks — whichever comes first. Because the deadline is
-/// keyed to the oldest request, no request ever waits more than `budget`
-/// ticks in the batcher (every later arrival's wait is strictly shorter).
+/// The engine's block accumulator: a pure, pre-allocated buffer of
+/// request ids, at most `max_rows` of them, in submission order. The
+/// engine loop pushes whatever is queued and flushes at once; it holds no
+/// clock and no policy, so property tests drive it without threads.
 #[derive(Debug, Clone)]
 pub struct MicroBatcher {
     max_rows: usize,
-    budget: u64,
     ids: Vec<usize>,
-    first_tick: u64,
 }
 
 impl MicroBatcher {
-    /// A batcher coalescing up to `max_rows` requests, holding the oldest
-    /// at most `budget` ticks. Pre-allocates its id buffer — pushes never
-    /// allocate.
+    /// A batcher coalescing up to `max_rows` requests. Pre-allocates its
+    /// id buffer — pushes never allocate.
     ///
     /// # Panics
     /// Panics if `max_rows == 0`.
     #[must_use]
-    pub fn new(max_rows: usize, budget: u64) -> Self {
+    pub fn new(max_rows: usize) -> Self {
         assert!(max_rows > 0, "micro-batch size must be positive");
         MicroBatcher {
             max_rows,
-            budget,
             ids: Vec::with_capacity(max_rows),
-            first_tick: 0,
         }
     }
 
@@ -355,36 +353,14 @@ impl MicroBatcher {
         self.ids.len() == self.max_rows
     }
 
-    /// Adds a request (by id) arriving at tick `now`; returns whether the
-    /// block is now full.
+    /// Adds a request (by id); returns whether the block is now full.
     ///
     /// # Panics
     /// Panics if the block is already full — the caller must flush first.
-    pub fn push(&mut self, id: usize, now: u64) -> bool {
+    pub fn push(&mut self, id: usize) -> bool {
         assert!(!self.is_full(), "push into a full micro-batch");
-        if self.ids.is_empty() {
-            self.first_tick = now;
-        }
         self.ids.push(id);
         self.is_full()
-    }
-
-    /// The tick by which the pending block must flush (`None` when empty):
-    /// the oldest request's arrival plus the wait budget.
-    #[must_use]
-    pub fn deadline(&self) -> Option<u64> {
-        if self.ids.is_empty() {
-            None
-        } else {
-            Some(self.first_tick.saturating_add(self.budget))
-        }
-    }
-
-    /// Whether the block must flush at tick `now`: it is full, or the
-    /// oldest pending request has exhausted its wait budget.
-    #[must_use]
-    pub fn should_flush(&self, now: u64) -> bool {
-        self.is_full() || self.deadline().is_some_and(|d| now >= d)
     }
 
     /// The pending request ids, oldest first (submission order).
@@ -396,12 +372,6 @@ impl MicroBatcher {
     /// Empties the block (after the caller has taken [`Self::pending`]).
     pub fn clear(&mut self) {
         self.ids.clear();
-    }
-
-    /// The configured wait budget in ticks.
-    #[must_use]
-    pub fn budget(&self) -> u64 {
-        self.budget
     }
 }
 
@@ -477,6 +447,18 @@ pub(crate) struct Shared {
     /// fixes them, so a reload swaps weights only and keeps these.
     net_bias: f32,
     net_ymax: f32,
+}
+
+/// Control token on the request channel: not a slot id (no pool has
+/// `usize::MAX` slots), it only wakes a parked engine so it re-checks its
+/// reload and shutdown flags.
+const WAKE: usize = usize::MAX;
+
+/// Wakes a parked engine. A full channel needs no token — the engine is
+/// awake with work queued and re-checks its flags once that is flushed —
+/// and a disconnected one has no engine left to wake.
+fn wake_engine(tx: &crossbeam::channel::Sender<usize>) {
+    let _ = tx.try_send(WAKE);
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -816,12 +798,21 @@ impl ServeClient {
         result
     }
 
-    /// Returns slot `k` to the free list and wakes one waiting client.
+    /// Returns slot `k` to the free list and wakes one waiting client —
+    /// and, when this was the last slot out of a draining engine, the
+    /// engine parked waiting for exactly that.
     fn release(&self, k: usize) {
         self.shared.fault.release_stall();
         let mut free = lock(&self.shared.free);
         free.push(k);
         self.shared.free_ready.notify_one();
+        // Read under the free-list lock, the same lock the engine's
+        // drained-for-shutdown test holds: either that test sees this
+        // slot back, or this load sees `accepting` already cleared.
+        if free.len() == self.shared.slots.len() && !self.shared.accepting.load(Ordering::Acquire) {
+            drop(free);
+            wake_engine(&self.tx);
+        }
     }
 }
 
@@ -910,7 +901,6 @@ pub struct ServeHandle {
     client: ServeClient,
     shared: Arc<Shared>,
     thread: std::thread::JoinHandle<()>,
-    batch_wait_us: u64,
 }
 
 impl ServeHandle {
@@ -920,14 +910,13 @@ impl ServeHandle {
         self.client.clone()
     }
 
-    /// The batcher's effective wait deadline in microseconds: half of the
-    /// configured end-to-end budget net of the block compute cost
-    /// measured at start-up (zero when compute alone exceeds the budget,
-    /// making every flush immediate); the withheld half is slack for
-    /// queueing and scheduler jitter.
+    /// How long an idle engine holds a lone request back before
+    /// executing it, in microseconds: always 0 — the engine is
+    /// work-conserving, and rows coalesce only by arriving while a block
+    /// is executing.
     #[must_use]
     pub fn batch_wait_us(&self) -> u64 {
-        self.batch_wait_us
+        0
     }
 
     /// A live snapshot of the engine's counters (restarts always 0 — a
@@ -953,8 +942,8 @@ impl ServeHandle {
     /// count, every shape identical to the serving network's — the
     /// engine's pre-allocated workspace must stay valid), re-prepared
     /// into tiled ELL form, and *staged*; the engine thread swaps it in
-    /// at its next batch boundary (bounded by its idle re-check cadence,
-    /// ≤ 50 ms). In-flight requests complete on the old weights;
+    /// at its next batch boundary (an idle engine is woken for it at
+    /// once). In-flight requests complete on the old weights;
     /// subsequent flushes use the new ones. The engine keeps its
     /// configured output bias/cap — the Challenge recipe fixes them, so
     /// a reload swaps weights only. This call allocates (decode +
@@ -1003,6 +992,7 @@ impl ServeHandle {
         }
         *lock(&self.shared.reload_slot) = Some(Box::new(new_net));
         self.shared.reload_pending.store(true, Ordering::Release);
+        wake_engine(&self.client.tx);
         Ok(())
     }
 
@@ -1018,8 +1008,10 @@ impl ServeHandle {
     /// supervisor; the error is the signal to restart or escalate).
     pub fn shutdown(self) -> Result<ServeStats, ServeError> {
         self.shared.accepting.store(false, Ordering::Release);
-        // Wake clients parked on the free list so they observe shutdown.
+        // Wake clients parked on the free list so they observe shutdown,
+        // and the engine if it is parked idle.
         self.shared.free_ready.notify_all();
+        wake_engine(&self.client.tx);
         drop(self.client);
         match self.thread.join() {
             Ok(()) => Ok(self.shared.stats.snapshot()),
@@ -1061,9 +1053,8 @@ impl ServeEngine {
     /// handle. Pre-allocates every steady-state buffer (slots, batch
     /// matrix, workspace), warms the fused kernels with one full block to
     /// both reach the workspace high-water mark and *measure* block
-    /// compute cost — the micro-batcher's wait deadline is the configured
-    /// latency budget minus that measurement, and the same measurement
-    /// feeds the deadline-admission predictor.
+    /// compute cost — the unit of work of the deadline-admission predictor
+    /// and the flush-time shed pass.
     ///
     /// Fault injection is read from the `RADIX_FAULT_*` environment (see
     /// [`crate::fault`]); in the default (unset) environment the hooks
@@ -1096,23 +1087,17 @@ impl ServeEngine {
         let n_out = net.layers().last().expect("non-empty network").ncols();
 
         // Warm-up block: drives the workspace to its high-water mark and
-        // measures what a full block costs, so the wait budget can leave
-        // room for compute inside the end-to-end deadline.
+        // measures what a full block costs.
         let mut ws = InferWorkspace::for_network(&net, config.max_batch);
         let warm = DenseMatrix::zeros(config.max_batch, n_in);
         let t = Instant::now();
         let _ = net.forward_with(&warm, config.parallel, &mut ws);
         // An injected compute delay slows every engine-loop block, so the
-        // measurement must pay it too — otherwise the batcher wait and the
-        // admission predictor would plan around a block cost the engine
-        // never achieves, and "admitted" requests would be served late.
+        // measurement must pay it too — otherwise the admission predictor
+        // would plan around a block cost the engine never achieves, and
+        // "admitted" requests would be served late.
         fault.compute_delay();
         let compute_us = t.elapsed().as_micros() as u64;
-        // Half the post-compute remainder goes to waiting; the other half
-        // stays as slack for queueing, wake-up latency, and scheduler
-        // jitter, so a lone request's p99 — wait + compute + slack-eaters
-        // — still fits the configured end-to-end budget.
-        let batch_wait_us = config.deadline_us.saturating_sub(compute_us) / 2;
 
         let shared = Arc::new(Shared {
             slots: (0..config.slots)
@@ -1153,11 +1138,10 @@ impl ServeEngine {
             x: DenseMatrix::zeros(config.max_batch, n_in),
             batch: Vec::with_capacity(config.max_batch),
             live: Vec::with_capacity(config.max_batch),
-            mb: MicroBatcher::new(config.max_batch, batch_wait_us),
+            mb: MicroBatcher::new(config.max_batch),
             rx,
             shared: Arc::clone(&shared),
             parallel: config.parallel,
-            t0: Instant::now(),
         };
         let thread = std::thread::Builder::new()
             .name("radix-serve".to_string())
@@ -1184,7 +1168,6 @@ impl ServeEngine {
             },
             shared,
             thread,
-            batch_wait_us,
         }
     }
 }
@@ -1203,23 +1186,16 @@ struct EngineLoop {
     rx: crossbeam::channel::Receiver<usize>,
     shared: Arc<Shared>,
     parallel: bool,
-    t0: Instant,
 }
 
 impl EngineLoop {
-    /// Monotonic microsecond tick for the batcher.
-    fn tick(&self) -> u64 {
-        self.t0.elapsed().as_micros() as u64
-    }
-
-    /// The batching loop. Exits when the channel disconnects (every
-    /// sender, handle included, dropped) or when shutdown has been
-    /// requested and every request is drained and answered.
+    /// The batching loop: drain what is queued (up to one block), execute
+    /// it at once, park when there is nothing. Exits when the channel
+    /// disconnects (every sender, handle included, dropped) or when
+    /// shutdown has been requested and every request is drained and
+    /// answered.
     fn run(mut self) {
-        use crossbeam::channel::{RecvTimeoutError, TryRecvError};
-        // Re-check cadence while idle or awaiting shutdown; also bounds
-        // how stale a deadline check can get under a zero wait budget.
-        let idle = Duration::from_micros(self.mb.budget().clamp(200, 50_000));
+        use crossbeam::channel::TryRecvError;
         loop {
             // Batch-boundary weight swap: one relaxed-path atomic load in
             // steady state; requests gathered after this point run on the
@@ -1228,13 +1204,14 @@ impl EngineLoop {
                 self.apply_reload();
             }
             // Greedy drain: coalesce everything already queued, up to one
-            // full block, without blocking.
+            // full block, without blocking. Rows that arrive while the
+            // block executes are the next drain's block.
             let mut disconnected = false;
             while !self.mb.is_full() {
                 match self.rx.try_recv() {
+                    Ok(WAKE) => {}
                     Ok(k) => {
-                        let now = self.tick();
-                        self.mb.push(k, now);
+                        self.mb.push(k);
                     }
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
@@ -1243,43 +1220,20 @@ impl EngineLoop {
                     }
                 }
             }
-            if self.mb.should_flush(self.tick()) {
+            if !self.mb.is_empty() {
                 self.execute();
                 continue;
             }
-            if disconnected {
-                if !self.mb.is_empty() {
-                    self.execute();
-                }
+            if disconnected || self.drained_for_shutdown() {
                 break;
             }
-            // Nothing to flush: wait for the next arrival, but never past
-            // the pending block's deadline.
-            let timeout = match self.mb.deadline() {
-                Some(d) => Duration::from_micros(d.saturating_sub(self.tick())),
-                None => {
-                    if self.drained_for_shutdown() {
-                        break;
-                    }
-                    idle
-                }
-            };
-            match self.rx.recv_timeout(timeout) {
+            // Idle: park until a request or a control token arrives.
+            match self.rx.recv() {
+                Ok(WAKE) => {}
                 Ok(k) => {
-                    let now = self.tick();
-                    self.mb.push(k, now);
+                    self.mb.push(k);
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.mb.should_flush(self.tick()) {
-                        self.execute();
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    if !self.mb.is_empty() {
-                        self.execute();
-                    }
-                    break;
-                }
+                Err(_) => break,
             }
         }
     }
@@ -1351,6 +1305,10 @@ impl EngineLoop {
         }
         self.shared.fault.compute_delay();
         let y = self.net.forward_with(&self.x, self.parallel, &mut self.ws);
+        // Counted before the first wake-up, so a client holding its reply
+        // always finds itself in the live stats.
+        stats.rows.fetch_add(n as u64, Ordering::Relaxed);
+        stats.max_rows.fetch_max(n as u64, Ordering::Relaxed);
         for (i, &k) in self.live.iter().enumerate() {
             let slot = &self.shared.slots[k];
             let mut d = lock(&slot.data);
@@ -1359,8 +1317,6 @@ impl EngineLoop {
             drop(d);
             slot.ready.notify_one();
         }
-        stats.rows.fetch_add(n as u64, Ordering::Relaxed);
-        stats.max_rows.fetch_max(n as u64, Ordering::Relaxed);
     }
 }
 
@@ -1386,47 +1342,25 @@ mod tests {
 
     #[test]
     fn batcher_flushes_on_full() {
-        let mut mb = MicroBatcher::new(3, 100);
+        let mut mb = MicroBatcher::new(3);
         assert!(mb.is_empty());
-        assert!(!mb.push(0, 0));
-        assert!(!mb.push(1, 0));
-        assert!(!mb.should_flush(50));
-        assert!(mb.push(2, 0));
+        assert!(!mb.push(0));
+        assert!(!mb.push(1));
+        assert!(!mb.is_full());
+        assert!(mb.push(2));
         assert!(mb.is_full());
-        assert!(mb.should_flush(0), "full block flushes regardless of time");
         assert_eq!(mb.pending(), &[0, 1, 2]);
         mb.clear();
         assert!(mb.is_empty());
-        assert_eq!(mb.deadline(), None);
-    }
-
-    #[test]
-    fn batcher_flushes_on_deadline_of_oldest() {
-        let mut mb = MicroBatcher::new(10, 100);
-        mb.push(7, 40);
-        mb.push(8, 99);
-        assert_eq!(mb.deadline(), Some(140), "keyed to the oldest request");
-        assert!(!mb.should_flush(139));
-        assert!(mb.should_flush(140));
-        mb.clear();
-        // The next block's deadline restarts from its own first arrival.
-        mb.push(9, 200);
-        assert_eq!(mb.deadline(), Some(300));
-    }
-
-    #[test]
-    fn batcher_zero_budget_flushes_immediately() {
-        let mut mb = MicroBatcher::new(8, 0);
-        mb.push(1, 17);
-        assert!(mb.should_flush(17));
+        assert_eq!(mb.len(), 0);
     }
 
     #[test]
     #[should_panic(expected = "push into a full micro-batch")]
     fn batcher_rejects_push_past_capacity() {
-        let mut mb = MicroBatcher::new(1, 10);
-        mb.push(0, 0);
-        mb.push(1, 0);
+        let mut mb = MicroBatcher::new(1);
+        mb.push(0);
+        mb.push(1);
     }
 
     #[test]
@@ -1462,7 +1396,7 @@ mod tests {
         assert_eq!(stats.rows, 1);
         assert_eq!(
             stats.deadline_flushes, 1,
-            "lone request flushes on deadline"
+            "lone request flushes short of full"
         );
         assert_eq!(client.infer(&row), Err(ServeError::Shutdown));
         let mut out = Vec::new();
@@ -1556,15 +1490,6 @@ mod tests {
             .contains("boom"));
         assert!(!ServeError::Overloaded.to_string().is_empty());
         assert!(!ServeError::DeadlineExceeded.to_string().is_empty());
-    }
-
-    #[test]
-    fn wait_budget_subtracts_measured_compute() {
-        let net = small_net();
-        let cfg = quick_config();
-        let handle = ServeEngine::start(net, &cfg);
-        assert!(handle.batch_wait_us() <= cfg.deadline_us);
-        let _ = handle.shutdown().unwrap();
     }
 
     #[test]

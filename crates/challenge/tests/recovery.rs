@@ -230,7 +230,7 @@ fn hot_reload_swaps_serving_weights_without_dropping_requests() {
             .expect("compatible checkpoint must stage");
 
         // The engine applies the staged swap at its next batch boundary
-        // (bounded by the idle re-check cadence). Until then each response
+        // (an idle engine is woken for it at once). Until then each response
         // is the old weights, bit for bit; afterwards the new ones.
         let mut swapped = false;
         for _ in 0..5_000 {

@@ -70,8 +70,8 @@ fn steady_state_serving_loop_is_allocation_free() {
     let rows = sparse_binary_batch(8, n_in, 0.5, 13);
     let reference = net.forward(&rows, false);
 
-    // A short deadline keeps the measured loop fast; the engine measures
-    // block compute at start and shrinks the batcher wait to fit.
+    // The engine holds nothing back, so the latency target does not pace
+    // the measured loop.
     let config = ServeConfig {
         max_batch: 8,
         deadline_us: 500,
@@ -171,7 +171,7 @@ fn steady_state_serving_loop_is_allocation_free() {
     handle.reload(&ckpt_path).unwrap();
 
     // The engine applies the staged swap at its next batch boundary
-    // (bounded by its idle re-check cadence); until then responses are
+    // (an idle engine is woken for it at once); until then responses are
     // the old weights bit for bit, never torn.
     let mut swapped = false;
     for _ in 0..5_000 {
