@@ -10,7 +10,8 @@ verify:
 	$(CARGO) build --release && $(CARGO) test -q
 
 ## The pool-sensitive suites under a forced multi-thread worker pool —
-## what CI's `verify-mt` matrix job runs (POOL_THREADS=2 and 4 there).
+## the first step of CI's `pool-suites` matrix job (POOL_THREADS=2 and 4
+## there).
 ## Single-thread runs silently skip the pool dispatch paths; this doesn't.
 POOL_THREADS ?= 4
 verify-mt:
@@ -19,8 +20,8 @@ verify-mt:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test zero_alloc
 
 ## The serving-engine suites under a forced multi-thread worker pool —
-## what CI's `serve` job runs (POOL_THREADS=2 there): the crossbeam shim's
-## channel/disconnect semantics, the serve unit + integration/property
+## run by CI's `pool-suites` job on its POOL_THREADS=2 leg: the crossbeam
+## shim's channel/disconnect semantics, the serve unit + integration/property
 ## suites, and the serving zero-alloc proof (which forces its own 4-thread
 ## pool internally; it is its own process, so the override is safe).
 verify-serve:
@@ -30,7 +31,7 @@ verify-serve:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test zero_alloc_serve
 
 ## The fault-injection suites under a forced multi-thread worker pool —
-## what CI's `chaos` job runs (POOL_THREADS=2 and 4 there): the fault
+## run by CI's `pool-suites` job (POOL_THREADS=2 and 4 there): the fault
 ## module's unit tests, the rayon shim's panic-payload propagation, and
 ## the chaos integration suite (injected engine panics mid-traffic,
 ## supervised restart, deadline shedding under compute delays, the
@@ -42,7 +43,7 @@ verify-chaos:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test chaos
 
 ## The crash-safe-training suites under a forced multi-thread worker pool
-## — what CI's `recovery` job runs (POOL_THREADS=2 there): the checkpoint
+## — run by CI's `pool-suites` job on its POOL_THREADS=2 leg: the checkpoint
 ## codec round-trip + corruption fuzz (truncations, byte flips, torn
 ## writes, stale temp files), the kill-at-batch-N bitwise-identical
 ## resume proptest, the train supervisor's unit coverage, and the
@@ -55,8 +56,8 @@ verify-recovery:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-nn --test checkpoint
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test recovery
 
-## The work-stealing scheduler torture suites — what CI's `verify-steal`
-## matrix job runs (POOL_THREADS=2 and 4 there). The steal suite sweeps
+## The work-stealing scheduler torture suites — run by CI's `pool-suites`
+## matrix job (POOL_THREADS=2 and 4 there). The steal suite sweeps
 ## seeded steal orders (dispatch completeness, no double-claim, panic
 ## propagation with the pool surviving, concurrent independent jobs, the
 ## priority lane); the online suite runs checkpointed fine-tuning and
@@ -73,8 +74,8 @@ verify-steal:
 
 ## Serving smoke: start the engine, drive concurrent clients against it,
 ## assert every response is correct and demuxed to its requester in order,
-## and shut down cleanly — the release-mode soak CI's `serve` job runs on
-## a forced multi-thread pool.
+## and shut down cleanly — the release-mode soak CI's `pool-suites` job
+## runs on a forced multi-thread pool.
 serve-smoke:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q --release -p radix-challenge --test serve -- concurrent_clients oversubscribed shutdown
 
@@ -169,9 +170,10 @@ benchmark-smoke:
 
 ## Autotune this machine: sweep tile width x block rows x fuse depth x
 ## activation-sparsity threshold together on the committed bench shapes
-## and write the winner to ./RADIX_PROFILE.json (merged at this pool
-## width; override the path with RADIX_PROFILE). The kernels load the
-## profile at startup; RADIX_* env vars still outrank it.
+## (one process, one loop over KernelPlan values) and write the winner to
+## ./RADIX_PROFILE.json (merged at this pool width; override the path
+## with RADIX_PROFILE). The kernels load the profile at startup; RADIX_*
+## env vars still outrank it.
 calibrate:
 	$(CARGO) run --release -p radix-bench --bin calibrate
 

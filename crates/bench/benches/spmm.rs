@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use radix_sparse::ops;
-use radix_sparse::{CsrMatrix, CyclicShift, DenseMatrix, Epilogue, PreparedWeights};
+use radix_sparse::{CsrMatrix, CyclicShift, DenseMatrix, Epilogue, Par, PreparedWeights};
 
 fn layer(n: usize, degree: usize) -> CsrMatrix<f32> {
     CyclicShift::radix_submatrix::<u64>(n, degree, 1).map(|_| 1.0 / degree as f32)
@@ -40,15 +40,12 @@ fn bench_dense_spmm(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("csr_serial", &label), &(), |b, ()| {
             b.iter(|| black_box(ops::dense_spmm(&x, &w).unwrap()))
         });
-        group.bench_with_input(BenchmarkId::new("csr_rayon", &label), &(), |b, ()| {
-            b.iter(|| black_box(ops::par_dense_spmm(&x, &w).unwrap()))
-        });
         // Prepared ELL kernels into a reused buffer.
         let mut out = DenseMatrix::<f32>::zeros(batch, n);
         group.bench_with_input(BenchmarkId::new("prepared_serial", &label), &(), |b, ()| {
             b.iter(|| {
                 prepared
-                    .spmm_into(&x, &mut out, &Epilogue::identity())
+                    .spmm(&x, &mut out, &Epilogue::identity(), Par::Serial)
                     .unwrap();
                 black_box(out.as_slice().len())
             })
@@ -56,7 +53,7 @@ fn bench_dense_spmm(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("prepared_rayon", &label), &(), |b, ()| {
             b.iter(|| {
                 prepared
-                    .par_spmm_into(&x, &mut out, &Epilogue::identity())
+                    .spmm(&x, &mut out, &Epilogue::identity(), Par::Pool)
                     .unwrap();
                 black_box(out.as_slice().len())
             })
@@ -68,7 +65,7 @@ fn bench_dense_spmm(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("prepared_fused", &label), &(), |b, ()| {
             b.iter(|| {
-                prepared.spmm_into(&x, &mut out, &epi).unwrap();
+                prepared.spmm(&x, &mut out, &epi, Par::Serial).unwrap();
                 black_box(out.as_slice().len())
             })
         });

@@ -11,15 +11,10 @@
 //! calibrate printout) routinely miss the jointly-best point. This module
 //! sweeps the full cross product.
 //!
-//! **Process model.** Every tunable is resolved once per process and
-//! cached in a `OnceLock` (so hot paths pay one atomic load), which means
-//! a candidate cannot be applied inside the sweeping process. The
-//! calibrate binary therefore re-executes **itself** once per candidate
-//! ([`CHILD_ENV`] set, the candidate's knobs exported as the usual
-//! `RADIX_*` environment variables, which outrank any profile), and the
-//! child prints its score as a [`SCORE_TAG`] line the parent parses.
-//! Child and parent share one binary and one workload, so scores are
-//! measured exactly the way the winning profile will run.
+//! A candidate is a [`KernelPlan`] value: [`measure_workload`] builds its
+//! network and its prepared matrix under the candidate plan, so the sweep
+//! is a plain loop in one process and scores are measured exactly the way
+//! the winning profile will run.
 //!
 //! The workload is the committed bench shapes' fused Challenge forward
 //! pass (dense and 90%-sparse activations — the two regimes the
@@ -27,85 +22,30 @@
 //! training orientation), timed with [`crate::time_kernel`]'s min
 //! estimator.
 
-use std::path::Path;
-use std::process::Command;
+use radix_challenge::{ChallengeNetwork, InferWorkspace};
+use radix_sparse::kernel::TuningProfile;
+use radix_sparse::{
+    Bias, CsrMatrix, CyclicShift, DenseMatrix, Epilogue, KernelPlan, Par, PreparedWeights,
+};
 
-use radix_challenge::{ChallengeNetwork, InferWorkspace, DEFAULT_FUSE_LAYERS};
-use radix_sparse::kernel::DEFAULT_ACT_SPARSE_PERCENT;
-use radix_sparse::kernel::{TuningProfile, DEFAULT_BLOCK_ROWS, DEFAULT_TILE_COLS};
-use radix_sparse::{Bias, CsrMatrix, CyclicShift, DenseMatrix, Epilogue, PreparedWeights};
-
-/// Environment variable marking a calibrate child process: when set, the
-/// binary runs [`measure_workload`] under the knobs in its environment
-/// and prints one [`SCORE_TAG`] line instead of driving the sweep.
-pub const CHILD_ENV: &str = "RADIX_AUTOTUNE_CHILD";
-
-/// Prefix of the score line a calibrate child prints (microseconds,
-/// lower is better): `autotune_score_us: 123.456`.
-pub const SCORE_TAG: &str = "autotune_score_us:";
-
-/// One point of the tunable cross product: the four knobs the persisted
-/// profile carries, all concrete (the grid never leaves a knob unset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
-    /// Column-tile width (`RADIX_TILE_COLS`).
-    pub tile_cols: usize,
-    /// Rows per cache block in every row-blocked schedule
-    /// (`RADIX_BLOCK_ROWS`).
-    pub block_rows: usize,
-    /// Consecutive layers fused per row block (`RADIX_FUSE_LAYERS`).
-    pub fuse_layers: usize,
-    /// Activation-sparsity crossover percent
-    /// (`RADIX_ACT_SPARSE_THRESHOLD`; 0 disables the scatter path).
-    pub act_sparse_percent: usize,
-}
-
-impl Candidate {
-    /// The baked-in defaults as a candidate — always in the grid, so the
-    /// tuned profile is never worse than the defaults by construction
-    /// (ties resolve to the earlier grid entry, and this is entry 0).
-    #[must_use]
-    pub fn default_knobs() -> Candidate {
-        Candidate {
-            tile_cols: DEFAULT_TILE_COLS,
-            block_rows: DEFAULT_BLOCK_ROWS,
-            fuse_layers: DEFAULT_FUSE_LAYERS,
-            act_sparse_percent: DEFAULT_ACT_SPARSE_PERCENT,
-        }
-    }
-
-    /// The environment assignments that apply this candidate to a child
-    /// process. Environment outranks profile in every knob's resolution,
-    /// so children measure the candidate regardless of any profile file.
-    #[must_use]
-    pub fn env(&self) -> [(&'static str, String); 4] {
-        [
-            ("RADIX_TILE_COLS", self.tile_cols.to_string()),
-            ("RADIX_BLOCK_ROWS", self.block_rows.to_string()),
-            ("RADIX_FUSE_LAYERS", self.fuse_layers.to_string()),
-            (
-                "RADIX_ACT_SPARSE_THRESHOLD",
-                self.act_sparse_percent.to_string(),
-            ),
-        ]
-    }
-
-    /// This candidate as a persisted profile run keyed at `threads`.
-    #[must_use]
-    pub fn to_profile(&self, threads: usize) -> TuningProfile {
-        TuningProfile {
-            threads,
-            tile_cols: Some(self.tile_cols),
-            block_rows: Some(self.block_rows),
-            fuse_layers: Some(self.fuse_layers),
-            act_sparse_percent: Some(self.act_sparse_percent),
-        }
+/// `plan` as a persisted profile run keyed at `threads` (the four knobs
+/// the profile carries, all concrete — the grid never leaves one unset).
+#[must_use]
+pub fn to_profile(plan: &KernelPlan, threads: usize) -> TuningProfile {
+    TuningProfile {
+        threads,
+        tile_cols: Some(plan.tile_cols),
+        block_rows: Some(plan.block_rows),
+        fuse_layers: Some(plan.fuse_layers),
+        act_sparse_percent: Some(plan.act_sparse_percent),
     }
 }
 
-/// The candidate cross product. Entry 0 is always [`Candidate::default_knobs`]
-/// (so a min with strict `<` can never pick a non-default tie over the
-/// defaults); the rest is the full grid minus the duplicate default entry.
+/// The candidate cross product. Entry 0 is always [`KernelPlan::default`]
+/// — the baked-in defaults, so the tuned profile is never worse than them
+/// by construction (a min with strict `<` can never pick a non-default
+/// tie) — and the rest is the full grid minus the duplicate default
+/// entry. `par_threshold` is not swept (the profile does not carry it).
 ///
 /// * full (`quick == false`): tile {512, 1024, 2048} × block {16, 32, 64}
 ///   × fuse {1, 2, 4} × act {0, 10, 25} — 81 combos;
@@ -113,22 +53,23 @@ impl Candidate {
 ///   × act {0, 10} — 16 combos, tiny shapes, 3-iteration timings. Proves
 ///   the plumbing; numbers are not meaningful.
 #[must_use]
-pub fn candidate_grid(quick: bool) -> Vec<Candidate> {
+pub fn candidate_grid(quick: bool) -> Vec<KernelPlan> {
     let (tiles, blocks, fuses, acts): (&[usize], &[usize], &[usize], &[usize]) = if quick {
         (&[512, 1024], &[16, 32], &[1, 2], &[0, 10])
     } else {
         (&[512, 1024, 2048], &[16, 32, 64], &[1, 2, 4], &[0, 10, 25])
     };
-    let mut grid = vec![Candidate::default_knobs()];
+    let mut grid = vec![KernelPlan::default()];
     for &tile_cols in tiles {
         for &block_rows in blocks {
             for &fuse_layers in fuses {
                 for &act_sparse_percent in acts {
-                    let c = Candidate {
+                    let c = KernelPlan {
                         tile_cols,
                         block_rows,
                         fuse_layers,
                         act_sparse_percent,
+                        ..KernelPlan::default()
                     };
                     if !grid.contains(&c) {
                         grid.push(c);
@@ -181,14 +122,12 @@ pub fn workload_shapes(quick: bool) -> &'static [(usize, usize, usize)] {
     }
 }
 
-/// Runs the autotune workload **under the current process's tunables**
-/// and returns the total score in seconds (lower is better): for each
-/// committed shape, the fused 4-layer Challenge forward on dense and on
-/// 90%-sparse activations, plus the tiled transposed product. Called by
-/// calibrate children (whose environment carries one candidate) and
-/// usable directly for A/B measurements.
+/// Runs the autotune workload **under `plan`** and returns the total
+/// score in seconds (lower is better): for each committed shape, the
+/// fused 4-layer Challenge forward on dense and on 90%-sparse
+/// activations, plus the tiled transposed product.
 #[must_use]
-pub fn measure_workload(quick: bool) -> f64 {
+pub fn measure_workload(quick: bool, plan: KernelPlan) -> f64 {
     use std::hint::black_box;
     let mut total = 0.0;
     for &(n, degree, batch) in workload_shapes(quick) {
@@ -196,7 +135,7 @@ pub fn measure_workload(quick: bool) -> f64 {
         // Fused multi-layer forward: 4 layers so fuse depths 1/2/4 all
         // differ; dense + sparse inputs so the activation dispatch and
         // the scatter threshold both matter.
-        let net = ChallengeNetwork::from_layers(vec![w.clone(); 4], -0.3, 32.0);
+        let net = ChallengeNetwork::from_layers_with_plan(vec![w.clone(); 4], -0.3, 32.0, plan);
         let mut ws = InferWorkspace::for_network(&net, batch);
         for x in [activations(batch, n), sparse_activations(batch, n)] {
             total += crate::time_kernel(quick, 0.25, 200, || {
@@ -206,63 +145,16 @@ pub fn measure_workload(quick: bool) -> f64 {
         }
         // Tiled transposed product — the training orientation, zero-copy
         // over the forward storage.
-        let p = PreparedWeights::from_csr(w);
+        let p = PreparedWeights::with_plan(w, plan);
         let epi = Epilogue::new(Bias::Uniform(-0.3f32), |v: f32| v.clamp(0.0, 32.0));
         let xt = activations(batch, n);
         let mut out = DenseMatrix::<f32>::default();
         total += crate::time_kernel(quick, 0.25, 200, || {
-            p.spmm_transposed_tiled_into(&xt, &mut out, &epi).unwrap();
+            p.spmm_transposed(&xt, &mut out, &epi, Par::Serial).unwrap();
             black_box(out.as_slice().len());
         });
     }
     total
-}
-
-/// Extracts the score (seconds) from a calibrate child's stdout: the
-/// value of its [`SCORE_TAG`] line, which the child prints in
-/// microseconds. `None` when no well-formed score line is present (the
-/// child crashed or printed garbage).
-#[must_use]
-pub fn parse_child_score(stdout: &str) -> Option<f64> {
-    stdout.lines().find_map(|line| {
-        let rest = line.trim().strip_prefix(SCORE_TAG)?;
-        let us: f64 = rest.trim().parse().ok()?;
-        (us.is_finite() && us >= 0.0).then_some(us * 1e-6)
-    })
-}
-
-/// Spawns this binary as a measurement child for `candidate` and returns
-/// its score in seconds. The child inherits the parent's environment
-/// (pool width included) with the candidate's knobs and the quick flag
-/// overlaid.
-///
-/// # Errors
-/// A message describing the failure: spawn error, non-zero exit, or
-/// missing/malformed score line.
-pub fn run_candidate(exe: &Path, candidate: &Candidate, quick: bool) -> Result<f64, String> {
-    let mut cmd = Command::new(exe);
-    cmd.env(CHILD_ENV, "1");
-    for (k, v) in candidate.env() {
-        cmd.env(k, v);
-    }
-    if quick {
-        cmd.env("RADIX_CALIBRATE_QUICK", "1");
-    } else {
-        cmd.env_remove("RADIX_CALIBRATE_QUICK");
-    }
-    let out = cmd
-        .output()
-        .map_err(|e| format!("failed to spawn measurement child: {e}"))?;
-    if !out.status.success() {
-        return Err(format!(
-            "measurement child exited with {}: {}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr).trim()
-        ));
-    }
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    parse_child_score(&stdout)
-        .ok_or_else(|| format!("no `{SCORE_TAG}` line in child output: {}", stdout.trim()))
 }
 
 /// Merges a freshly measured run into an existing profile's runs:
@@ -291,7 +183,7 @@ mod tests {
     fn grid_leads_with_defaults_and_has_no_duplicates() {
         for quick in [false, true] {
             let grid = candidate_grid(quick);
-            assert_eq!(grid[0], Candidate::default_knobs(), "quick={quick}");
+            assert_eq!(grid[0], KernelPlan::default(), "quick={quick}");
             for (i, a) in grid.iter().enumerate() {
                 assert!(
                     !grid[i + 1..].contains(a),
@@ -306,51 +198,23 @@ mod tests {
     }
 
     #[test]
-    fn candidate_env_names_match_the_resolvers() {
-        let c = Candidate {
-            tile_cols: 2048,
-            block_rows: 64,
-            fuse_layers: 4,
-            act_sparse_percent: 0,
-        };
-        let env = c.env();
-        assert_eq!(env[0], ("RADIX_TILE_COLS", "2048".to_string()));
-        assert_eq!(env[1], ("RADIX_BLOCK_ROWS", "64".to_string()));
-        assert_eq!(env[2], ("RADIX_FUSE_LAYERS", "4".to_string()));
-        assert_eq!(env[3], ("RADIX_ACT_SPARSE_THRESHOLD", "0".to_string()));
-        let run = c.to_profile(2);
-        assert_eq!(run.threads, 2);
-        assert_eq!(run.tile_cols, Some(2048));
-        assert_eq!(run.act_sparse_percent, Some(0));
-    }
-
-    #[test]
-    fn child_score_parses_and_rejects_garbage() {
-        assert_eq!(
-            parse_child_score("noise\nautotune_score_us: 1500.0\n"),
-            Some(1.5e-3)
-        );
-        assert_eq!(parse_child_score("autotune_score_us: -3"), None);
-        assert_eq!(parse_child_score("autotune_score_us: nonsense"), None);
-        assert_eq!(parse_child_score("no score here"), None);
-    }
-
-    #[test]
     fn merge_replaces_same_width_and_keeps_others() {
-        let c = Candidate::default_knobs();
-        let existing = vec![c.to_profile(1), c.to_profile(8)];
-        let tuned = Candidate {
+        let c = KernelPlan::default();
+        let existing = vec![to_profile(&c, 1), to_profile(&c, 8)];
+        let tuned = KernelPlan {
             tile_cols: 2048,
+            act_sparse_percent: 0,
             ..c
         };
-        let merged = merge_profile_runs(existing, tuned.to_profile(8));
+        let merged = merge_profile_runs(existing, to_profile(&tuned, 8));
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].threads, 1);
-        assert_eq!(merged[0].tile_cols, Some(DEFAULT_TILE_COLS));
+        assert_eq!(merged[0].tile_cols, Some(c.tile_cols));
         assert_eq!(merged[1].threads, 8);
         assert_eq!(merged[1].tile_cols, Some(2048));
+        assert_eq!(merged[1].act_sparse_percent, Some(0));
         // A new width inserts, sorted.
-        let merged = merge_profile_runs(merged, tuned.to_profile(2));
+        let merged = merge_profile_runs(merged, to_profile(&tuned, 2));
         assert_eq!(
             merged.iter().map(|r| r.threads).collect::<Vec<_>>(),
             vec![1, 2, 8]
@@ -359,7 +223,10 @@ mod tests {
 
     #[test]
     fn quick_workload_runs_and_scores_positive() {
-        let secs = measure_workload(true);
-        assert!(secs.is_finite() && secs > 0.0);
+        // Two plans in one process: a plan is a value, not process state.
+        for plan in &candidate_grid(true)[..2] {
+            let secs = measure_workload(true, *plan);
+            assert!(secs.is_finite() && secs > 0.0, "{plan:?}");
+        }
     }
 }

@@ -5,7 +5,9 @@
 //! unfused, prepared ELL, prepared ELL fused, cache-tiled, **transposed**
 //! (untiled vs tiled — the backward/training orientation), the
 //! activation-sparsity schedules at 90% sparse input, serial and Rayon,
-//! plus the multi-layer fused Challenge forward pass} — and writes
+//! plus the multi-layer fused Challenge forward pass} — each the same
+//! three `PreparedWeights` products under a `KernelPlan` with at most one
+//! knob moved off the process plan — and writes
 //! edges/second per kernel as JSON, so successive PRs have a
 //! machine-readable perf baseline to diff against (`make bench-gate`
 //! compares a fresh run to the committed baseline).
@@ -34,12 +36,11 @@ use std::hint::black_box;
 use radix_bench::format_json_f64;
 use radix_challenge::{ChallengeNetwork, InferWorkspace};
 use radix_nn::{
-    Activation, GradWorkspace, GradWorkspacePool, Layer, LayerGrads, Loss, Network, SparseLinear,
-    Targets,
+    Activation, GradWorkspace, GradWorkspacePool, Layer, Loss, Network, SparseLinear, Targets,
 };
 use radix_sparse::ops;
 use radix_sparse::{
-    ActivationSchedule, Bias, CsrMatrix, CyclicShift, DenseMatrix, Epilogue, PreparedWeights,
+    Bias, CsrMatrix, CyclicShift, DenseMatrix, Epilogue, KernelPlan, Par, PreparedWeights,
 };
 
 /// Wall-clock budget per kernel point in normal mode.
@@ -90,9 +91,15 @@ fn sparse_activations(rows: usize, cols: usize) -> DenseMatrix<f32> {
 
 fn bench_config(n: usize, degree: usize, batch: usize, quick: bool) -> (u64, Vec<KernelResult>) {
     let w = layer(n, degree);
+    // Every point is the process plan with at most one knob moved.
+    let plan = KernelPlan::process();
     let prepared = PreparedWeights::from_csr(w.clone());
-    let mut tiled = prepared.clone();
-    tiled.tile();
+    let tiled_under = |plan: KernelPlan| {
+        let mut p = PreparedWeights::with_plan(w.clone(), plan);
+        p.tile();
+        p
+    };
+    let tiled = tiled_under(plan);
     assert!(prepared.is_ell(), "RadiX layers have constant degree");
     let x = activations(batch, n);
     let edges = (batch * w.nnz()) as u64;
@@ -120,62 +127,66 @@ fn bench_config(n: usize, degree: usize, batch: usize, quick: bool) -> (u64, Vec
         }),
     );
     push(
-        "csr_rayon_unfused",
-        time_kernel(quick, || {
-            let mut y = ops::par_dense_spmm(&x, &w).unwrap();
-            y.map_inplace(|v| (v - 0.3).clamp(0.0, 32.0));
-            black_box(y.as_slice().len());
-        }),
-    );
-    push(
         "prepared_serial",
         time_kernel(quick, || {
-            prepared.spmm_into(&x, &mut out, &epi_identity).unwrap();
+            prepared
+                .spmm(&x, &mut out, &epi_identity, Par::Serial)
+                .unwrap();
             black_box(out.as_slice().len());
         }),
     );
     push(
         "prepared_serial_fused",
         time_kernel(quick, || {
-            prepared.spmm_into(&x, &mut out, &epi_fused).unwrap();
+            prepared
+                .spmm(&x, &mut out, &epi_fused, Par::Serial)
+                .unwrap();
             black_box(out.as_slice().len());
         }),
     );
     push(
         "prepared_rayon_fused",
         time_kernel(quick, || {
-            prepared.par_spmm_into(&x, &mut out, &epi_fused).unwrap();
+            prepared.spmm(&x, &mut out, &epi_fused, Par::Pool).unwrap();
             black_box(out.as_slice().len());
         }),
     );
 
     // Cache-tiled variants: the same products on the column-tiled,
-    // tile-major schedule (RADIX_TILE_COLS-wide tiles; the tiled copy was
+    // tile-major schedule (the plan's tile width; the tiled copy was
     // built next to `prepared` above).
     push(
         "prepared_tiled_fused",
         time_kernel(quick, || {
-            tiled.spmm_tiled_into(&x, &mut out, &epi_fused).unwrap();
+            tiled.spmm(&x, &mut out, &epi_fused, Par::Serial).unwrap();
             black_box(out.as_slice().len());
         }),
     );
     push(
         "prepared_tiled_rayon_fused",
         time_kernel(quick, || {
-            tiled.par_spmm_tiled_into(&x, &mut out, &epi_fused).unwrap();
+            tiled.spmm(&x, &mut out, &epi_fused, Par::Pool).unwrap();
             black_box(out.as_slice().len());
         }),
     );
 
     // Transposed (backward/training) orientation: untiled per-row gather
-    // vs the tile-major schedule (zero-copy over the ELL layout — the
-    // `prepared` copy is untiled, proving no forward tiles are needed).
-    // Identity epilogue, as in the backward pass.
+    // (one tile spanning every row of `W`) vs the tile-major schedule
+    // (zero-copy over the ELL layout — the `prepared` copy is untiled,
+    // proving no forward tiles are needed). Identity epilogue, as in the
+    // backward pass.
+    let one_tile = PreparedWeights::with_plan(
+        w.clone(),
+        KernelPlan {
+            tile_cols: n,
+            ..plan
+        },
+    );
     push(
         "transposed_serial",
         time_kernel(quick, || {
-            prepared
-                .spmm_transposed_into(&x, &mut out, &epi_identity)
+            one_tile
+                .spmm_transposed(&x, &mut out, &epi_identity, Par::Serial)
                 .unwrap();
             black_box(out.as_slice().len());
         }),
@@ -184,7 +195,7 @@ fn bench_config(n: usize, degree: usize, batch: usize, quick: bool) -> (u64, Vec
         "transposed_tiled",
         time_kernel(quick, || {
             prepared
-                .spmm_transposed_tiled_into(&x, &mut out, &epi_identity)
+                .spmm_transposed(&x, &mut out, &epi_identity, Par::Serial)
                 .unwrap();
             black_box(out.as_slice().len());
         }),
@@ -193,7 +204,7 @@ fn bench_config(n: usize, degree: usize, batch: usize, quick: bool) -> (u64, Vec
         "transposed_tiled_rayon",
         time_kernel(quick, || {
             prepared
-                .par_spmm_transposed_tiled_into(&x, &mut out, &epi_identity)
+                .spmm_transposed(&x, &mut out, &epi_identity, Par::Pool)
                 .unwrap();
             black_box(out.as_slice().len());
         }),
@@ -201,37 +212,26 @@ fn bench_config(n: usize, degree: usize, batch: usize, quick: bool) -> (u64, Vec
 
     // Activation-sparsity schedules at 90% sparse input (the deep
     // post-ReLU regime): the branch-free gather that multiplies zeros
-    // through vs the zero-skipping scatter the Auto dispatch switches to.
+    // through (`act_sparse_percent` 0) vs the zero-skipping scatter the
+    // per-block count switches to (forced: 100).
     {
         let x90 = sparse_activations(batch, n);
-        push(
-            "tiled_act90_gather",
-            time_kernel(quick, || {
-                tiled
-                    .spmm_tiled_scheduled_into(
-                        &x90,
-                        &mut out,
-                        &epi_fused,
-                        ActivationSchedule::Gather,
-                    )
-                    .unwrap();
-                black_box(out.as_slice().len());
-            }),
-        );
-        push(
-            "tiled_act90_scatter",
-            time_kernel(quick, || {
-                tiled
-                    .spmm_tiled_scheduled_into(
-                        &x90,
-                        &mut out,
-                        &epi_fused,
-                        ActivationSchedule::Scatter,
-                    )
-                    .unwrap();
-                black_box(out.as_slice().len());
-            }),
-        );
+        for (name, act_sparse_percent) in [("tiled_act90_gather", 0), ("tiled_act90_scatter", 100)]
+        {
+            let forced = tiled_under(KernelPlan {
+                act_sparse_percent,
+                ..plan
+            });
+            push(
+                name,
+                time_kernel(quick, || {
+                    forced
+                        .spmm(&x90, &mut out, &epi_fused, Par::Serial)
+                        .unwrap();
+                    black_box(out.as_slice().len());
+                }),
+            );
+        }
     }
 
     // Multi-layer tile fusion: a 2-layer Challenge network at this width,
@@ -248,11 +248,8 @@ fn bench_config(n: usize, degree: usize, batch: usize, quick: bool) -> (u64, Vec
     }
 
     // Training: a full 2-layer gradient batch (forward trace + loss
-    // gradient + backward) at this width — serial, the retired
-    // copy-per-chunk `into_par_iter` shape (replicated below as the
-    // historical baseline), and the pool-native path with zero-copy chunk
-    // views and the fixed-order reduction. The acceptance criterion is
-    // pool ≥ chunked_alloc at equal thread count.
+    // gradient + backward) at this width — serial, and the pool-native
+    // path with zero-copy chunk views and the fixed-order reduction.
     {
         const TRAIN_CHUNKS: usize = 4;
         let net = Network::new(
@@ -268,12 +265,6 @@ fn bench_config(n: usize, degree: usize, batch: usize, quick: bool) -> (u64, Vec
             "train_step_serial",
             time_kernel(quick, || {
                 black_box(net.grad_batch_with(&x, Targets::values(&y), &mut ws));
-            }),
-        );
-        push(
-            "train_step_chunked_alloc_rayon",
-            time_kernel(quick, || {
-                black_box(old_copying_par_grad(&net, &x, &y, TRAIN_CHUNKS));
             }),
         );
         let mut pool = GradWorkspacePool::for_network(&net, batch, TRAIN_CHUNKS);
@@ -308,60 +299,6 @@ fn bench_config(n: usize, degree: usize, batch: usize, quick: bool) -> (u64, Vec
     );
 
     (edges, results)
-}
-
-/// The data-parallel gradient shape this PR retired, replicated as the
-/// bench baseline the pool-native path is measured against: one freshly
-/// allocated input/target copy plus one freshly allocated gradient vector
-/// set **per chunk per call**, fanned out with `into_par_iter`, combined
-/// with a sequential weighted sweep.
-fn old_copying_par_grad(
-    net: &Network,
-    x: &DenseMatrix<f32>,
-    y: &DenseMatrix<f32>,
-    chunks: usize,
-) -> f32 {
-    use rayon::prelude::*;
-    let batch = x.nrows();
-    let chunk_size = batch.div_ceil(chunks);
-    let ranges: Vec<std::ops::Range<usize>> = (0..batch)
-        .step_by(chunk_size)
-        .map(|start| start..(start + chunk_size).min(batch))
-        .collect();
-    let partials: Vec<(usize, f32, Vec<LayerGrads>)> = ranges
-        .into_par_iter()
-        .map(|range| {
-            let rows = range.len();
-            let mut xs = DenseMatrix::zeros(rows, x.ncols());
-            let mut ys = DenseMatrix::zeros(rows, y.ncols());
-            for (local, global) in range.enumerate() {
-                let dst: &mut [f32] = xs.row_mut(local);
-                dst.copy_from_slice(x.row(global));
-                let dst: &mut [f32] = ys.row_mut(local);
-                dst.copy_from_slice(y.row(global));
-            }
-            let (loss, grads) = net.grad_batch(&xs, Targets::values(&ys));
-            (rows, loss, grads)
-        })
-        .collect();
-    let mut total = 0.0f32;
-    let mut combined: Vec<LayerGrads> = net
-        .layers()
-        .iter()
-        .map(|l| {
-            let (w, b) = l.param_lens();
-            LayerGrads::zeros(w, b)
-        })
-        .collect();
-    for (rows, loss, grads) in partials {
-        let weight = rows as f32 / batch as f32;
-        total += loss * weight;
-        for (acc, g) in combined.iter_mut().zip(&grads) {
-            acc.add_scaled(g, weight);
-        }
-    }
-    std::hint::black_box(combined.len());
-    total
 }
 
 fn main() {

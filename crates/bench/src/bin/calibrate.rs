@@ -17,11 +17,9 @@
 //! exported `RADIX_*` variables still outrank the written profile, and a
 //! machine without a profile behaves exactly as before.
 //!
-//! **Process model**: tunables are `OnceLock`-cached per process, so the
-//! sweep cannot apply a candidate to itself. The binary re-executes
-//! itself once per candidate with the candidate exported as environment
-//! (see [`radix_bench::autotune`]); children print a score line this
-//! parent parses. The profile is keyed by worker-pool width
+//! Each candidate is a `KernelPlan` value the workload is built under
+//! (see [`radix_bench::autotune`]), so the sweep is one loop in this
+//! process. The profile is keyed by worker-pool width
 //! (`rayon::current_num_threads()`): run under `RADIX_POOL_THREADS=N` to
 //! calibrate width `N`; runs at other widths in an existing profile are
 //! preserved.
@@ -32,21 +30,13 @@
 //! * `RADIX_PROFILE` — where to write/merge the profile (default
 //!   `./RADIX_PROFILE.json`).
 
-use radix_bench::autotune::{self, Candidate, CHILD_ENV, SCORE_TAG};
+use radix_bench::autotune;
 use radix_sparse::kernel::{emit_profile, load_profile, profile_path, ProfileError};
+use radix_sparse::KernelPlan;
 
 fn main() {
     let quick = std::env::var("RADIX_CALIBRATE_QUICK").is_ok_and(|v| v == "1");
-    if std::env::var(CHILD_ENV).is_ok() {
-        // Measurement child: the candidate's knobs arrived as RADIX_*
-        // environment variables; score the workload under them and report.
-        let secs = autotune::measure_workload(quick);
-        println!("{SCORE_TAG} {:.3}", secs * 1e6);
-        return;
-    }
-
     let threads = rayon::current_num_threads();
-    let exe = std::env::current_exe().expect("calibrate: cannot locate own binary");
     let grid = autotune::candidate_grid(quick);
     println!(
         "calibrate: autotuning {} candidates at {threads} pool thread(s), quick={quick}",
@@ -57,20 +47,14 @@ fn main() {
         "tile_cols", "block_rows", "fuse", "act_pct", "score_us"
     );
 
-    let mut best: Option<(Candidate, f64)> = None;
-    let mut default_score: Option<f64> = None;
+    let mut best: Option<(KernelPlan, f64)> = None;
+    let mut default_score = 0.0;
     for (i, c) in grid.iter().enumerate() {
-        let secs = match autotune::run_candidate(&exe, c, quick) {
-            Ok(secs) => secs,
-            Err(e) => {
-                eprintln!("calibrate: candidate {c:?} failed: {e}");
-                continue;
-            }
-        };
+        let secs = autotune::measure_workload(quick, *c);
         // Entry 0 is the baked-in defaults; strict `<` means the tuned
         // pick is never worse than the defaults by construction.
         if i == 0 {
-            default_score = Some(secs);
+            default_score = secs;
         }
         let is_best = best.is_none_or(|(_, b)| secs < b);
         println!(
@@ -92,8 +76,7 @@ fn main() {
         }
     }
 
-    let (winner, score) = best.expect("calibrate: every candidate failed to measure");
-    let default_score = default_score.expect("calibrate: the default candidate failed to measure");
+    let (winner, score) = best.expect("calibrate: the grid is never empty");
     println!(
         "\ncalibrate: best tile_cols={} block_rows={} fuse_layers={} act_pct={} \
          at {:.2} us (defaults {:.2} us, {:+.1}%)",
@@ -121,7 +104,7 @@ fn main() {
             Vec::new()
         }
     };
-    let merged = autotune::merge_profile_runs(existing, winner.to_profile(threads));
+    let merged = autotune::merge_profile_runs(existing, autotune::to_profile(&winner, threads));
     std::fs::write(path, emit_profile(&merged))
         .unwrap_or_else(|e| panic!("calibrate: cannot write {path_str}: {e}"));
 

@@ -527,7 +527,7 @@ mod tests {
     #[test]
     fn classifies_pool_kernels() {
         for name in [
-            "csr_rayon_unfused",
+            "train_step_pool_rayon",
             "prepared_rayon_fused",
             "prepared_tiled_rayon_fused",
             "transposed_tiled_rayon",

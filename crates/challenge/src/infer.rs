@@ -7,22 +7,26 @@
 //!
 //! The layers are held as [`PreparedWeights`]: RadiX-Net layer matrices
 //! have constant row degree, so every product runs on the ELL fast path —
-//! column-tiled for wide layers (`RADIX_TILE_COLS`) so the scatter targets
-//! stay cache-resident — with the bias + ReLU + `YMAX` clamp fused into
-//! the kernel as an [`Epilogue`]. Tiled products run the
-//! activation-sparsity dispatch (`radix_sparse::kernel`'s
-//! `ActivationSchedule::Auto`): deep Challenge layers whose post-ReLU
-//! activations fall below the `RADIX_ACT_SPARSE_THRESHOLD` nonzero
-//! fraction switch from the branch-free gather to a zero-skipping
-//! scatter, block by block, with identical results.
+//! column-tiled for wide layers so the gather's working set stays
+//! cache-resident — with the bias + ReLU + `YMAX` clamp fused into the
+//! kernel as an [`Epilogue`]. Tiled products run the activation-sparsity
+//! dispatch: deep Challenge layers whose post-ReLU activations fall below
+//! the plan's `act_sparse_percent` nonzero fraction switch from the
+//! branch-free gather to a zero-skipping scatter, block by block, with
+//! identical results.
 //!
 //! The forward pass runs a **multi-layer tile-fused schedule**: instead of
 //! finishing each layer on the whole batch before starting the next (a
 //! full-batch barrier whose intermediate activations round-trip through
-//! memory), consecutive layers are grouped ([`fuse_layers`], env
-//! `RADIX_FUSE_LAYERS`, default 2) and each `fuse_block_rows()`-row block of
-//! the batch is pushed through the whole group while its activations are
-//! still cache-hot. Group outputs ping-pong between the two main
+//! memory), consecutive layers are grouped (`fuse_layers` at a time,
+//! default 2) and each `block_rows`-row block of the batch is pushed
+//! through the whole group while its activations are still cache-hot.
+//!
+//! Tile width, block rows, fuse depth and both thresholds are the
+//! network's [`KernelPlan`]: the process-wide one
+//! ([`KernelPlan::process`] — `RADIX_*` environment > tuning profile >
+//! default) unless [`ChallengeNetwork::from_layers_with_plan`] is given
+//! another. Group outputs ping-pong between the two main
 //! [`InferWorkspace`] buffers exactly as before; the within-group
 //! intermediates live in small per-worker scratch ping-pongs. Every row's
 //! arithmetic is unchanged, so results stay bitwise identical to the
@@ -32,44 +36,17 @@
 //! allocation**, for the serial *and* the pool-parallel schedule
 //! (`tests/zero_alloc.rs` pins both down with a counting allocator).
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
-use radix_sparse::kernel::{use_parallel, PingPong};
-use radix_sparse::{Bias, CsrMatrix, DenseMatrix, Epilogue, PreparedWeights};
+use radix_sparse::kernel::PingPong;
+use radix_sparse::{Bias, CsrMatrix, DenseMatrix, Epilogue, KernelPlan, Par, PreparedWeights};
 
 use crate::config::ChallengeConfig;
 
-/// Default number of consecutive layers fused per row block.
-pub const DEFAULT_FUSE_LAYERS: usize = 2;
-
-/// Batch rows per fused block — the block's intermediate activations
-/// (`fuse_block_rows() × layer width` values, twice) must stay
-/// cache-resident across the group's layers. Shares the kernel engine's
-/// [`radix_sparse::kernel::block_rows`] tunable (`RADIX_BLOCK_ROWS` /
-/// profile / default 32) so one knob shapes every row-blocked schedule.
-#[inline]
-fn fuse_block_rows() -> usize {
-    radix_sparse::kernel::block_rows()
-}
-
-/// How many consecutive layers the forward pass fuses per row block,
-/// resolved with the tunable precedence (env > profile > default):
-/// `RADIX_FUSE_LAYERS` from the environment if set to a positive parseable
-/// `usize` (1 disables fusion), else the persisted tuning profile's
-/// opinion at this thread count (see
-/// [`radix_sparse::kernel::profile`]), otherwise [`DEFAULT_FUSE_LAYERS`].
-/// Read once and cached for the process lifetime.
+/// The process plan's `fuse_layers` ([`KernelPlan::process`]).
 #[must_use]
 pub fn fuse_layers() -> usize {
-    static FUSE: OnceLock<usize> = OnceLock::new();
-    *FUSE.get_or_init(|| {
-        radix_sparse::kernel::resolve_knob(
-            radix_sparse::kernel::env_usize_opt("RADIX_FUSE_LAYERS"),
-            radix_sparse::kernel::active_profile().and_then(|p| p.fuse_layers),
-            DEFAULT_FUSE_LAYERS,
-        )
-    })
+    KernelPlan::process().fuse_layers
 }
 
 /// A Challenge network instance: prepared sparse weight layers plus the
@@ -80,6 +57,9 @@ pub struct ChallengeNetwork {
     layers: Vec<PreparedWeights<f32>>,
     bias: f32,
     ymax: f32,
+    /// The plan every layer was prepared under; the forward schedule
+    /// reads its `fuse_layers`, `block_rows` and `par_threshold`.
+    plan: KernelPlan,
 }
 
 /// Ping-pong activation buffers for allocation-free Challenge inference.
@@ -113,7 +93,7 @@ impl InferWorkspace {
             .map(PreparedWeights::ncols)
             .max()
             .unwrap_or(0);
-        let block = fuse_block_rows().min(batch.max(1));
+        let block = net.plan.block_rows.min(batch.max(1));
         let scratch = (0..rayon::current_num_threads())
             .map(|_| PingPong::with_capacity(block, widest))
             .collect();
@@ -137,15 +117,6 @@ impl InferWorkspace {
     }
 }
 
-/// How a forward pass chooses between the serial and Rayon kernels.
-#[derive(Clone, Copy)]
-enum Schedule {
-    /// Caller-forced choice for every layer.
-    Fixed(bool),
-    /// Per-layer decision via the shared work heuristic.
-    Auto,
-}
-
 /// Result of one timed inference run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferenceStats {
@@ -161,54 +132,85 @@ pub struct InferenceStats {
 
 impl ChallengeNetwork {
     /// Builds the network from a configuration: topology from the
-    /// RadiX-Net spec, every edge weighted `config.weight`.
+    /// RadiX-Net spec, every edge weighted `config.weight`, under the
+    /// process-wide plan.
     ///
     /// # Errors
     /// Propagates topology construction errors.
     pub fn from_config(config: &ChallengeConfig) -> Result<Self, radix_net::RadixError> {
         let net = config.spec()?.build();
         let weight = config.weight;
-        let layers = net
-            .fnnt()
-            .submatrices()
-            .iter()
-            .map(|w| {
-                let mut p = PreparedWeights::from_csr(w.map(|_| weight));
-                // One-time column-tiling pass; narrow layers stay untiled.
-                p.tile();
-                p
-            })
-            .collect();
-        Ok(ChallengeNetwork {
+        let layers = net.fnnt().submatrices().iter().map(|w| w.map(|_| weight));
+        Ok(Self::prepare(
             layers,
-            bias: config.bias,
-            ymax: config.ymax,
-        })
+            config.bias,
+            config.ymax,
+            KernelPlan::process(),
+        ))
     }
 
     /// Builds directly from explicit weight layers (for tests and for
-    /// non-RadiX-Net comparisons).
+    /// non-RadiX-Net comparisons), under the process-wide plan.
     ///
     /// # Panics
     /// Panics if layers are empty or do not chain.
     #[must_use]
     pub fn from_layers(layers: Vec<CsrMatrix<f32>>, bias: f32, ymax: f32) -> Self {
+        Self::from_layers_with_plan(layers, bias, ymax, KernelPlan::process())
+    }
+
+    /// [`ChallengeNetwork::from_layers`] under an explicit plan: every
+    /// layer is prepared (and, when wider than `plan.tile_cols`, tiled)
+    /// under it, and the forward schedule fuses `plan.fuse_layers` layers
+    /// per `plan.block_rows`-row block.
+    ///
+    /// # Panics
+    /// Panics if layers are empty or do not chain, or if any of the
+    /// plan's `tile_cols`, `block_rows`, `fuse_layers` is zero.
+    #[must_use]
+    pub fn from_layers_with_plan(
+        layers: Vec<CsrMatrix<f32>>,
+        bias: f32,
+        ymax: f32,
+        plan: KernelPlan,
+    ) -> Self {
+        Self::prepare(layers.into_iter(), bias, ymax, plan)
+    }
+
+    /// Prepares and tiles each layer as the iterator yields it — a layer
+    /// built lazily (as `from_config` does) is tiled while still
+    /// cache-hot — then checks the invariants every other method relies on.
+    fn prepare(
+        layers: impl Iterator<Item = CsrMatrix<f32>>,
+        bias: f32,
+        ymax: f32,
+        plan: KernelPlan,
+    ) -> Self {
+        assert!(plan.fuse_layers > 0, "fuse depth must be positive");
+        let layers: Vec<_> = layers
+            .map(|w| {
+                let mut p = PreparedWeights::with_plan(w, plan);
+                // One-time column-tiling pass; narrow layers stay untiled.
+                p.tile();
+                p
+            })
+            .collect();
         assert!(!layers.is_empty(), "need at least one layer");
         for pair in layers.windows(2) {
             assert_eq!(pair[0].ncols(), pair[1].nrows(), "layers must chain");
         }
         ChallengeNetwork {
-            layers: layers
-                .into_iter()
-                .map(|w| {
-                    let mut p = PreparedWeights::from_csr(w);
-                    p.tile();
-                    p
-                })
-                .collect(),
+            layers,
             bias,
             ymax,
+            plan,
         }
+    }
+
+    /// The plan the network was built under.
+    #[must_use]
+    pub fn plan(&self) -> KernelPlan {
+        self.plan
     }
 
     /// The prepared weight layers.
@@ -275,13 +277,14 @@ impl ChallengeNetwork {
         parallel: bool,
         ws: &'w mut InferWorkspace,
     ) -> &'w DenseMatrix<f32> {
-        self.forward_schedule(x, Schedule::Fixed(parallel), ws)
+        let par = if parallel { Par::Pool } else { Par::Serial };
+        self.forward_schedule(x, par, ws)
     }
 
-    /// Forward pass that picks serial vs Rayon **per layer** with the
-    /// shared `radix_sparse::kernel` work heuristic
-    /// (`RADIX_PAR_THRESHOLD`) — the same switch the `radix-nn` layers
-    /// use — instead of a caller-supplied flag.
+    /// Forward pass that picks serial vs pool **per layer group** with
+    /// the plan's work threshold ([`Par::Auto`], `RADIX_PAR_THRESHOLD`) —
+    /// the same switch the `radix-nn` layers use — instead of a
+    /// caller-supplied flag.
     ///
     /// # Panics
     /// Panics if `x.ncols() != n_in()`.
@@ -290,22 +293,22 @@ impl ChallengeNetwork {
         x: &DenseMatrix<f32>,
         ws: &'w mut InferWorkspace,
     ) -> &'w DenseMatrix<f32> {
-        self.forward_schedule(x, Schedule::Auto, ws)
+        self.forward_schedule(x, Par::Auto, ws)
     }
 
     /// Shared driver behind [`ChallengeNetwork::forward_with`] and
     /// [`ChallengeNetwork::forward_auto_with`]: the layers are cut into
-    /// groups of [`fuse_layers`] consecutive layers, group outputs
+    /// groups of `plan.fuse_layers` consecutive layers, group outputs
     /// ping-pong through the two main workspace buffers, and within a
     /// group each row block is chained through every layer while its
     /// activations stay cache-hot (see [`forward_group`]).
     fn forward_schedule<'w>(
         &self,
         x: &DenseMatrix<f32>,
-        schedule: Schedule,
+        par: Par,
         ws: &'w mut InferWorkspace,
     ) -> &'w DenseMatrix<f32> {
-        let depth = fuse_layers();
+        let depth = self.plan.fuse_layers;
         let nlayers = self.layers.len();
         // Non-empty layers are a construction invariant, so groups >= 1.
         let groups = nlayers.div_ceil(depth);
@@ -318,14 +321,7 @@ impl ChallengeNetwork {
             let lo = g * depth;
             let hi = (lo + depth).min(nlayers);
             let group = &self.layers[lo..hi];
-            let parallel = match schedule {
-                Schedule::Fixed(p) => p,
-                Schedule::Auto => {
-                    let work: usize = group.iter().map(|w| w.work(src.nrows())).sum();
-                    use_parallel(work)
-                }
-            };
-            forward_group(group, src, dst, &epi, parallel, scratch);
+            forward_group(group, src, dst, &epi, par, self.plan, scratch);
         })
     }
 
@@ -361,28 +357,27 @@ impl ChallengeNetwork {
 /// Applies one fused layer group to the whole batch, `src → dst`.
 ///
 /// A single-layer group is one tiled product straight into `dst`. A deeper
-/// group cuts the batch into `fuse_block_rows()`-row blocks and chains each
+/// group cuts the batch into `plan.block_rows`-row blocks and chains each
 /// block through every layer of the group (intermediates in the worker's
 /// scratch ping-pong, final layer writing its slice of `dst` directly), so
-/// a block's activations never leave cache between layers. Parallel
-/// execution hands blocks to the persistent pool via the allocation-free
-/// chunk dispatch, one scratch pair per worker slot.
+/// a block's activations never leave cache between layers. Pool
+/// execution ([`Par::Auto`] thresholds on the whole group's work) hands
+/// blocks to the persistent pool via the allocation-free chunk dispatch,
+/// one scratch pair per worker slot; serial execution is the same
+/// dispatch with one slot.
 fn forward_group<F: Fn(f32) -> f32 + Sync>(
     group: &[PreparedWeights<f32>],
     src: &DenseMatrix<f32>,
     dst: &mut DenseMatrix<f32>,
     epi: &Epilogue<'_, f32, F>,
-    parallel: bool,
+    par: Par,
+    plan: KernelPlan,
     scratch: &mut [PingPong<f32>],
 ) {
     if group.len() == 1 {
-        let w = &group[0];
-        if parallel {
-            w.par_spmm_tiled_into(src, dst, epi)
-        } else {
-            w.spmm_tiled_into(src, dst, epi)
-        }
-        .expect("layer widths chain");
+        group[0]
+            .spmm(src, dst, epi, par)
+            .expect("layer widths chain");
         return;
     }
     let batch = src.nrows();
@@ -393,28 +388,26 @@ fn forward_group<F: Fn(f32) -> f32 + Sync>(
         dst.as_mut_slice().fill(0.0);
         return;
     }
-    let brows = fuse_block_rows();
-    if parallel {
-        rayon::for_each_chunk_mut_with(
-            dst.as_mut_slice(),
-            brows * out_cols,
-            scratch,
-            |pp, blk, chunk| {
-                let rows = chunk.len() / out_cols;
-                fused_block(group, src, blk * brows, rows, chunk, pp, epi);
-            },
-        );
+    // No block is longer than the batch, so `brows · out_cols` cannot
+    // overflow whatever grain the plan asks for.
+    let brows = plan.block_rows.min(batch);
+    let work: usize = group.iter().map(|w| w.work(batch)).sum();
+    // One scratch pair per participating thread: all of them on the pool;
+    // a single one runs the blocks in order on this thread.
+    let scratch = if plan.pool(par, work) {
+        scratch
     } else {
-        let slice = dst.as_mut_slice();
-        let pp = &mut scratch[0];
-        let mut start = 0usize;
-        while start < batch {
-            let rows = brows.min(batch - start);
-            let chunk = &mut slice[start * out_cols..(start + rows) * out_cols];
-            fused_block(group, src, start, rows, chunk, pp, epi);
-            start += rows;
-        }
-    }
+        &mut scratch[..1]
+    };
+    rayon::for_each_chunk_mut_with(
+        dst.as_mut_slice(),
+        brows * out_cols,
+        scratch,
+        |pp, blk, chunk| {
+            let rows = chunk.len() / out_cols;
+            fused_block(group, src, blk * brows, rows, chunk, pp, epi);
+        },
+    );
 }
 
 /// Chains one row block through every layer of a fused group: layer 0
@@ -493,31 +486,64 @@ mod tests {
         assert_eq!(ys, yp);
     }
 
+    /// Shape plus every element's bit pattern (stricter than `==`, which
+    /// cannot tell `-0.0` from `0.0`).
+    fn bits(m: &DenseMatrix<f32>) -> (usize, Vec<u32>) {
+        (
+            m.nrows(),
+            m.as_slice().iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
     #[test]
     fn fused_schedule_matches_layer_by_layer() {
         // The fused group schedule must be bitwise identical to the plain
-        // one-layer-at-a-time reference, at batch sizes that exercise a
-        // partial block, exactly one block, and several blocks (including
-        // a trailing partial one) of fuse_block_rows() = 32 rows.
-        let net = ChallengeNetwork::from_config(&ChallengeConfig::preset(2, 5, 3)).unwrap();
-        let epi = net.epilogue();
+        // one-layer-at-a-time reference at every fuse depth (1 = no
+        // fusion; 4 leaves a trailing 3-layer group of the 15) and block
+        // grain — one row, an odd grain, the default, and one so large
+        // that `block_rows × width` would wrap if it were not clamped to
+        // the batch — serial and on the pool, at batch sizes that
+        // exercise a partial block, exactly one block, and several blocks
+        // (including a trailing partial one).
+        let base = ChallengeNetwork::from_config(&ChallengeConfig::preset(2, 5, 3)).unwrap();
+        let csrs: Vec<CsrMatrix<f32>> = base.layers().iter().map(|l| l.as_csr().clone()).collect();
+        let epi = base.epilogue();
         for batch in [1usize, 7, 31, 32, 33, 64, 80] {
-            let x = sparse_binary_batch(batch, net.n_in(), 0.4, batch as u64);
-            // Reference: whole-batch barrier between layers, untiled order
-            // of application (kernels themselves are bitwise-equal either
-            // way, pinned by the radix-sparse proptest suite).
+            let x = sparse_binary_batch(batch, base.n_in(), 0.4, batch as u64);
+            // Reference: whole-batch barrier between layers (the kernels
+            // themselves are bitwise-equal under every plan, pinned by the
+            // radix-sparse proptest suite).
             let mut cur = x.clone();
             let mut nxt = DenseMatrix::default();
-            for w in net.layers() {
-                w.spmm_into(&cur, &mut nxt, &epi).unwrap();
+            for w in base.layers() {
+                w.spmm(&cur, &mut nxt, &epi, Par::Serial).unwrap();
                 std::mem::swap(&mut cur, &mut nxt);
             }
-            for parallel in [false, true] {
-                assert_eq!(
-                    &net.forward(&x, parallel),
-                    &cur,
-                    "batch {batch}, parallel {parallel}"
-                );
+            for fuse_layers in [1usize, 2, 3, 4] {
+                for block_rows in [1usize, 7, 32, 1 << 62] {
+                    let plan = KernelPlan {
+                        fuse_layers,
+                        block_rows,
+                        // 8-column tiles split the 32-wide layers.
+                        tile_cols: 8,
+                        ..KernelPlan::default()
+                    };
+                    let net = ChallengeNetwork::from_layers_with_plan(
+                        csrs.clone(),
+                        base.bias(),
+                        base.ymax(),
+                        plan,
+                    );
+                    assert_eq!(net.plan(), plan);
+                    assert!(net.layers().iter().all(PreparedWeights::is_tiled));
+                    for parallel in [false, true] {
+                        assert_eq!(
+                            bits(&net.forward(&x, parallel)),
+                            bits(&cur),
+                            "batch {batch}, parallel {parallel}, {plan:?}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -13,7 +13,9 @@
 //!   edges/second reporting (the Challenge metric). Layers are prepared
 //!   ELL-layout weights (`radix_sparse::kernel`), column-tiled for cache
 //!   residency, with the nonlinearity fused in; the forward pass fuses
-//!   [`fuse_layers`] consecutive layers per row block so intermediate
+//!   the `fuse_layers` of its `radix_sparse::KernelPlan` (the
+//!   process-wide one unless [`ChallengeNetwork::from_layers_with_plan`]
+//!   is given another) consecutive layers per row block so intermediate
 //!   activations stay cache-hot, and group outputs ping-pong through an
 //!   [`InferWorkspace`] so the timed region performs zero heap allocation
 //!   after warm-up (serial and pool-parallel),
@@ -52,9 +54,7 @@ pub mod supervise;
 pub use catalog::{challenge_ladder, CatalogEntry};
 pub use config::ChallengeConfig;
 pub use fault::{FaultInjector, FaultPlan};
-pub use infer::{
-    fuse_layers, ChallengeNetwork, InferWorkspace, InferenceStats, DEFAULT_FUSE_LAYERS,
-};
+pub use infer::{fuse_layers, ChallengeNetwork, InferWorkspace, InferenceStats};
 pub use online::{OnlineConfig, OnlineError, OnlineReport, OnlineSession, PublishStats};
 pub use pipeline::forward_pipelined;
 pub use serve::{

@@ -11,7 +11,7 @@
 
 use crossbeam::channel::bounded;
 
-use radix_sparse::DenseMatrix;
+use radix_sparse::{DenseMatrix, Par};
 
 use crate::infer::ChallengeNetwork;
 
@@ -77,7 +77,7 @@ pub fn forward_pipelined(
                 // parallelism here).
                 for (t, tile) in in_rx {
                     let mut y = DenseMatrix::default();
-                    w.spmm_tiled_into(&tile, &mut y, &epi)
+                    w.spmm(&tile, &mut y, &epi, Par::Serial)
                         .expect("layer widths chain");
                     if out_tx.send((t, y)).is_err() {
                         break;

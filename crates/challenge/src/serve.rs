@@ -91,7 +91,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use radix_sparse::DenseMatrix;
+use radix_sparse::{DenseMatrix, KernelPlan};
 
 use crate::fault::FaultInjector;
 use crate::infer::{ChallengeNetwork, InferWorkspace};
@@ -447,6 +447,10 @@ pub(crate) struct Shared {
     /// fixes them, so a reload swaps weights only and keeps these.
     net_bias: f32,
     net_ymax: f32,
+    /// The serving network's kernel plan: a reload prepares the
+    /// replacement under it, so the block grain the workspace was sized
+    /// for (and every other knob the engine was started with) stays.
+    net_plan: KernelPlan,
 }
 
 /// Control token on the request channel: not a slot id (no pool has
@@ -919,6 +923,13 @@ impl ServeHandle {
         0
     }
 
+    /// The kernel plan the engine's network runs under — the one it was
+    /// started with, across every [`ServeHandle::reload`].
+    #[must_use]
+    pub fn plan(&self) -> KernelPlan {
+        self.shared.net_plan
+    }
+
     /// A live snapshot of the engine's counters (restarts always 0 — a
     /// bare engine never restarts itself).
     #[must_use]
@@ -941,9 +952,9 @@ impl ServeHandle {
     /// The checkpoint is loaded, validated (fully sparse, same layer
     /// count, every shape identical to the serving network's — the
     /// engine's pre-allocated workspace must stay valid), re-prepared
-    /// into tiled ELL form, and *staged*; the engine thread swaps it in
-    /// at its next batch boundary (an idle engine is woken for it at
-    /// once). In-flight requests complete on the old weights;
+    /// into tiled ELL form under the running network's kernel plan, and
+    /// *staged*; the engine thread swaps it in at its next batch
+    /// boundary (an idle engine is woken for it at once). In-flight requests complete on the old weights;
     /// subsequent flushes use the new ones. The engine keeps its
     /// configured output bias/cap — the Challenge recipe fixes them, so
     /// a reload swaps weights only. This call allocates (decode +
@@ -985,8 +996,12 @@ impl ServeHandle {
             }
             csrs.push(sl.weights().clone());
         }
-        let new_net =
-            ChallengeNetwork::from_layers(csrs, self.shared.net_bias, self.shared.net_ymax);
+        let new_net = ChallengeNetwork::from_layers_with_plan(
+            csrs,
+            self.shared.net_bias,
+            self.shared.net_ymax,
+            self.shared.net_plan,
+        );
         if !self.shared.engine_live.load(Ordering::Acquire) {
             return Err(ReloadError::EngineDown);
         }
@@ -1129,6 +1144,7 @@ impl ServeEngine {
                 .collect(),
             net_bias: net.bias(),
             net_ymax: net.ymax(),
+            net_plan: net.plan(),
         });
         let (tx, rx) = crossbeam::channel::bounded::<usize>(config.queue);
 
@@ -1240,10 +1256,12 @@ impl EngineLoop {
 
     /// Swaps a staged replacement network in (reload path — allocation
     /// and deallocation are fine here, this is not the steady state).
-    /// Shapes were validated at staging time, so the pre-sized workspace
-    /// and gather matrix remain valid.
+    /// Shapes were validated at staging time and the replacement was
+    /// prepared under the running network's plan, so the pre-sized
+    /// workspace and gather matrix remain valid.
     fn apply_reload(&mut self) {
         if let Some(new_net) = lock(&self.shared.reload_slot).take() {
+            debug_assert_eq!(new_net.plan(), self.net.plan(), "reload keeps the plan");
             self.net = *new_net;
         }
         self.shared.reload_pending.store(false, Ordering::Release);

@@ -8,7 +8,7 @@
 //! produces the final active-neuron categories for validation against a
 //! reference run.
 
-use radix_sparse::DenseMatrix;
+use radix_sparse::{DenseMatrix, Par};
 
 use crate::infer::ChallengeNetwork;
 
@@ -61,7 +61,7 @@ pub fn run_stream(net: &ChallengeNetwork, batches: &[DenseMatrix<f32>]) -> Strea
         record(&mut stats, 0, batch);
         let y = buffers.run(batch, net.layers().len(), |l, src, dst| {
             net.layers()[l]
-                .par_spmm_tiled_into(src, dst, &epi)
+                .spmm(src, dst, &epi, Par::Pool)
                 .expect("widths chain");
             record(&mut stats, l + 1, dst);
         });

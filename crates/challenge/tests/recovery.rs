@@ -21,7 +21,7 @@ use radix_nn::{
     Checkpointer, Init, Layer, Loss, Network, Optimizer, TrainConfig, TrainFaultInjector,
     TrainFaultPlan, TrainProgress, TrainRestartPolicy, TrainSupervisor,
 };
-use radix_sparse::{CsrMatrix, DenseMatrix};
+use radix_sparse::{CsrMatrix, DenseMatrix, KernelPlan};
 use support::with_watchdog;
 
 const WATCHDOG: Duration = Duration::from_secs(120);
@@ -255,6 +255,81 @@ fn hot_reload_swaps_serving_weights_without_dropping_requests() {
         }
 
         drop(client);
+        handle
+            .shutdown()
+            .expect("engine shuts down cleanly after reload");
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// A reload keeps the engine's kernel plan: an engine started on a
+/// network built under a non-default plan prepares the replacement under
+/// that same plan (not the process-wide one), so the block grain its
+/// workspace was sized for survives the swap — and its replies stay
+/// bitwise equal to `ChallengeNetwork::forward`, before and after.
+#[test]
+fn reload_keeps_the_engines_kernel_plan() {
+    with_watchdog("reload-plan", WATCHDOG, || {
+        let plan = KernelPlan {
+            tile_cols: 4, // splits the 16-wide hidden layers
+            block_rows: 3,
+            fuse_layers: 3,
+            ..KernelPlan::default()
+        };
+        assert_ne!(plan, KernelPlan::process());
+        let net_a = radix_network(11);
+        let net_b = radix_network(77);
+        let serve_net = ChallengeNetwork::from_layers_with_plan(
+            sparse_csrs(&net_a),
+            SERVE_BIAS,
+            SERVE_YMAX,
+            plan,
+        );
+        assert_eq!(serve_net.plan(), plan);
+        assert!(serve_net.layers().iter().any(|l| l.is_tiled()));
+        let ref_a = ChallengeNetwork::from_layers(sparse_csrs(&net_a), SERVE_BIAS, SERVE_YMAX);
+        let ref_b = ChallengeNetwork::from_layers(sparse_csrs(&net_b), SERVE_BIAS, SERVE_YMAX);
+        let rows = sparse_binary_batch(4, serve_net.n_in(), 0.5, 7);
+        let out_a = ref_a.forward(&rows, false);
+        let out_b = ref_b.forward(&rows, false);
+        assert_ne!(out_a.row(0), out_b.row(0));
+
+        let dir = scratch_dir("reload-plan");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reload.radix");
+        checkpoint::save(
+            &path,
+            &net_b,
+            &Optimizer::adam(0.01),
+            &TrainProgress::default(),
+        )
+        .unwrap();
+
+        let handle = ServeEngine::start(serve_net, &serve_config());
+        assert_eq!(handle.plan(), plan);
+        let client = handle.client();
+        for i in 0..rows.nrows() {
+            assert_eq!(client.infer(rows.row(i)).unwrap(), out_a.row(i));
+        }
+
+        handle.reload(&path).expect("compatible checkpoint stages");
+        let mut swapped = false;
+        for _ in 0..5_000 {
+            if client.infer(rows.row(0)).unwrap() == out_b.row(0) {
+                swapped = true;
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(swapped, "engine never picked up the staged reload");
+        assert_eq!(handle.plan(), plan, "the plan survives the reload");
+        for i in 0..rows.nrows() {
+            assert_eq!(client.infer(rows.row(i)).unwrap(), out_b.row(i));
+        }
+
+        drop(client);
+        // The engine checks the swapped-in network's plan against its own
+        // (debug builds); a clean shutdown means that held.
         handle
             .shutdown()
             .expect("engine shuts down cleanly after reload");

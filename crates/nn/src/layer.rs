@@ -6,9 +6,8 @@
 
 use rayon::prelude::*;
 
-use radix_sparse::kernel::use_parallel;
 use radix_sparse::{
-    AsDenseView, Bias, CsrMatrix, DenseMatrix, DenseView, Epilogue, PreparedWeights,
+    AsDenseView, Bias, CsrMatrix, DenseMatrix, DenseView, Epilogue, Par, PreparedWeights,
 };
 
 use crate::activation::Activation;
@@ -170,7 +169,8 @@ impl SparseLinear {
     }
 
     /// Builds the column-tiled layout for cache-blocked forward products
-    /// (`RADIX_TILE_COLS`-wide tiles; narrow layers stay untiled). Worth
+    /// (tiles as wide as the weight's `KernelPlan` says — the process
+    /// plan's `RADIX_TILE_COLS`; narrow layers stay untiled). Worth
     /// calling on a **frozen** network before inference-heavy use; a
     /// training update (`apply_update`) drops the tiles again, since they
     /// hold a reordered copy of the weight values.
@@ -284,8 +284,8 @@ impl Layer {
     ///
     /// `out` is resized in place (reusing its allocation when possible).
     /// Sparse layers run the prepared kernel with the bias + activation
-    /// epilogue fused into the product; serial vs Rayon is chosen by the
-    /// shared `radix_sparse::kernel` work heuristic. `x` may be an owned
+    /// epilogue fused into the product; serial vs pool is `Par::Auto`, the
+    /// weight's `KernelPlan` work threshold. `x` may be an owned
     /// matrix or a zero-copy row-range view — the data-parallel training
     /// path feeds each worker its batch chunk as a `DenseView`.
     ///
@@ -299,7 +299,7 @@ impl Layer {
                 // Tiled-aware: layers tiled via SparseLinear::tile run the
                 // cache-blocked schedule, untrained/untiled layers fall
                 // back to the plain ELL walk (bitwise-identical results).
-                l.w.spmm_tiled_auto_into(x, out, &epi)
+                l.w.spmm(x, out, &epi, Par::Auto)
                     .expect("layer width mismatch");
             }
             Layer::Dense(l) => {
@@ -345,7 +345,7 @@ impl Layer {
     /// Sparse layers run entirely on the prepared engine: the weight
     /// gradients accumulate through the pool's allocation-free chunk
     /// dispatch, and the input gradient `delta · Wᵀ` runs the **tiled
-    /// transposed** kernel (`spmm_transposed_tiled_auto_into`), which is
+    /// transposed** kernel (`PreparedWeights::spmm_transposed`), which is
     /// zero-copy over the ELL layout — so wide training layers get the
     /// cache-blocked schedule without ever calling
     /// [`SparseLinear::tile`], and a steady-state train step performs no
@@ -387,7 +387,7 @@ impl Layer {
                 sparse_weight_grads_into(&l.w, x, delta.view(), &mut grads.w);
                 // The backward orientation needs no prebuilt tiles: the
                 // transpose's gather layout is the ELL storage itself.
-                l.w.spmm_transposed_tiled_auto_into(delta, grad_in, &Epilogue::identity())
+                l.w.spmm_transposed(delta, grad_in, &Epilogue::identity(), Par::Auto)
                     .expect("delta width matches weight columns");
             }
             Layer::Dense(l) => {
@@ -472,8 +472,8 @@ impl Layer {
 /// keeps the steady-state train step heap-silent. Irregular CSR layers
 /// still parallelize (a per-row segment list is materialized per call —
 /// they sit outside the zero-alloc RadiX regime); small products walk
-/// `indptr` slices serially. The serial-vs-pool switch is the shared
-/// `radix_sparse::kernel` heuristic.
+/// `indptr` slices serially. The serial-vs-pool switch is the same
+/// `Par::Auto` work threshold the products use.
 fn sparse_weight_grads_into(
     w: &PreparedWeights<f32>,
     x: DenseView<'_, f32>,
@@ -498,7 +498,7 @@ fn sparse_weight_grads_into(
             }
         }
     };
-    let parallel = use_parallel(w.work(x.nrows()));
+    let parallel = w.plan().pool(Par::Auto, w.work(x.nrows()));
     match w.degree() {
         Some(d) if d > 0 && parallel => {
             rayon::for_each_chunk_mut(grads, d, row_grads);

@@ -1,71 +1,32 @@
-//! The shared serial-vs-parallel switch used by every consumer of the
-//! prepared kernels.
+//! The kernel tunables as one value: [`KernelPlan`].
 //!
-//! Before this module existed, `radix-nn`'s layers and `radix-challenge`'s
-//! inference loop each hard-coded their own threshold for "is this product
-//! big enough to be worth fanning out over Rayon?". Both now call
-//! [`use_parallel`] with the same work estimate — `batch rows × weight nnz`,
-//! the number of multiply-adds the product performs — so there is exactly
-//! one tunable, overridable at runtime via the `RADIX_PAR_THRESHOLD`
-//! environment variable.
+//! Five knobs shape how the prepared kernels run — column-tile width,
+//! row-block grain, the activation-sparsity crossover, the
+//! serial-vs-pool work threshold, and the fused-schedule group depth.
+//! They travel together as a [`KernelPlan`], stored in every
+//! [`crate::kernel::PreparedWeights`] (and in `radix-challenge`'s
+//! network), so two matrices in one process can run under different
+//! plans and a sweep is a plain loop over plan values.
+//!
+//! The process-wide plan, [`KernelPlan::process`], is resolved **once**:
+//! each knob from its `RADIX_*` environment variable, else the persisted
+//! tuning profile's run at this pool width
+//! ([`crate::kernel::profile`]), else the built-in default. Constructors
+//! that take no plan (`PreparedWeights::from_csr`, `SparseLinear::new`,
+//! `ChallengeNetwork::from_layers`) use it; the free functions
+//! ([`par_threshold`], [`act_sparse_percent`], [`crate::kernel::tile_cols`],
+//! [`crate::kernel::block_rows`]) are one-line views of it.
 
+use std::ops::RangeInclusive;
 use std::sync::OnceLock;
+
+use crate::kernel::profile::{active_profile, resolve_knob, TuningProfile};
+use crate::kernel::tiled::{DEFAULT_BLOCK_ROWS, DEFAULT_TILE_COLS};
 
 /// Default work threshold (rows × nnz multiply-adds) above which kernels
 /// switch to their Rayon-parallel variants. Chosen so that a product
 /// cheaper than roughly one thread-spawn round trip stays serial.
 pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 15;
-
-/// Reads a positive `usize` tunable from the environment, falling back to
-/// `default` when the variable is unset, unparseable, or zero. The shared
-/// body behind every `RADIX_*` tunable ([`par_threshold`],
-/// [`crate::kernel::tile_cols`], `radix-challenge`'s fuse depth); callers
-/// wrap it in their own `OnceLock` so the hot path pays one atomic load.
-#[must_use]
-pub fn env_usize(name: &str, default: usize) -> usize {
-    env_usize_opt(name).unwrap_or(default)
-}
-
-/// Like [`env_usize`] without the fallback: `Some` only when the variable
-/// is set to a positive parseable `usize`. The building block of the
-/// layered tunable resolution (env > persisted profile > default — see
-/// [`crate::kernel::profile::resolve_knob`]), where "unset" must stay
-/// distinguishable from "defaulted".
-#[must_use]
-pub fn env_usize_opt(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
-/// [`env_usize_opt`] admitting zero — for tunables where an explicit `0`
-/// is meaningful (the activation-sparsity threshold uses it to disable
-/// the scatter path).
-#[must_use]
-pub fn env_usize_opt_zero(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-}
-
-/// The active parallelism threshold: `RADIX_PAR_THRESHOLD` from the
-/// environment if set to a parseable positive `usize`, otherwise
-/// [`DEFAULT_PAR_THRESHOLD`]. Read once and cached for the process
-/// lifetime, so the hot path pays one atomic load.
-#[must_use]
-pub fn par_threshold() -> usize {
-    static THRESHOLD: OnceLock<usize> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| env_usize("RADIX_PAR_THRESHOLD", DEFAULT_PAR_THRESHOLD))
-}
-
-/// Whether a product performing `work` multiply-adds (typically
-/// `rows × nnz`) should use the Rayon-parallel kernel.
-#[inline]
-#[must_use]
-pub fn use_parallel(work: usize) -> bool {
-    work >= par_threshold()
-}
 
 /// Default activation-sparsity crossover: row blocks whose input
 /// activations are at most this percent nonzero (i.e. at least 90%
@@ -75,62 +36,257 @@ pub fn use_parallel(work: usize) -> bool {
 /// machine with `make calibrate`.
 pub const DEFAULT_ACT_SPARSE_PERCENT: usize = 10;
 
-/// The active activation-sparsity crossover, as a **percent of nonzero
-/// activations**: a row block at or below this nonzero fraction runs the
-/// scatter-over-nonzeros schedule. Resolved with the tunable precedence
-/// (env > profile > default): `RADIX_ACT_SPARSE_THRESHOLD` from the
-/// environment if set to a parseable `usize` (`0` disables the sparse
-/// path entirely; values ≥ 100 force it always), else the persisted
-/// tuning profile's opinion at this thread count, otherwise
-/// [`DEFAULT_ACT_SPARSE_PERCENT`]. Read once and cached for the process
-/// lifetime.
+/// Default number of consecutive layers `radix-challenge`'s forward pass
+/// fuses per row block.
+pub const DEFAULT_FUSE_LAYERS: usize = 2;
+
+/// Largest `tile_cols` / `block_rows` the environment or a profile may
+/// ask for: far above any useful tile or block (layers are at most a few
+/// 10⁴ wide), far below where `block rows × layer width` could overflow.
+/// Out-of-range environment values are ignored like unparseable ones;
+/// out-of-range profile values are [`crate::kernel::ProfileError::Malformed`].
+pub const MAX_TILE_OR_BLOCK: usize = 1 << 20;
+
+/// How a product is dispatched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Par {
+    /// On the calling thread.
+    Serial,
+    /// Row blocks claimed dynamically by the persistent worker pool
+    /// (allocation-free dispatch).
+    Pool,
+    /// [`Par::Pool`] when the product's multiply-add count reaches the
+    /// plan's `par_threshold`, else [`Par::Serial`].
+    Auto,
+}
+
+/// The kernel tunables, as a value. All fields are plain data; consumers
+/// assert the positivity they need where they store a plan
+/// (`PreparedWeights::with_plan`, `ChallengeNetwork::from_layers_with_plan`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelPlan {
+    /// Output-column tile width of the cache-blocked schedules
+    /// (`RADIX_TILE_COLS`): matrices wider than this are tiled.
+    pub tile_cols: usize,
+    /// Batch rows per tile-major block, and per fused-group block
+    /// (`RADIX_BLOCK_ROWS`).
+    pub block_rows: usize,
+    /// Activation-sparsity crossover, as a percent of nonzero
+    /// activations (`RADIX_ACT_SPARSE_THRESHOLD`): a tiled forward row
+    /// block at or below it scatters over its nonzeros instead of
+    /// gathering. `0` disables the scatter (always gather); `100` or more
+    /// forces it.
+    pub act_sparse_percent: usize,
+    /// Multiply-add count (`rows × nnz`) at which [`Par::Auto`] goes to
+    /// the pool (`RADIX_PAR_THRESHOLD`).
+    pub par_threshold: usize,
+    /// Consecutive layers `radix-challenge` pushes each row block through
+    /// before moving on (`RADIX_FUSE_LAYERS`; 1 disables fusion).
+    pub fuse_layers: usize,
+}
+
+impl Default for KernelPlan {
+    /// The built-in defaults, ignoring environment and profile.
+    fn default() -> Self {
+        KernelPlan {
+            tile_cols: DEFAULT_TILE_COLS,
+            block_rows: DEFAULT_BLOCK_ROWS,
+            act_sparse_percent: DEFAULT_ACT_SPARSE_PERCENT,
+            par_threshold: DEFAULT_PAR_THRESHOLD,
+            fuse_layers: DEFAULT_FUSE_LAYERS,
+        }
+    }
+}
+
+impl KernelPlan {
+    /// The process-wide plan: resolved on first call from the environment
+    /// and the tuning profile ([`KernelPlan::resolve`]) and cached for
+    /// the process lifetime — the only knob cache there is.
+    #[must_use]
+    pub fn process() -> KernelPlan {
+        static PLAN: OnceLock<KernelPlan> = OnceLock::new();
+        *PLAN.get_or_init(|| {
+            KernelPlan::resolve(|name| std::env::var(name).ok(), active_profile().as_ref())
+        })
+    }
+
+    /// Resolves every knob with the precedence **environment > profile >
+    /// default**. `env` looks a variable up by name (tests pass a
+    /// closure instead of mutating the process environment). A value
+    /// that does not parse, or lies outside its knob's range, is ignored
+    /// — the next level decides.
+    #[must_use]
+    pub fn resolve(
+        env: impl Fn(&str) -> Option<String>,
+        profile: Option<&TuningProfile>,
+    ) -> KernelPlan {
+        let knob =
+            |name: &str, range: RangeInclusive<usize>, prof: Option<usize>, default: usize| {
+                let env = env(name)
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .filter(|v| range.contains(v));
+                resolve_knob(env, prof, default)
+            };
+        let d = KernelPlan::default();
+        KernelPlan {
+            tile_cols: knob(
+                "RADIX_TILE_COLS",
+                1..=MAX_TILE_OR_BLOCK,
+                profile.and_then(|p| p.tile_cols),
+                d.tile_cols,
+            ),
+            block_rows: knob(
+                "RADIX_BLOCK_ROWS",
+                1..=MAX_TILE_OR_BLOCK,
+                profile.and_then(|p| p.block_rows),
+                d.block_rows,
+            ),
+            // An explicit 0 is meaningful here: it turns the scatter off.
+            act_sparse_percent: knob(
+                "RADIX_ACT_SPARSE_THRESHOLD",
+                0..=usize::MAX,
+                profile.and_then(|p| p.act_sparse_percent),
+                d.act_sparse_percent,
+            ),
+            par_threshold: knob("RADIX_PAR_THRESHOLD", 1..=usize::MAX, None, d.par_threshold),
+            fuse_layers: knob(
+                "RADIX_FUSE_LAYERS",
+                1..=usize::MAX,
+                profile.and_then(|p| p.fuse_layers),
+                d.fuse_layers,
+            ),
+        }
+    }
+
+    /// Whether a product of `work` multiply-adds (typically `rows × nnz`)
+    /// dispatched as `par` runs on the pool.
+    #[inline]
+    #[must_use]
+    pub fn pool(&self, par: Par, work: usize) -> bool {
+        match par {
+            Par::Serial => false,
+            Par::Pool => true,
+            Par::Auto => work >= self.par_threshold,
+        }
+    }
+}
+
+/// Reads a positive `usize` setting from the environment, falling back to
+/// `default` when the variable is unset, unparseable, or zero (the serve
+/// engine's `RADIX_SERVE_*` settings; the kernel knobs go through
+/// [`KernelPlan::process`]).
+#[must_use]
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(default)
+}
+
+/// The process plan's `par_threshold`.
+#[must_use]
+pub fn par_threshold() -> usize {
+    KernelPlan::process().par_threshold
+}
+
+/// The process plan's `act_sparse_percent`.
 #[must_use]
 pub fn act_sparse_percent() -> usize {
-    static PERCENT: OnceLock<usize> = OnceLock::new();
-    // Unlike `env_usize`, an explicit `0` is meaningful here (it turns the
-    // sparse path off), so parse without the positivity filter.
-    *PERCENT.get_or_init(|| {
-        crate::kernel::profile::resolve_knob(
-            env_usize_opt_zero("RADIX_ACT_SPARSE_THRESHOLD"),
-            crate::kernel::profile::active_profile().and_then(|p| p.act_sparse_percent),
-            DEFAULT_ACT_SPARSE_PERCENT,
-        )
-    })
+    KernelPlan::process().act_sparse_percent
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn env_of<'a>(vars: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| (*v).to_string())
+        }
+    }
+
     #[test]
     fn threshold_is_stable_across_calls() {
         assert_eq!(par_threshold(), par_threshold());
+        assert_eq!(KernelPlan::process(), KernelPlan::process());
     }
 
     #[test]
     fn env_usize_falls_back_on_unset_or_bad_values() {
-        // Unset (names chosen to never exist) → default / None.
+        // Unset (name chosen to never exist) → default. Set values: this
+        // test cannot mutate the process environment safely (other tests
+        // run concurrently); the parse/filter arms are covered through
+        // `KernelPlan::resolve`'s injected lookup below.
         assert_eq!(env_usize("RADIX_TEST_DEFINITELY_UNSET", 42), 42);
-        assert_eq!(env_usize_opt("RADIX_TEST_DEFINITELY_UNSET"), None);
-        assert_eq!(env_usize_opt_zero("RADIX_TEST_DEFINITELY_UNSET"), None);
-        // Set values: this test cannot mutate the process environment
-        // safely (other tests run concurrently), so the parse/filter arms
-        // are covered indirectly by the tunables' own behavior.
     }
 
     #[test]
     fn use_parallel_compares_against_threshold() {
-        let t = par_threshold();
-        assert!(!use_parallel(t.saturating_sub(1)));
-        assert!(use_parallel(t));
-        assert!(use_parallel(t + 1));
+        let plan = KernelPlan::default();
+        let t = plan.par_threshold;
+        assert!(!plan.pool(Par::Auto, t - 1));
+        assert!(plan.pool(Par::Auto, t));
+        assert!(plan.pool(Par::Auto, t + 1));
+        assert!(!plan.pool(Par::Serial, usize::MAX));
+        assert!(plan.pool(Par::Pool, 0));
     }
 
     #[test]
     fn act_sparse_percent_is_stable_across_calls() {
-        // Cannot set the env var here (process-global, racy across tests);
-        // pin that the cached value is stable and within a sane range when
-        // the environment doesn't override it.
         assert_eq!(act_sparse_percent(), act_sparse_percent());
+    }
+
+    #[test]
+    fn resolve_takes_env_over_profile_over_default() {
+        let profile = TuningProfile {
+            threads: 2,
+            tile_cols: Some(512),
+            fuse_layers: Some(4),
+            act_sparse_percent: Some(25),
+            block_rows: None,
+        };
+        let env = [
+            ("RADIX_TILE_COLS", "8"),
+            ("RADIX_ACT_SPARSE_THRESHOLD", "0"),
+            ("RADIX_PAR_THRESHOLD", "1"),
+        ];
+        let plan = KernelPlan::resolve(env_of(&env), Some(&profile));
+        assert_eq!(
+            plan,
+            KernelPlan {
+                tile_cols: 8,                   // env beats profile
+                block_rows: DEFAULT_BLOCK_ROWS, // nobody has an opinion
+                act_sparse_percent: 0,          // an explicit 0 counts
+                par_threshold: 1,               // env only
+                fuse_layers: 4,                 // profile beats default
+            }
+        );
+        assert_eq!(KernelPlan::resolve(|_| None, None), KernelPlan::default());
+    }
+
+    #[test]
+    fn resolve_ignores_unparseable_zero_and_out_of_range_env_values() {
+        // RADIX_BLOCK_ROWS=2^62 must never reach the fused pool path:
+        // `block_rows × width` would wrap to a zero chunk size and panic
+        // the first pool-parallel block.
+        let env = [
+            ("RADIX_BLOCK_ROWS", "4611686018427387904"),
+            ("RADIX_TILE_COLS", "1048577"),
+            ("RADIX_FUSE_LAYERS", "0"),
+            ("RADIX_PAR_THRESHOLD", "lots"),
+        ];
+        assert_eq!(
+            KernelPlan::resolve(env_of(&env), None),
+            KernelPlan::default()
+        );
+        // The bound itself is in range.
+        let env = [("RADIX_BLOCK_ROWS", "1048576")];
+        assert_eq!(
+            KernelPlan::resolve(env_of(&env), None).block_rows,
+            MAX_TILE_OR_BLOCK
+        );
     }
 }

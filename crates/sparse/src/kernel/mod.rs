@@ -12,35 +12,36 @@
 //! * [`PreparedWeights`] — a weight matrix analyzed once; constant-degree
 //!   matrices get unit-stride ELL row addressing, irregular ones fall back
 //!   to CSR transparently,
+//! * **three products** — [`PreparedWeights::spmm`] (`X · W`),
+//!   [`PreparedWeights::spmm_transposed`] (`X · Wᵀ`, the backward/training
+//!   orientation) and [`PreparedWeights::spmm_rows_to`] (one row block of
+//!   `X · W`, what multi-layer fusion chains layers through). Each writes
+//!   into a reusable buffer instead of allocating; the whole-batch two
+//!   take a [`Par`] — serial, pool, or decided by the work threshold —
+//!   and dispatch through the rayon shim's persistent worker pool with
+//!   zero heap allocation,
+//! * [`KernelPlan`] — the five tunables (tile width, block rows,
+//!   activation-sparsity crossover, pool threshold, fuse depth) as one
+//!   value stored in each [`PreparedWeights`]. [`KernelPlan::process`]
+//!   resolves the process-wide plan once (environment > tuning profile >
+//!   default); [`PreparedWeights::with_plan`] takes any other,
 //! * **column tiling** — [`PreparedWeights::tile`] reorders the entries
-//!   tile-contiguous (one-time pass, width [`tile_cols`] /
-//!   `RADIX_TILE_COLS`), and the `_tiled_` kernels run a tile-major,
-//!   cache-blocked schedule whose scatter targets stay L1/L2-resident —
-//!   bitwise identical to the untiled kernels,
-//! * **tiled transposed kernels** — `spmm_transposed_tiled_into` and
-//!   friends run the same tile-major schedule for the backward/training
-//!   orientation `X · Wᵀ`, **zero-copy**: the transpose's CSC layout is
-//!   `W`'s own CSR/ELL storage, so no [`PreparedWeights::tile`] call is
-//!   needed and training layers (whose updates drop forward tiles) stay
-//!   tiled throughout,
-//! * [`ActivationSchedule`] — the activation-sparsity dispatch: per
-//!   32-row block, a cheap nonzero count picks the branch-free gather
-//!   (dense activations) or the zero-skipping scatter (post-ReLU sparse
-//!   activations), crossover [`act_sparse_percent`] /
-//!   `RADIX_ACT_SPARSE_THRESHOLD`,
+//!   tile-contiguous (one-time pass at the plan's `tile_cols`), after
+//!   which the forward product runs a tile-major, cache-blocked gather —
+//!   bitwise identical to the untiled row walk. The transposed product
+//!   needs no such pass: the transpose's CSC layout is `W`'s own CSR/ELL
+//!   storage, so it tiles **zero-copy** whenever `W` has more rows than
+//!   one tile, and training layers (whose updates drop forward tiles)
+//!   stay tiled throughout,
+//! * **activation-sparsity dispatch** — per row block of a tiled forward
+//!   product, a cheap nonzero count picks the branch-free gather (dense
+//!   activations) or the zero-skipping scatter (post-ReLU sparse
+//!   activations), crossover the plan's `act_sparse_percent`,
 //! * [`Epilogue`] / [`Bias`] — bias + elementwise map fused into the
 //!   kernel's per-row (per-tile, when tiled) finish, eliminating the
 //!   separate output pass,
-//! * `spmm_into` / `spmm_tiled_into` / `spmm_transposed_into` (plus `par_`
-//!   and `auto_` variants) — products that write into reusable buffers
-//!   instead of allocating; the parallel variants dispatch through the
-//!   rayon shim's persistent worker pool with zero heap allocation,
-//! * [`PreparedWeights::spmm_rows_to`] — the row-block building block
-//!   multi-layer fusion chains layers through,
 //! * [`PingPong`] — the two-buffer driver every layered forward pass
-//!   alternates through,
-//! * [`use_parallel`] / [`par_threshold`] — the single shared
-//!   serial-vs-Rayon heuristic (`RADIX_PAR_THRESHOLD` overridable).
+//!   alternates through.
 //!
 //! Everything is bitwise-equivalent to the naive path; see
 //! `tests/prepared_kernels.rs`.
@@ -55,8 +56,8 @@ mod tiled;
 
 pub use epilogue::{Bias, Epilogue};
 pub use heuristic::{
-    act_sparse_percent, env_usize, env_usize_opt, env_usize_opt_zero, par_threshold, use_parallel,
-    DEFAULT_ACT_SPARSE_PERCENT, DEFAULT_PAR_THRESHOLD,
+    act_sparse_percent, env_usize, par_threshold, KernelPlan, Par, DEFAULT_ACT_SPARSE_PERCENT,
+    DEFAULT_FUSE_LAYERS, DEFAULT_PAR_THRESHOLD, MAX_TILE_OR_BLOCK,
 };
 pub use lanes::LANE_WIDTH;
 pub use pingpong::PingPong;
@@ -65,4 +66,4 @@ pub use profile::{
     active_profile, emit_profile, load_profile, parse_profile, profile_path, resolve_knob,
     ProfileError, TuningProfile, DEFAULT_PROFILE_PATH, PROFILE_SCHEMA,
 };
-pub use tiled::{block_rows, tile_cols, ActivationSchedule, DEFAULT_BLOCK_ROWS, DEFAULT_TILE_COLS};
+pub use tiled::{block_rows, tile_cols, DEFAULT_BLOCK_ROWS, DEFAULT_TILE_COLS};

@@ -9,31 +9,37 @@
 //! per-row pointer chasing); irregular matrices fall back to ordinary CSR
 //! row slicing transparently — same API, same results.
 //!
-//! All kernels here are `_into` variants: they write into a caller-provided
-//! [`DenseMatrix`] (resized in place, reusing its allocation) and take an
-//! [`Epilogue`] fused into the loop, so a layer step is one pass over the
-//! output instead of "allocate, product, second pass for bias+activation".
+//! There is one product per orientation — [`PreparedWeights::spmm`]
+//! (`X · W`) and [`PreparedWeights::spmm_transposed`] (`X · Wᵀ`) — plus
+//! the row-block building block [`PreparedWeights::spmm_rows_to`]. Each
+//! writes into a caller-provided buffer (resized in place, reusing its
+//! allocation) and takes an [`Epilogue`] fused into the loop, so a layer
+//! step is one pass over the output instead of "allocate, product, second
+//! pass for bias+activation". How a product runs — cache-tiled or not,
+//! which row-block grain, gather or scatter — follows from the
+//! [`KernelPlan`] the matrix carries and from what the code observes
+//! (tiles built; output no wider than one tile), never from which method
+//! was called.
 //!
 //! Accumulation order is identical to the un-prepared kernels
-//! ([`crate::ops::dense_spmm`] and friends), so results are bitwise equal
-//! to the naive path — the property suite in `tests/prepared_kernels.rs`
-//! pins that down.
+//! ([`crate::ops::dense_spmm`] and friends) on every path, so results are
+//! bitwise equal to the naive path — the property suite in
+//! `tests/prepared_kernels.rs` pins that down across the plan cross
+//! product.
 
 use crate::csr::CsrMatrix;
 use crate::dense::{AsDenseView, DenseMatrix, DenseView};
 use crate::error::SparseError;
 use crate::kernel::epilogue::Epilogue;
-use crate::kernel::heuristic::{act_sparse_percent, use_parallel};
-use crate::kernel::lanes;
-use crate::kernel::tiled::{
-    block_rows, gather_t_block_csr, gather_t_block_ell, tile_cols, ActivationSchedule, ColumnTiles,
-};
+use crate::kernel::heuristic::{KernelPlan, Par};
+use crate::kernel::tiled::{gather_t_block_csr, gather_t_block_ell, ColumnTiles};
 use crate::scalar::Scalar;
 
 /// A weight matrix prepared for repeated products: CSR storage plus a
 /// one-time constant-row-degree analysis that unlocks the ELL fast path,
 /// plus an optional one-time column-tiling pass ([`PreparedWeights::tile`])
-/// that unlocks the cache-blocked tiled kernels for wide layers.
+/// that unlocks the cache-blocked forward schedule for wide layers, plus
+/// the [`KernelPlan`] every product on it runs under.
 ///
 /// The CSR arrays of a constant-degree matrix *are* the ELLPACK layout
 /// (row `i` occupies `[i·d, (i+1)·d)` of `indices`/`values`, unit stride),
@@ -45,7 +51,7 @@ use crate::scalar::Scalar;
 /// # Example: prepare → tile → forward → backward
 ///
 /// ```
-/// use radix_sparse::{CsrMatrix, DenseMatrix, Epilogue, PreparedWeights};
+/// use radix_sparse::{CsrMatrix, DenseMatrix, Epilogue, KernelPlan, Par, PreparedWeights};
 ///
 /// // A 4×4 constant-degree matrix (every row stores exactly 2 entries).
 /// let dense = DenseMatrix::from_rows(&[
@@ -54,22 +60,24 @@ use crate::scalar::Scalar;
 ///     &[0.0, 0.0, 1.0, 2.0],
 ///     &[2.0, 0.0, 0.0, 1.0],
 /// ]);
-/// let mut w = PreparedWeights::from_csr(CsrMatrix::from_dense(&dense));
+/// // 2-column tiles; `from_csr` would take the process-wide plan instead.
+/// let plan = KernelPlan { tile_cols: 2, ..KernelPlan::default() };
+/// let mut w = PreparedWeights::with_plan(CsrMatrix::from_dense(&dense), plan);
 /// assert_eq!(w.degree(), Some(2)); // the ELL fast path is active
-/// w.tile_with(2); // cache-blocked forward schedule (2-column tiles)
+/// assert!(w.tile()); // cache-blocked forward schedule
 ///
 /// // Forward: y ← X · W into a reused buffer, no allocation in steady
 /// // state. (Epilogue::identity() = bare product; fuse bias/activation
 /// // with Epilogue::new.)
 /// let x = DenseMatrix::from_rows(&[&[1.0f32, 0.0, 1.0, 0.0]]);
 /// let mut y = DenseMatrix::default();
-/// w.spmm_tiled_into(&x, &mut y, &Epilogue::identity())?;
+/// w.spmm(&x, &mut y, &Epilogue::identity(), Par::Serial)?;
 /// assert_eq!(y.row(0), &[1.0, 2.0, 1.0, 2.0]);
 ///
 /// // Backward orientation: g ← X · Wᵀ on the tile-major schedule —
 /// // zero-copy over the ELL layout, no tile() call required.
 /// let mut g = DenseMatrix::default();
-/// w.spmm_transposed_tiled_with(&x, &mut g, &Epilogue::identity(), 2)?;
+/// w.spmm_transposed(&x, &mut g, &Epilogue::identity(), Par::Serial)?;
 /// assert_eq!(g.row(0), &[1.0, 2.0, 1.0, 2.0]);
 /// # Ok::<(), radix_sparse::SparseError>(())
 /// ```
@@ -80,9 +88,10 @@ pub struct PreparedWeights<T> {
     /// path is valid); `None` for irregular matrices (CSR fallback).
     degree: Option<usize>,
     /// Column-tiled entry layout (built on demand by
-    /// [`PreparedWeights::tile`]); `None` means the tiled kernels fall
-    /// back to the untiled schedule.
+    /// [`PreparedWeights::tile`]); `None` means the forward product runs
+    /// the untiled row walk.
     tiles: Option<ColumnTiles<T>>,
+    plan: KernelPlan,
 }
 
 /// Detects whether every row of `csr` has the same number of entries.
@@ -96,49 +105,54 @@ fn constant_degree<T: Scalar>(csr: &CsrMatrix<T>) -> Option<usize> {
 }
 
 impl<T: Scalar> PreparedWeights<T> {
-    /// Prepares a CSR matrix for repeated products (one `O(nrows)` scan).
-    /// No column tiles are built; call [`PreparedWeights::tile`] to enable
-    /// the cache-blocked kernels.
+    /// Prepares a CSR matrix for repeated products (one `O(nrows)` scan)
+    /// under the process-wide plan ([`KernelPlan::process`]). No column
+    /// tiles are built; call [`PreparedWeights::tile`] to enable the
+    /// cache-blocked forward schedule.
     #[must_use]
     pub fn from_csr(csr: CsrMatrix<T>) -> Self {
+        PreparedWeights::with_plan(csr, KernelPlan::process())
+    }
+
+    /// Like [`PreparedWeights::from_csr`] under an explicit plan.
+    ///
+    /// # Panics
+    /// Panics if `plan.tile_cols` or `plan.block_rows` is zero.
+    #[must_use]
+    pub fn with_plan(csr: CsrMatrix<T>, plan: KernelPlan) -> Self {
+        assert!(plan.tile_cols > 0, "tile width must be positive");
+        assert!(plan.block_rows > 0, "block rows must be positive");
         let degree = constant_degree(&csr);
         PreparedWeights {
             csr,
             degree,
             tiles: None,
+            plan,
         }
     }
 
-    /// Builds the column-tiled entry layout at the process-wide tile width
-    /// ([`tile_cols`], env `RADIX_TILE_COLS`). Returns whether tiles were
-    /// built: matrices no wider than one tile keep the untiled schedule
-    /// (tiling them would only add overhead). Idempotent.
-    pub fn tile(&mut self) -> bool {
-        self.tile_with(tile_cols())
+    /// The plan every product on this matrix runs under.
+    #[must_use]
+    pub fn plan(&self) -> KernelPlan {
+        self.plan
     }
 
-    /// Like [`PreparedWeights::tile`] with an explicit tile width.
-    ///
-    /// # Panics
-    /// Panics if `width == 0`.
-    pub fn tile_with(&mut self, width: usize) -> bool {
-        assert!(width > 0, "tile width must be positive");
-        if self.ncols() <= width {
-            self.tiles = None;
+    /// Builds the column-tiled entry layout at the plan's tile width.
+    /// Returns whether tiles were built: matrices no wider than one tile
+    /// keep the untiled schedule (tiling them would only add overhead).
+    /// Idempotent.
+    pub fn tile(&mut self) -> bool {
+        if self.ncols() <= self.plan.tile_cols {
             return false;
         }
-        let rebuild = match &self.tiles {
-            Some(t) => t.tile_cols() != width,
-            None => true,
-        };
-        if rebuild {
-            self.tiles = Some(ColumnTiles::build(&self.csr, width));
+        if self.tiles.is_none() {
+            self.tiles = Some(ColumnTiles::build(&self.csr, self.plan.tile_cols));
         }
         true
     }
 
-    /// Whether the column-tiled layout is built (the `_tiled_` kernels run
-    /// the cache-blocked schedule rather than falling back).
+    /// Whether the column-tiled layout is built (the forward product runs
+    /// the cache-blocked schedule).
     #[must_use]
     pub fn is_tiled(&self) -> bool {
         self.tiles.is_some()
@@ -220,7 +234,7 @@ impl<T: Scalar> PreparedWeights<T> {
     }
 
     /// The multiply-add work of one product against a `rows`-row batch,
-    /// the quantity [`use_parallel`] thresholds on.
+    /// the quantity [`Par::Auto`] thresholds on.
     #[must_use]
     pub fn work(&self, batch_rows: usize) -> usize {
         batch_rows.saturating_mul(self.nnz())
@@ -237,218 +251,80 @@ impl<T: Scalar> PreparedWeights<T> {
         Ok(())
     }
 
-    fn check_spmm_t(&self, x: DenseView<'_, T>, op: &'static str) -> Result<(), SparseError> {
-        if x.ncols() != self.ncols() {
-            return Err(SparseError::ShapeMismatch {
-                op,
-                lhs: x.shape(),
-                rhs: self.shape(),
-            });
+    /// Rows per block of a whole-batch product. A **blocked** product
+    /// (tile-major: each tile's entries are re-read from cache across the
+    /// block) runs at the plan's `block_rows`, shrunk on the pool so every
+    /// worker gets a couple of blocks; an unblocked one (per-row walks
+    /// over the full entry stream, nothing to amortize) runs whole on one
+    /// thread and per row on the pool.
+    fn rows_per_block(&self, blocked: bool, pool: bool, batch: usize) -> usize {
+        match (blocked, pool) {
+            (true, false) => self.plan.block_rows,
+            (true, true) => batch
+                .div_ceil(rayon::current_num_threads().saturating_mul(2).max(1))
+                .clamp(1, self.plan.block_rows),
+            (false, false) => batch.max(1),
+            (false, true) => 1,
         }
-        Ok(())
     }
 
-    /// Serial `out ← epi(X · W)`: scatter over the rows of `W` reached by
-    /// each batch row, epilogue fused onto each completed output row.
+    /// `out ← epi(X · W)`: each output element accumulates its
+    /// contributions in ascending source row, epilogue fused onto each
+    /// completed row (or tile segment).
     ///
     /// `out` is resized in place (its allocation is reused when large
-    /// enough), so steady-state calls perform no heap allocation.
+    /// enough), so steady-state calls perform no heap allocation — on the
+    /// pool too, whose chunk dispatch materializes nothing. `x` may be an
+    /// owned [`DenseMatrix`] or a zero-copy [`DenseView`] row range.
     ///
-    /// `x` may be an owned [`DenseMatrix`] or a zero-copy
-    /// [`DenseView`] row range (as for every kernel entry point here).
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.nrows()`.
-    pub fn spmm_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        let x = x.as_view();
-        self.check_spmm(x, "prepared spmm_into")?;
-        out.resize_zeroed(x.nrows(), self.ncols());
-        match self.degree {
-            Some(d) => {
-                let inds = self.csr.indices();
-                let vals = self.csr.data();
-                for b in 0..x.nrows() {
-                    let xrow = x.row(b);
-                    let orow: &mut [T] = out.row_mut(b);
-                    scatter_row_ell(xrow, inds, vals, d, orow);
-                    epi.apply_row(orow);
-                }
-            }
-            None => {
-                for b in 0..x.nrows() {
-                    let xrow = x.row(b);
-                    let orow: &mut [T] = out.row_mut(b);
-                    scatter_row_csr(xrow, &self.csr, orow);
-                    epi.apply_row(orow);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Rayon batch-row-parallel `out ← epi(X · W)`.
+    /// When tiles are built ([`PreparedWeights::tile`]) the batch is cut
+    /// into `block_rows`-row blocks, each running the cache-tiled gather
+    /// or — for a block whose activations are almost all zeros — the
+    /// zero-skipping scatter (see [`PreparedWeights::spmm_rows_to`]);
+    /// untiled matrices run the scatter row walk. Results are equal on
+    /// every path (see `kernel::tiled` for the zero-activation fine
+    /// print).
     ///
     /// # Errors
     /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.nrows()`.
-    pub fn par_spmm_into<F: Fn(T) -> T + Sync>(
+    pub fn spmm<F: Fn(T) -> T + Sync>(
         &self,
         x: &impl AsDenseView<T>,
         out: &mut DenseMatrix<T>,
         epi: &Epilogue<'_, T, F>,
+        par: Par,
     ) -> Result<(), SparseError> {
         let x = x.as_view();
-        self.check_spmm(x, "prepared par_spmm_into")?;
-        let ncols_out = self.ncols();
-        out.resize_zeroed(x.nrows(), ncols_out);
-        match self.degree {
-            Some(d) => {
-                let inds = self.csr.indices();
-                let vals = self.csr.data();
-                rayon::for_each_chunk_mut(out.as_mut_slice(), ncols_out.max(1), |b, orow| {
-                    scatter_row_ell(x.row(b), inds, vals, d, orow);
-                    epi.apply_row(orow);
-                });
-            }
-            None => {
-                rayon::for_each_chunk_mut(out.as_mut_slice(), ncols_out.max(1), |b, orow| {
-                    scatter_row_csr(x.row(b), &self.csr, orow);
-                    epi.apply_row(orow);
-                });
-            }
-        }
+        self.check_spmm(x, "prepared spmm")?;
+        let (batch, ncols) = (x.nrows(), self.ncols());
+        // Every block writes its whole chunk, so skip zeroing.
+        out.resize_for_overwrite(batch, ncols);
+        let pool = self.plan.pool(par, self.work(batch));
+        let brows = self.rows_per_block(self.is_tiled(), pool, batch);
+        for_each_block(
+            out.as_mut_slice(),
+            brows,
+            ncols,
+            pool,
+            |start, rows, block| {
+                self.forward_block(x, start, rows, block, epi);
+            },
+        );
         Ok(())
-    }
-
-    /// `out ← epi(X · W)`, choosing serial or parallel via the shared
-    /// [`use_parallel`] heuristic on `x.nrows() × nnz`.
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.nrows()`.
-    pub fn spmm_auto_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        if use_parallel(self.work(x.as_view().nrows())) {
-            self.par_spmm_into(x, out, epi)
-        } else {
-            self.spmm_into(x, out, epi)
-        }
-    }
-
-    /// Serial `out ← epi(X · Wᵀ)` without materializing the transpose:
-    /// `out[b, i] = Σ_j X[b, j] · W[i, j]`. A gather kernel — with the ELL
-    /// layout each output element is a fixed-length dot product, and the
-    /// epilogue applies at the final store.
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.ncols()`.
-    pub fn spmm_transposed_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        let x = x.as_view();
-        self.check_spmm_t(x, "prepared spmm_transposed_into")?;
-        // The gather loops assign every output element, so skip zeroing.
-        out.resize_for_overwrite(x.nrows(), self.nrows());
-        match self.degree {
-            Some(d) => {
-                let inds = self.csr.indices();
-                let vals = self.csr.data();
-                for b in 0..x.nrows() {
-                    let xrow = x.row(b);
-                    let orow: &mut [T] = out.row_mut(b);
-                    gather_row_ell(xrow, inds, vals, d, orow);
-                    epi.apply_row(orow);
-                }
-            }
-            None => {
-                for b in 0..x.nrows() {
-                    let xrow = x.row(b);
-                    let orow: &mut [T] = out.row_mut(b);
-                    gather_row_csr(xrow, &self.csr, orow);
-                    epi.apply_row(orow);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Rayon batch-row-parallel `out ← epi(X · Wᵀ)`.
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.ncols()`.
-    pub fn par_spmm_transposed_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        let x = x.as_view();
-        self.check_spmm_t(x, "prepared par_spmm_transposed_into")?;
-        let ncols_out = self.nrows();
-        // The gather loops assign every output element, so skip zeroing.
-        out.resize_for_overwrite(x.nrows(), ncols_out);
-        match self.degree {
-            Some(d) => {
-                let inds = self.csr.indices();
-                let vals = self.csr.data();
-                rayon::for_each_chunk_mut(out.as_mut_slice(), ncols_out.max(1), |b, orow| {
-                    gather_row_ell(x.row(b), inds, vals, d, orow);
-                    epi.apply_row(orow);
-                });
-            }
-            None => {
-                rayon::for_each_chunk_mut(out.as_mut_slice(), ncols_out.max(1), |b, orow| {
-                    gather_row_csr(x.row(b), &self.csr, orow);
-                    epi.apply_row(orow);
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// `out ← epi(X · Wᵀ)`, serial or parallel via [`use_parallel`].
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.ncols()`.
-    pub fn spmm_transposed_auto_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        if use_parallel(self.work(x.as_view().nrows())) {
-            self.par_spmm_transposed_into(x, out, epi)
-        } else {
-            self.spmm_transposed_into(x, out, epi)
-        }
     }
 
     /// Computes rows `[x_start, x_start + rows)` of `epi(X · W)` into a
-    /// raw row-major output block (`rows × self.ncols()` elements), using
-    /// the cache-blocked gather schedule when tiles are built
-    /// ([`PreparedWeights::tile`]) and the untiled row walk otherwise.
-    /// Every element of the block is written, so stale contents are fine.
+    /// raw row-major output block (`rows × self.ncols()` elements) — the
+    /// block [`PreparedWeights::spmm`] is made of. Every element of the
+    /// block is written, so stale contents are fine.
     ///
     /// This is the building block of multi-layer fusion: a caller can chain
     /// several layers over one row block (keeping the block's activations
     /// cache-resident) and point the last layer's output straight into its
-    /// slice of a larger matrix. Results equal
-    /// [`PreparedWeights::spmm_into`] on the same rows (same accumulation
-    /// order; see the `kernel::tiled` module docs for the zero-activation
-    /// fine print). When tiles are built the block runs the
-    /// activation-sparsity dispatch ([`ActivationSchedule::Auto`]): a
-    /// mostly-zero block scatters over its nonzero activations instead of
-    /// gathering — which is how the fused Challenge schedule picks up the
+    /// slice of a larger matrix. When tiles are built the block counts its
+    /// nonzero activations against the plan's `act_sparse_percent`: a
+    /// mostly-zero block scatters over its nonzeros instead of gathering
+    /// — which is how the fused Challenge schedule picks up the
     /// sparse-activation switch layer by layer.
     ///
     /// # Errors
@@ -470,19 +346,43 @@ impl<T: Scalar> PreparedWeights<T> {
         self.check_spmm(x, "prepared spmm_rows_to")?;
         assert!(x_start + rows <= x.nrows(), "row block out of range");
         assert_eq!(out.len(), rows * self.ncols(), "output block size");
+        self.forward_block(x, x_start, rows, out, epi);
+        Ok(())
+    }
+
+    /// One row block of the forward product: the tile-major gather when
+    /// tiles are built and the block's activations are dense, else the
+    /// zero-skipping scatter. The nonzero count is skipped where the
+    /// plan's `act_sparse_percent` decides alone (`0`: always gather,
+    /// `≥ 100`: always scatter).
+    fn forward_block<F: Fn(T) -> T + Sync>(
+        &self,
+        x: DenseView<'_, T>,
+        x_start: usize,
+        rows: usize,
+        out: &mut [T],
+        epi: &Epilogue<'_, T, F>,
+    ) {
         if let Some(tiles) = &self.tiles {
-            self.tiled_block(tiles, x, x_start, rows, out, epi, ActivationSchedule::Auto);
-            return Ok(());
+            let scatter = match self.plan.act_sparse_percent {
+                0 => false,
+                // `nnz > total·pct/100 (real)` ⟺ `nnz > ⌊total·pct/100⌋`
+                // for integer nnz, so the floored limit is exact.
+                pct @ 1..=99 => block_is_sparse(x, x_start, rows, rows * x.ncols() * pct / 100),
+                _ => true,
+            };
+            if !scatter {
+                tiles.gather_block(x, x_start, rows, out, epi);
+                return;
+            }
         }
         self.scatter_rows(x, x_start, rows, out, epi);
-        Ok(())
     }
 
     /// One row block of `epi(X · W)` on the untiled scatter schedule:
     /// zero-fill, then scatter each row's **nonzero** activations through
     /// the ELL/CSR layout (the `x == 0` skip the tiled gather deliberately
-    /// gave up), epilogue per completed row. The sparse-activation side of
-    /// the [`ActivationSchedule`] dispatch.
+    /// gave up), epilogue per completed row.
     fn scatter_rows<F: Fn(T) -> T + Sync>(
         &self,
         x: DenseView<'_, T>,
@@ -507,196 +407,75 @@ impl<T: Scalar> PreparedWeights<T> {
         }
     }
 
-    /// One row block of the tiled forward product under an
-    /// [`ActivationSchedule`]: forced gather, forced scatter, or the
-    /// per-block nonzero count against [`act_sparse_percent`]
-    /// (`RADIX_ACT_SPARSE_THRESHOLD`, percent of nonzero activations at or
-    /// below which the block scatters; `0` disables the sparse path).
-    #[allow(clippy::too_many_arguments)]
-    fn tiled_block<F: Fn(T) -> T + Sync>(
-        &self,
-        tiles: &ColumnTiles<T>,
-        x: DenseView<'_, T>,
-        x_start: usize,
-        rows: usize,
-        out: &mut [T],
-        epi: &Epilogue<'_, T, F>,
-        sched: ActivationSchedule,
-    ) {
-        let scatter = match sched {
-            ActivationSchedule::Gather => false,
-            ActivationSchedule::Scatter => true,
-            ActivationSchedule::Auto => {
-                let pct = act_sparse_percent();
-                // `nnz > total·pct/100 (real)` ⟺ `nnz > ⌊total·pct/100⌋`
-                // for integer nnz, so the floored limit is exact.
-                pct > 0 && block_is_sparse(x, x_start, rows, rows * x.ncols() * pct / 100)
-            }
-        };
-        if scatter {
-            self.scatter_rows(x, x_start, rows, out, epi);
-        } else {
-            tiles.gather_block(x, x_start, rows, out, epi);
-        }
-    }
-
-    /// Serial cache-tiled `out ← epi(X · W)`: a gather over column tiles,
-    /// tile-major over [`block_rows`]-row blocks (default 32), so each tile's
-    /// entry list stays cache-resident across the row block and every
-    /// output element is one register-accumulated dot product written
-    /// exactly once. Falls back to [`PreparedWeights::spmm_into`] when no
-    /// tiles are built. Same per-element accumulation order as the untiled
-    /// kernels (see `kernel::tiled` for the zero-activation fine print).
+    /// `out ← epi(X · Wᵀ)` without materializing the transpose:
+    /// `out[b, i] = Σ_j X[b, j] · W[i, j]`, the backward-pass orientation.
+    /// A gather — each output element is a dot product over row `i` of
+    /// `W` (fixed-length in the ELL layout), the epilogue applied at the
+    /// final store — with the same buffer-reuse and allocation guarantees
+    /// as [`PreparedWeights::spmm`].
     ///
-    /// Runs the [`ActivationSchedule::Auto`] dispatch: a row block whose
-    /// activations are almost entirely zeros (post-ReLU deep layers)
-    /// scatters over its nonzeros instead of gathering — equal results
-    /// either way.
+    /// The transpose's output columns are `W`'s rows, whose entries are
+    /// already contiguous in the ELL/CSR arrays — the CSC layout of `Wᵀ`
+    /// *is* the CSR layout of `W` — so the tile-major schedule runs
+    /// zero-copy over the existing storage: no [`PreparedWeights::tile`]
+    /// call is required (training layers, whose weight updates drop the
+    /// forward tiles, stay tiled throughout). When `W` has more rows than
+    /// the plan's `tile_cols`, a tile's `tile_cols × degree` entry range
+    /// is re-read from cache across each `block_rows`-row block instead of
+    /// streaming the full `indices`/`values` arrays once per batch row.
+    /// Accumulation order per output element is the same either way, so
+    /// results are bitwise equal.
     ///
     /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.nrows()`.
-    pub fn spmm_tiled_into<F: Fn(T) -> T + Sync>(
+    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.ncols()`.
+    pub fn spmm_transposed<F: Fn(T) -> T + Sync>(
         &self,
         x: &impl AsDenseView<T>,
         out: &mut DenseMatrix<T>,
         epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        self.spmm_tiled_scheduled_into(x, out, epi, ActivationSchedule::Auto)
-    }
-
-    /// [`PreparedWeights::spmm_tiled_into`] with an explicit
-    /// [`ActivationSchedule`] instead of the per-block auto dispatch —
-    /// for benchmarking the two schedules against each other and for
-    /// pinning their equivalence in tests.
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.nrows()`.
-    pub fn spmm_tiled_scheduled_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-        sched: ActivationSchedule,
+        par: Par,
     ) -> Result<(), SparseError> {
         let x = x.as_view();
-        if self.tiles.is_none() {
-            return self.spmm_into(&x, out, epi);
+        if x.ncols() != self.ncols() {
+            return Err(SparseError::ShapeMismatch {
+                op: "prepared spmm_transposed",
+                lhs: x.shape(),
+                rhs: self.shape(),
+            });
         }
-        self.check_spmm(x, "prepared spmm_tiled_into")?;
-        let ncols = self.ncols();
-        // Every element is written exactly once by the gather (and the
-        // scatter zero-fills its block first), so skip zeroing.
-        out.resize_for_overwrite(x.nrows(), ncols);
-        let batch = x.nrows();
-        if batch == 0 || ncols == 0 {
-            out.as_mut_slice().fill(T::ZERO);
-            return Ok(());
+        let (batch, nout) = (x.nrows(), self.nrows());
+        // The gather assigns every output element, so skip zeroing.
+        out.resize_for_overwrite(batch, nout);
+        if batch > 0 {
+            // The block loop only ever applies tile segments.
+            epi.assert_width(nout);
         }
-        let tiles = self.tiles.as_ref().expect("checked above");
-        let slice = out.as_mut_slice();
-        let brows = block_rows();
-        for blk in 0..batch.div_ceil(brows) {
-            let start = blk * brows;
-            let rows = brows.min(batch - start);
-            let block = &mut slice[start * ncols..(start + rows) * ncols];
-            self.tiled_block(tiles, x, start, rows, block, epi, sched);
-        }
+        let pool = self.plan.pool(par, self.work(batch));
+        let brows = self.rows_per_block(nout > self.plan.tile_cols, pool, batch);
+        for_each_block(
+            out.as_mut_slice(),
+            brows,
+            nout,
+            pool,
+            |start, rows, block| {
+                self.gather_t_block(x, start, rows, block, epi);
+            },
+        );
         Ok(())
-    }
-
-    /// Pool-parallel cache-tiled `out ← epi(X · W)`: batch rows are split
-    /// into blocks claimed dynamically by the persistent worker pool, each
-    /// block running the tile-major schedule under the
-    /// [`ActivationSchedule::Auto`] dispatch. Allocation-free in steady
-    /// state (the pool dispatch materializes nothing). Falls back to
-    /// [`PreparedWeights::par_spmm_into`] when no tiles are built.
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.nrows()`.
-    pub fn par_spmm_tiled_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        self.par_spmm_tiled_scheduled_into(x, out, epi, ActivationSchedule::Auto)
-    }
-
-    /// [`PreparedWeights::par_spmm_tiled_into`] with an explicit
-    /// [`ActivationSchedule`].
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.nrows()`.
-    pub fn par_spmm_tiled_scheduled_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-        sched: ActivationSchedule,
-    ) -> Result<(), SparseError> {
-        let x = x.as_view();
-        if self.tiles.is_none() {
-            return self.par_spmm_into(&x, out, epi);
-        }
-        self.check_spmm(x, "prepared par_spmm_tiled_into")?;
-        let ncols = self.ncols();
-        out.resize_for_overwrite(x.nrows(), ncols);
-        let batch = x.nrows();
-        if batch == 0 || ncols == 0 {
-            out.as_mut_slice().fill(T::ZERO);
-            return Ok(());
-        }
-        let tiles = self.tiles.as_ref().expect("checked above");
-        let block_rows = par_block_rows(batch);
-        rayon::for_each_chunk_mut(out.as_mut_slice(), block_rows * ncols, |blk, chunk| {
-            let rows = chunk.len() / ncols;
-            self.tiled_block(tiles, x, blk * block_rows, rows, chunk, epi, sched);
-        });
-        Ok(())
-    }
-
-    /// `out ← epi(X · W)` on the tiled schedule, serial or pool-parallel
-    /// via the shared [`use_parallel`] heuristic.
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.nrows()`.
-    pub fn spmm_tiled_auto_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        if use_parallel(self.work(x.as_view().nrows())) {
-            self.par_spmm_tiled_into(x, out, epi)
-        } else {
-            self.spmm_tiled_into(x, out, epi)
-        }
-    }
-
-    /// The tile width the transposed tiled kernels run at: the forward
-    /// tile width when tiles are built, else the process-wide
-    /// [`tile_cols`]. The transposed schedule needs no prebuilt layout
-    /// (`W`'s rows are already tile-contiguous in ELL/CSR order, and rows
-    /// of `W` are the transpose's output columns), so the tiled transposed
-    /// kernels are available on **any** prepared matrix — in particular on
-    /// training layers, whose weight updates drop the forward tiles.
-    fn transposed_tile_width(&self) -> usize {
-        self.tiles
-            .as_ref()
-            .map_or_else(tile_cols, ColumnTiles::tile_cols)
     }
 
     /// One batch-row block of the tile-major transposed gather, ELL or
-    /// CSR layout.
+    /// CSR layout, at the plan's tile width (a matrix no wider than that
+    /// is one tile: the plain per-row gather).
     fn gather_t_block<F: Fn(T) -> T + Sync>(
         &self,
         x: DenseView<'_, T>,
         x_start: usize,
         rows: usize,
         out: &mut [T],
-        width: usize,
         epi: &Epilogue<'_, T, F>,
     ) {
+        let width = self.plan.tile_cols;
         match self.degree {
             Some(d) => gather_t_block_ell(
                 self.csr.indices(),
@@ -713,155 +492,36 @@ impl<T: Scalar> PreparedWeights<T> {
             None => gather_t_block_csr(&self.csr, width, x, x_start, rows, out, epi),
         }
     }
+}
 
-    /// Serial cache-tiled `out ← epi(X · Wᵀ)`: the backward-orientation
-    /// analogue of [`PreparedWeights::spmm_tiled_into`]. The transpose's
-    /// output columns are `W`'s rows, whose entries are already contiguous
-    /// in the ELL/CSR arrays — the CSC layout of `Wᵀ` *is* the CSR layout
-    /// of `W` — so the tile-major schedule runs zero-copy over the
-    /// existing storage: no [`PreparedWeights::tile`] call is required,
-    /// and a tile's `width × degree` entry range is re-read from cache
-    /// across the whole [`block_rows`]-row block (default 32) instead of
-    /// the untiled kernel's full `indices`/`values` stream per batch row.
-    ///
-    /// Accumulation order per output element is identical to
-    /// [`PreparedWeights::spmm_transposed_into`], so results are bitwise
-    /// equal (pinned by the property suite). Matrices no wider than one
-    /// tile fall back to the untiled kernel.
-    ///
-    /// The tile width is the forward tile width when tiles are built,
-    /// otherwise the process-wide [`tile_cols`] (`RADIX_TILE_COLS`); use
-    /// [`PreparedWeights::spmm_transposed_tiled_with`] for an explicit
-    /// width.
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.ncols()`.
-    pub fn spmm_transposed_tiled_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        self.spmm_transposed_tiled_with(x, out, epi, self.transposed_tile_width())
+/// Runs `f(first_row, rows, block)` over `out` cut into blocks of `brows`
+/// rows of `ncols` elements (the last block may be shorter): in order on
+/// the calling thread, or claimed dynamically by the worker pool.
+fn for_each_block<T: Send>(
+    out: &mut [T],
+    brows: usize,
+    ncols: usize,
+    pool: bool,
+    f: impl Fn(usize, usize, &mut [T]) + Sync,
+) {
+    if out.is_empty() {
+        return;
     }
-
-    /// [`PreparedWeights::spmm_transposed_tiled_into`] at an explicit tile
-    /// width (calibration sweeps, width-randomizing tests).
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.ncols()`.
-    ///
-    /// # Panics
-    /// Panics if `width == 0`.
-    pub fn spmm_transposed_tiled_with<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-        width: usize,
-    ) -> Result<(), SparseError> {
-        assert!(width > 0, "tile width must be positive");
-        let x = x.as_view();
-        let nout = self.nrows();
-        if nout <= width {
-            return self.spmm_transposed_into(&x, out, epi);
-        }
-        self.check_spmm_t(x, "prepared spmm_transposed_tiled_with")?;
-        // The gather assigns every output element, so skip zeroing.
-        out.resize_for_overwrite(x.nrows(), nout);
-        let batch = x.nrows();
-        if batch == 0 {
-            return Ok(());
-        }
-        epi.assert_width(nout);
-        let slice = out.as_mut_slice();
-        let brows = block_rows();
-        for blk in 0..batch.div_ceil(brows) {
-            let start = blk * brows;
-            let rows = brows.min(batch - start);
-            let block = &mut slice[start * nout..(start + rows) * nout];
-            self.gather_t_block(x, start, rows, block, width, epi);
-        }
-        Ok(())
-    }
-
-    /// Pool-parallel cache-tiled `out ← epi(X · Wᵀ)`: batch rows split
-    /// into blocks claimed dynamically by the persistent worker pool, each
-    /// running the tile-major transposed gather. Allocation-free in steady
-    /// state, like every other pool kernel here. Matrices no wider than
-    /// one tile fall back to
-    /// [`PreparedWeights::par_spmm_transposed_into`].
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.ncols()`.
-    pub fn par_spmm_transposed_tiled_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        self.par_spmm_transposed_tiled_with(x, out, epi, self.transposed_tile_width())
-    }
-
-    /// [`PreparedWeights::par_spmm_transposed_tiled_into`] at an explicit
-    /// tile width.
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.ncols()`.
-    ///
-    /// # Panics
-    /// Panics if `width == 0`.
-    pub fn par_spmm_transposed_tiled_with<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-        width: usize,
-    ) -> Result<(), SparseError> {
-        assert!(width > 0, "tile width must be positive");
-        let x = x.as_view();
-        let nout = self.nrows();
-        if nout <= width {
-            return self.par_spmm_transposed_into(&x, out, epi);
-        }
-        self.check_spmm_t(x, "prepared par_spmm_transposed_tiled_with")?;
-        out.resize_for_overwrite(x.nrows(), nout);
-        let batch = x.nrows();
-        if batch == 0 {
-            return Ok(());
-        }
-        epi.assert_width(nout);
-        let block_rows = par_block_rows(batch);
-        rayon::for_each_chunk_mut(out.as_mut_slice(), block_rows * nout, |blk, chunk| {
-            let rows = chunk.len() / nout;
-            self.gather_t_block(x, blk * block_rows, rows, chunk, width, epi);
-        });
-        Ok(())
-    }
-
-    /// `out ← epi(X · Wᵀ)` on the tiled schedule, serial or pool-parallel
-    /// via the shared [`use_parallel`] heuristic — the kernel `radix-nn`'s
-    /// `Layer::backward_into` routes the backward delta through, making a
-    /// full train step run tiled.
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.ncols()`.
-    pub fn spmm_transposed_tiled_auto_into<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        out: &mut DenseMatrix<T>,
-        epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        if use_parallel(self.work(x.as_view().nrows())) {
-            self.par_spmm_transposed_tiled_into(x, out, epi)
-        } else {
-            self.spmm_transposed_tiled_into(x, out, epi)
+    // No block is longer than the batch, so `brows · ncols` cannot
+    // overflow whatever grain the plan asks for.
+    let brows = brows.min(out.len() / ncols);
+    let run = |blk: usize, block: &mut [T]| f(blk * brows, block.len() / ncols, block);
+    if pool {
+        rayon::for_each_chunk_mut(out, brows * ncols, run);
+    } else {
+        for (blk, block) in out.chunks_mut(brows * ncols).enumerate() {
+            run(blk, block);
         }
     }
 }
 
 /// Whether the activation block rows `[start, start + rows)` hold at most
-/// `limit` nonzeros — the [`ActivationSchedule::Auto`] dispatch test. The
+/// `limit` nonzeros — the activation-sparsity dispatch test. The
 /// per-row inner count is branch-free (vectorizable), and the running
 /// total early-exits at the first row boundary past `limit`: a **dense**
 /// block (the common case) is rejected after scanning only ~`limit`
@@ -884,16 +544,6 @@ fn block_is_sparse<T: Scalar>(
         }
     }
     true
-}
-
-/// Rows per parallel block: small enough for load balance across the pool,
-/// large enough ([`block_rows`], default 32, at most) to amortize each
-/// tile's entry stream over several rows.
-fn par_block_rows(batch: usize) -> usize {
-    let threads = rayon::current_num_threads();
-    batch
-        .div_ceil(threads.saturating_mul(2).max(1))
-        .clamp(1, block_rows())
 }
 
 impl<T: Scalar> From<CsrMatrix<T>> for PreparedWeights<T> {
@@ -934,23 +584,6 @@ fn scatter_row_csr<T: Scalar>(xrow: &[T], w: &CsrMatrix<T>, orow: &mut [T]) {
     }
 }
 
-/// One output row of `X · Wᵀ` in the ELL layout: each element is a
-/// fixed-length dot product over row `i` of `W`, lane-chunked through
-/// [`lanes::gather_rows_ell`] (bitwise identical to the scalar loop).
-#[inline]
-fn gather_row_ell<T: Scalar>(xrow: &[T], inds: &[usize], vals: &[T], d: usize, orow: &mut [T]) {
-    lanes::gather_rows_ell(inds, vals, d, xrow, orow);
-}
-
-/// One output row of `X · Wᵀ` through CSR row slicing (irregular fallback).
-#[inline]
-fn gather_row_csr<T: Scalar>(xrow: &[T], w: &CsrMatrix<T>, orow: &mut [T]) {
-    for (i, o) in orow.iter_mut().enumerate() {
-        let (cols, ws) = w.row(i);
-        *o = lanes::dot_idx(cols, ws, xrow);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,6 +616,71 @@ mod tests {
         m
     }
 
+    /// The plans every equivalence test below sweeps: tile widths under,
+    /// at and over the test matrices' 3 and 12 columns × block grains from
+    /// one row to far past any batch × the activation dispatch forced to
+    /// gather (0), counting (10) and forced to scatter (100).
+    fn plans() -> Vec<KernelPlan> {
+        let mut plans = Vec::new();
+        for tile_cols in [1, 4, 5, 11, 12] {
+            for block_rows in [1, 5, 32, usize::MAX] {
+                for act_sparse_percent in [0, 10, 100] {
+                    plans.push(KernelPlan {
+                        tile_cols,
+                        block_rows,
+                        act_sparse_percent,
+                        ..KernelPlan::default()
+                    });
+                }
+            }
+        }
+        plans
+    }
+
+    /// `w` prepared under `plan`, tiled wherever the plan's width allows.
+    fn prepared(w: &CsrMatrix<f64>, plan: KernelPlan) -> PreparedWeights<f64> {
+        let mut p = PreparedWeights::with_plan(w.clone(), plan);
+        assert_eq!(p.tile(), w.ncols() > plan.tile_cols);
+        assert_eq!(p.tile_width(), p.is_tiled().then_some(plan.tile_cols));
+        p
+    }
+
+    const PARS: [Par; 3] = [Par::Serial, Par::Pool, Par::Auto];
+
+    /// `epi(X · W)` equals `expect` under every plan and dispatch.
+    fn assert_forward_eq<F: Fn(f64) -> f64 + Sync>(
+        w: &CsrMatrix<f64>,
+        x: &DenseMatrix<f64>,
+        epi: &Epilogue<'_, f64, F>,
+        expect: &DenseMatrix<f64>,
+    ) {
+        let mut out = DenseMatrix::default();
+        for plan in plans() {
+            let p = prepared(w, plan);
+            for par in PARS {
+                p.spmm(x, &mut out, epi, par).unwrap();
+                assert_eq!(&out, expect, "{plan:?} {par:?}");
+            }
+        }
+    }
+
+    /// `epi(X · Wᵀ)` equals `expect` under every plan and dispatch.
+    fn assert_transposed_eq<F: Fn(f64) -> f64 + Sync>(
+        w: &CsrMatrix<f64>,
+        x: &DenseMatrix<f64>,
+        epi: &Epilogue<'_, f64, F>,
+        expect: &DenseMatrix<f64>,
+    ) {
+        let mut out = DenseMatrix::default();
+        for plan in plans() {
+            let p = prepared(w, plan);
+            for par in PARS {
+                p.spmm_transposed(x, &mut out, epi, par).unwrap();
+                assert_eq!(&out, expect, "{plan:?} {par:?}");
+            }
+        }
+    }
+
     #[test]
     fn degree_detection() {
         assert_eq!(PreparedWeights::from_csr(regular()).degree(), Some(3));
@@ -1001,52 +699,41 @@ mod tests {
     }
 
     #[test]
+    fn from_csr_takes_the_process_plan() {
+        let p = PreparedWeights::from_csr(regular());
+        assert_eq!(p.plan(), KernelPlan::process());
+    }
+
+    #[test]
     fn ell_spmm_matches_naive_bitwise() {
         let w = regular();
-        let p = PreparedWeights::from_csr(w.clone());
-        assert!(p.is_ell());
+        assert!(PreparedWeights::from_csr(w.clone()).is_ell());
         let x = batch(5, 12);
         let naive = dense_spmm(&x, &w).unwrap();
-        let mut out = DenseMatrix::zeros(0, 0);
-        p.spmm_into(&x, &mut out, &Epilogue::identity()).unwrap();
-        assert_eq!(out, naive);
-        p.par_spmm_into(&x, &mut out, &Epilogue::identity())
-            .unwrap();
-        assert_eq!(out, naive);
+        assert_forward_eq(&w, &x, &Epilogue::identity(), &naive);
     }
 
     #[test]
     fn csr_fallback_matches_naive_bitwise() {
         let w = irregular();
-        let p = PreparedWeights::from_csr(w.clone());
-        assert!(!p.is_ell());
+        assert!(!PreparedWeights::from_csr(w.clone()).is_ell());
         let x = batch(4, 3);
         let naive = dense_spmm(&x, &w).unwrap();
-        let mut out = DenseMatrix::zeros(0, 0);
-        p.spmm_into(&x, &mut out, &Epilogue::identity()).unwrap();
-        assert_eq!(out, naive);
+        assert_forward_eq(&w, &x, &Epilogue::identity(), &naive);
     }
 
     #[test]
     fn transposed_matches_naive_bitwise() {
         for w in [regular(), irregular()] {
-            let p = PreparedWeights::from_csr(w.clone());
             let x = batch(4, w.ncols());
             let naive = dense_spmm_transposed(&x, &w).unwrap();
-            let mut out = DenseMatrix::zeros(0, 0);
-            p.spmm_transposed_into(&x, &mut out, &Epilogue::identity())
-                .unwrap();
-            assert_eq!(out, naive);
-            p.par_spmm_transposed_into(&x, &mut out, &Epilogue::identity())
-                .unwrap();
-            assert_eq!(out, naive);
+            assert_transposed_eq(&w, &x, &Epilogue::identity(), &naive);
         }
     }
 
     #[test]
     fn fused_epilogue_matches_two_pass() {
         let w = regular();
-        let p = PreparedWeights::from_csr(w.clone());
         let x = batch(6, 12);
         let bias: Vec<f64> = (0..12).map(|j| j as f64 * 0.1 - 0.5).collect();
         // Naive: product, then a separate bias pass, then a separate map.
@@ -1061,11 +748,7 @@ mod tests {
             }
         }
         let epi = Epilogue::new(Bias::PerOutput(&bias), |v: f64| v.max(0.0));
-        let mut out = DenseMatrix::zeros(0, 0);
-        p.spmm_into(&x, &mut out, &epi).unwrap();
-        assert_eq!(out, naive);
-        p.spmm_auto_into(&x, &mut out, &epi).unwrap();
-        assert_eq!(out, naive);
+        assert_forward_eq(&w, &x, &epi, &naive);
     }
 
     #[test]
@@ -1073,14 +756,17 @@ mod tests {
         let p = PreparedWeights::from_csr(regular());
         let x = batch(8, 12);
         let mut out = DenseMatrix::zeros(0, 0);
-        p.spmm_into(&x, &mut out, &Epilogue::identity()).unwrap();
+        p.spmm(&x, &mut out, &Epilogue::identity(), Par::Serial)
+            .unwrap();
         let ptr = out.as_slice().as_ptr();
-        let cap_before = {
-            // Same-size reuse must not reallocate.
-            p.spmm_into(&x, &mut out, &Epilogue::identity()).unwrap();
-            out.as_slice().as_ptr()
-        };
-        assert_eq!(ptr, cap_before, "steady-state call must reuse the buffer");
+        // Same-size reuse must not reallocate.
+        p.spmm(&x, &mut out, &Epilogue::identity(), Par::Serial)
+            .unwrap();
+        assert_eq!(
+            ptr,
+            out.as_slice().as_ptr(),
+            "steady-state call must reuse the buffer"
+        );
     }
 
     #[test]
@@ -1088,13 +774,12 @@ mod tests {
         let p = PreparedWeights::from_csr(regular());
         let bad = DenseMatrix::<f64>::zeros(2, 5);
         let mut out = DenseMatrix::zeros(0, 0);
-        assert!(p.spmm_into(&bad, &mut out, &Epilogue::identity()).is_err());
-        assert!(p
-            .par_spmm_into(&bad, &mut out, &Epilogue::identity())
-            .is_err());
-        assert!(p
-            .spmm_transposed_into(&bad, &mut out, &Epilogue::identity())
-            .is_err());
+        let epi = Epilogue::identity();
+        for par in PARS {
+            assert!(p.spmm(&bad, &mut out, &epi, par).is_err());
+            assert!(p.spmm_transposed(&bad, &mut out, &epi, par).is_err());
+        }
+        assert!(p.spmm_rows_to(&bad, 0, 1, &mut [0.0; 12], &epi).is_err());
     }
 
     #[test]
@@ -1103,70 +788,72 @@ mod tests {
         let p = PreparedWeights::from_csr(regular());
         let x = DenseMatrix::<f64>::zeros(0, 12);
         let mut out = DenseMatrix::zeros(3, 3);
-        p.spmm_into(&x, &mut out, &Epilogue::identity()).unwrap();
-        assert_eq!(out.shape(), (0, 12));
+        for par in PARS {
+            p.spmm(&x, &mut out, &Epilogue::identity(), par).unwrap();
+            assert_eq!(out.shape(), (0, 12));
+        }
         // 1-column weight.
         let w1 = CsrMatrix::from_dense(&DenseMatrix::from_rows(&[&[2.0f64], &[3.0]]));
         let p1 = PreparedWeights::from_csr(w1);
         let x1 = DenseMatrix::from_rows(&[&[1.0f64, 1.0]]);
-        p1.spmm_into(&x1, &mut out, &Epilogue::identity()).unwrap();
+        p1.spmm(&x1, &mut out, &Epilogue::identity(), Par::Serial)
+            .unwrap();
         assert_eq!(out.get(0, 0), 5.0);
     }
 
     #[test]
     fn tiled_kernels_match_untiled_bitwise() {
         let w = regular();
-        let x = batch(40, 12); // spans multiple TILE_BLOCK_ROWS blocks
+        let x = batch(40, 12); // spans several blocks at every swept grain
         let untiled = PreparedWeights::from_csr(w.clone());
+        assert!(!untiled.is_tiled());
         let epi = Epilogue::new(Bias::Uniform(0.25), |v: f64| v.max(0.0));
         let mut expect = DenseMatrix::default();
-        untiled.spmm_into(&x, &mut expect, &epi).unwrap();
-        for width in [1, 4, 5, 11] {
-            let mut p = PreparedWeights::from_csr(w.clone());
-            assert!(p.tile_with(width), "12 cols > width {width} must tile");
-            assert_eq!(p.tile_width(), Some(width));
-            let mut out = DenseMatrix::default();
-            p.spmm_tiled_into(&x, &mut out, &epi).unwrap();
-            assert_eq!(out, expect, "serial tiled, width {width}");
-            p.par_spmm_tiled_into(&x, &mut out, &epi).unwrap();
-            assert_eq!(out, expect, "parallel tiled, width {width}");
-            p.spmm_tiled_auto_into(&x, &mut out, &epi).unwrap();
-            assert_eq!(out, expect, "auto tiled, width {width}");
-        }
+        untiled.spmm(&x, &mut expect, &epi, Par::Serial).unwrap();
+        assert_forward_eq(&w, &x, &epi, &expect);
     }
 
     #[test]
     fn tile_skips_narrow_matrices_and_falls_back() {
-        let mut p = PreparedWeights::from_csr(regular());
-        assert!(!p.tile_with(12), "12 cols fit one 12-wide tile");
+        let plan = KernelPlan {
+            tile_cols: 12,
+            ..KernelPlan::default()
+        };
+        let mut p = PreparedWeights::with_plan(regular(), plan);
+        assert!(!p.tile(), "12 cols fit one 12-wide tile");
         assert!(!p.is_tiled());
-        // Untiled _tiled_ calls fall back and still compute correctly.
+        // The untiled product still computes correctly.
         let x = batch(3, 12);
-        let mut expect = DenseMatrix::default();
-        p.spmm_into(&x, &mut expect, &Epilogue::identity()).unwrap();
         let mut out = DenseMatrix::default();
-        p.spmm_tiled_into(&x, &mut out, &Epilogue::identity())
+        p.spmm(&x, &mut out, &Epilogue::identity(), Par::Serial)
             .unwrap();
-        assert_eq!(out, expect);
+        assert_eq!(out, dense_spmm(&x, &regular()).unwrap());
     }
 
     #[test]
     fn spmm_rows_to_matches_full_product_rows() {
         let w = regular();
         let x = batch(9, 12);
-        let mut p = PreparedWeights::from_csr(w);
         let epi = Epilogue::new(Bias::Uniform(-0.5), |v: f64| v.max(0.0));
         let mut expect = DenseMatrix::default();
-        p.spmm_into(&x, &mut expect, &epi).unwrap();
-        for tiled in [false, true] {
-            if tiled {
-                assert!(p.tile_with(5));
-            }
+        PreparedWeights::from_csr(w.clone())
+            .spmm(&x, &mut expect, &epi, Par::Serial)
+            .unwrap();
+        for plan in plans() {
+            let p = prepared(&w, plan);
             let mut block = vec![99.0f64; 4 * 12];
             p.spmm_rows_to(&x, 3, 4, &mut block, &epi).unwrap();
             for (b, row) in block.chunks(12).enumerate() {
-                assert_eq!(row, expect.row(b + 3), "tiled={tiled} block row {b}");
+                assert_eq!(row, expect.row(b + 3), "{plan:?} block row {b}");
             }
+        }
+    }
+
+    /// A plan whose 4-column tiles split the 12-column test matrix.
+    fn tiled_plan() -> KernelPlan {
+        KernelPlan {
+            tile_cols: 4,
+            ..KernelPlan::default()
         }
     }
 
@@ -1175,19 +862,17 @@ mod tests {
     fn tiled_kernels_reject_mis_sized_bias() {
         // The tiled gather must enforce the same per-output bias contract
         // as the whole-row kernels, even though it only applies segments.
-        let mut p = PreparedWeights::from_csr(regular());
-        assert!(p.tile_with(4));
+        let p = prepared(&regular(), tiled_plan());
         let x = batch(2, 12);
         let long_bias = vec![0.0f64; 20]; // 12 columns, 20 biases
         let epi = Epilogue::new(Bias::PerOutput(&long_bias), |v: f64| v);
         let mut out = DenseMatrix::default();
-        let _ = p.spmm_tiled_into(&x, &mut out, &epi);
+        let _ = p.spmm(&x, &mut out, &epi, Par::Serial);
     }
 
     #[test]
     fn values_mut_drops_tiles() {
-        let mut p = PreparedWeights::from_csr(regular());
-        assert!(p.tile_with(4));
+        let mut p = prepared(&regular(), tiled_plan());
         assert!(p.is_tiled());
         p.values_mut()[0] *= 2.0;
         assert!(!p.is_tiled(), "stale tile values must not survive");
@@ -1196,20 +881,17 @@ mod tests {
     #[test]
     fn tiled_degenerate_shapes() {
         // Zero-row batch through the tiled path.
-        let mut p = PreparedWeights::from_csr(regular());
-        assert!(p.tile_with(4));
+        let p = prepared(&regular(), tiled_plan());
         let x = DenseMatrix::<f64>::zeros(0, 12);
         let mut out = DenseMatrix::zeros(3, 3);
-        p.spmm_tiled_into(&x, &mut out, &Epilogue::identity())
-            .unwrap();
-        assert_eq!(out.shape(), (0, 12));
-        p.par_spmm_tiled_into(&x, &mut out, &Epilogue::identity())
-            .unwrap();
-        assert_eq!(out.shape(), (0, 12));
+        for par in PARS {
+            p.spmm(&x, &mut out, &Epilogue::identity(), par).unwrap();
+            assert_eq!(out.shape(), (0, 12));
+        }
         // Shape mismatch still errors.
         let bad = DenseMatrix::<f64>::zeros(2, 5);
         assert!(p
-            .spmm_tiled_into(&bad, &mut out, &Epilogue::identity())
+            .spmm(&bad, &mut out, &Epilogue::identity(), Par::Serial)
             .is_err());
     }
 
@@ -1217,87 +899,61 @@ mod tests {
     fn transposed_tiled_matches_untiled_bitwise() {
         for w in [regular(), irregular()] {
             let p = PreparedWeights::from_csr(w.clone());
-            let x = batch(40, w.ncols()); // spans multiple TILE_BLOCK_ROWS blocks
+            let x = batch(40, w.ncols()); // spans several blocks at every swept grain
             let epi = Epilogue::new(Bias::Uniform(0.1), |v: f64| v.max(-1.0));
             let mut expect = DenseMatrix::default();
-            p.spmm_transposed_into(&x, &mut expect, &epi).unwrap();
-            let mut out = DenseMatrix::default();
-            for width in [1usize, 4, 5, 11] {
-                p.spmm_transposed_tiled_with(&x, &mut out, &epi, width)
-                    .unwrap();
-                assert_eq!(out, expect, "serial width {width}");
-                p.par_spmm_transposed_tiled_with(&x, &mut out, &epi, width)
-                    .unwrap();
-                assert_eq!(out, expect, "parallel width {width}");
-            }
-            // Default-width wrappers (fall back untiled when narrow).
-            p.spmm_transposed_tiled_into(&x, &mut out, &epi).unwrap();
-            assert_eq!(out, expect, "default width");
-            p.par_spmm_transposed_tiled_into(&x, &mut out, &epi)
+            p.spmm_transposed(&x, &mut expect, &epi, Par::Serial)
                 .unwrap();
-            assert_eq!(out, expect, "default width parallel");
-            p.spmm_transposed_tiled_auto_into(&x, &mut out, &epi)
-                .unwrap();
-            assert_eq!(out, expect, "auto");
+            assert_transposed_eq(&w, &x, &epi, &expect);
         }
     }
 
     #[test]
     fn transposed_tiled_shape_checks_and_degenerates() {
-        let p = PreparedWeights::from_csr(regular());
+        let p = PreparedWeights::with_plan(regular(), tiled_plan());
         let mut out = DenseMatrix::default();
         let bad = DenseMatrix::<f64>::zeros(2, 5);
         assert!(p
-            .spmm_transposed_tiled_with(&bad, &mut out, &Epilogue::identity(), 4)
+            .spmm_transposed(&bad, &mut out, &Epilogue::identity(), Par::Serial)
             .is_err());
         // Zero-row batch.
         let empty = DenseMatrix::<f64>::zeros(0, 12);
-        p.spmm_transposed_tiled_with(&empty, &mut out, &Epilogue::identity(), 4)
-            .unwrap();
-        assert_eq!(out.shape(), (0, 12));
+        for par in PARS {
+            p.spmm_transposed(&empty, &mut out, &Epilogue::identity(), par)
+                .unwrap();
+            assert_eq!(out.shape(), (0, 12));
+        }
     }
 
     #[test]
     #[should_panic(expected = "bias length mismatch")]
     fn transposed_tiled_rejects_mis_sized_bias() {
-        let p = PreparedWeights::from_csr(regular());
+        let p = PreparedWeights::with_plan(regular(), tiled_plan());
         let x = batch(2, 12);
         let long_bias = vec![0.0f64; 20]; // 12 outputs, 20 biases
         let epi = Epilogue::new(Bias::PerOutput(&long_bias), |v: f64| v);
         let mut out = DenseMatrix::default();
-        let _ = p.spmm_transposed_tiled_with(&x, &mut out, &epi, 4);
+        let _ = p.spmm_transposed(&x, &mut out, &epi, Par::Serial);
     }
 
     #[test]
     fn forced_activation_schedules_match_untiled() {
         let w = regular();
-        // A batch sparse enough that Auto takes the scatter path on every
-        // block, but the forced schedules must agree regardless.
+        // A batch sparse enough that the count takes the scatter path on
+        // every block; the forced schedules (`act_sparse_percent` 0 and
+        // 100 in `plans`) must agree regardless.
         let mut x = DenseMatrix::zeros(40, 12);
         for i in 0..40 {
             if i % 4 == 0 {
                 x.set(i, i % 12, 1.5 - i as f64 * 0.1);
             }
         }
-        let untiled = PreparedWeights::from_csr(w.clone());
         let epi = Epilogue::new(Bias::Uniform(0.25), |v: f64| v.max(0.0));
         let mut expect = DenseMatrix::default();
-        untiled.spmm_into(&x, &mut expect, &epi).unwrap();
-        let mut p = PreparedWeights::from_csr(w);
-        assert!(p.tile_with(5));
-        let mut out = DenseMatrix::default();
-        for sched in [
-            ActivationSchedule::Auto,
-            ActivationSchedule::Gather,
-            ActivationSchedule::Scatter,
-        ] {
-            p.spmm_tiled_scheduled_into(&x, &mut out, &epi, sched)
-                .unwrap();
-            assert_eq!(out, expect, "serial {sched:?}");
-            p.par_spmm_tiled_scheduled_into(&x, &mut out, &epi, sched)
-                .unwrap();
-            assert_eq!(out, expect, "parallel {sched:?}");
-        }
+        PreparedWeights::from_csr(w.clone())
+            .spmm(&x, &mut expect, &epi, Par::Serial)
+            .unwrap();
+        assert_forward_eq(&w, &x, &epi, &expect);
     }
 
     #[test]
@@ -1324,12 +980,14 @@ mod tests {
         let mut p = PreparedWeights::from_csr(regular());
         let x = batch(2, 12);
         let mut before = DenseMatrix::zeros(0, 0);
-        p.spmm_into(&x, &mut before, &Epilogue::identity()).unwrap();
+        p.spmm(&x, &mut before, &Epilogue::identity(), Par::Serial)
+            .unwrap();
         for v in p.values_mut() {
             *v *= 2.0;
         }
         let mut after = DenseMatrix::zeros(0, 0);
-        p.spmm_into(&x, &mut after, &Epilogue::identity()).unwrap();
+        p.spmm(&x, &mut after, &Epilogue::identity(), Par::Serial)
+            .unwrap();
         for (a, b) in after.as_slice().iter().zip(before.as_slice()) {
             assert!((a - 2.0 * b).abs() < 1e-12);
         }

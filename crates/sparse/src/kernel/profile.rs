@@ -9,10 +9,8 @@
 //! run per worker-pool width, because the best schedule at 1 thread is
 //! not the best at 8.
 //!
-//! Consumers never read this file directly: the cached tunable getters
-//! ([`crate::kernel::tile_cols`], [`crate::kernel::block_rows`],
-//! [`crate::kernel::act_sparse_percent`], and `radix-challenge`'s fuse
-//! depth) resolve each knob with the precedence
+//! Consumers never read this file directly: [`crate::kernel::KernelPlan::process`]
+//! resolves each knob, once per process, with the precedence
 //!
 //! ```text
 //! environment variable  >  profile run at this thread count  >  default
@@ -20,7 +18,7 @@
 //!
 //! via [`active_profile`] + [`resolve_knob`]. A missing or corrupt
 //! profile is **never** fatal: [`load_profile`] returns a typed
-//! [`ProfileError`], the getters fall back to the built-in defaults, and
+//! [`ProfileError`], the plan falls back to the built-in defaults, and
 //! the process warns once on stderr (silently ignoring a genuinely absent
 //! optional file).
 //!
@@ -43,8 +41,10 @@
 //! default.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::path::Path;
-use std::sync::OnceLock;
+
+use crate::kernel::heuristic::MAX_TILE_OR_BLOCK;
 
 /// Schema tag the profile file must carry on its `"schema"` line.
 pub const PROFILE_SCHEMA: &str = "radix-tuning-profile/v1";
@@ -91,7 +91,8 @@ pub enum ProfileError {
     /// The file ends before its closing brace — a torn or truncated write.
     Truncated,
     /// A run line carries a knob key whose value does not parse to a sane
-    /// number (zero where a positive value is required, or garbage bytes).
+    /// number (zero where a positive value is required, a tile width or
+    /// block grain past [`MAX_TILE_OR_BLOCK`], or garbage bytes).
     Malformed {
         /// The offending knob key.
         key: &'static str,
@@ -141,15 +142,20 @@ fn number_field(line: &str, key: &str) -> Option<u64> {
 }
 
 /// Parses one knob off a run line: absent key → `Ok(None)`; present key
-/// with an unparseable or (unless `zero_ok`) zero value → corruption.
-fn knob(line: &str, key: &'static str, zero_ok: bool) -> Result<Option<usize>, ProfileError> {
+/// with an unparseable value, or one outside `range` → corruption.
+fn knob(
+    line: &str,
+    key: &'static str,
+    range: RangeInclusive<usize>,
+) -> Result<Option<usize>, ProfileError> {
     if !line.contains(&format!("\"{key}\":")) {
         return Ok(None);
     }
-    match number_field(line, key) {
-        Some(v) if zero_ok || v > 0 => Ok(Some(v as usize)),
-        _ => Err(ProfileError::Malformed { key }),
-    }
+    number_field(line, key)
+        .and_then(|v| usize::try_from(v).ok())
+        .filter(|v| range.contains(v))
+        .map(Some)
+        .ok_or(ProfileError::Malformed { key })
 }
 
 /// Parses profile text into its per-thread-count runs.
@@ -179,10 +185,11 @@ pub fn parse_profile(text: &str) -> Result<Vec<TuningProfile>, ProfileError> {
         }
         runs.push(TuningProfile {
             threads: threads as usize,
-            tile_cols: knob(line, "tile_cols", false)?,
-            fuse_layers: knob(line, "fuse_layers", false)?,
-            act_sparse_percent: knob(line, "act_sparse_threshold", true)?,
-            block_rows: knob(line, "block_rows", false)?,
+            tile_cols: knob(line, "tile_cols", 1..=MAX_TILE_OR_BLOCK)?,
+            fuse_layers: knob(line, "fuse_layers", 1..=usize::MAX)?,
+            // Zero is meaningful here: it disables the scatter path.
+            act_sparse_percent: knob(line, "act_sparse_threshold", 0..=usize::MAX)?,
+            block_rows: knob(line, "block_rows", 1..=MAX_TILE_OR_BLOCK)?,
         });
     }
     if runs.is_empty() {
@@ -257,41 +264,37 @@ pub fn profile_path() -> String {
 }
 
 /// The run of the persisted profile matching this process's worker-pool
-/// width, loaded once and cached for the process lifetime. `None` when no
-/// profile file exists, it fails to parse (one stderr warning, typed
-/// error swallowed — never a panic), or it has no run at this width.
+/// width, read from disk on every call — [`crate::kernel::KernelPlan::process`]
+/// calls it once and caches the plan it resolves. `None` when no profile
+/// file exists, it fails to parse (a stderr warning, typed error
+/// swallowed — never a panic), or it has no run at this width.
 #[must_use]
-pub fn active_profile() -> Option<&'static TuningProfile> {
-    static ACTIVE: OnceLock<Option<TuningProfile>> = OnceLock::new();
-    ACTIVE
-        .get_or_init(|| {
-            let path = profile_path();
-            match load_profile(Path::new(&path)) {
-                Ok(runs) => {
-                    let threads = rayon::current_num_threads();
-                    runs.iter().find(|r| r.threads == threads).copied()
-                }
-                // An absent optional file is the normal uncalibrated state.
-                Err(ProfileError::Io {
-                    kind: std::io::ErrorKind::NotFound,
-                    ..
-                }) => None,
-                Err(e) => {
-                    eprintln!(
-                        "radix-sparse: ignoring tuning profile {path}: {e}; \
-                         using built-in defaults"
-                    );
-                    None
-                }
-            }
-        })
-        .as_ref()
+pub fn active_profile() -> Option<TuningProfile> {
+    let path = profile_path();
+    match load_profile(Path::new(&path)) {
+        Ok(runs) => {
+            let threads = rayon::current_num_threads();
+            runs.into_iter().find(|r| r.threads == threads)
+        }
+        // An absent optional file is the normal uncalibrated state.
+        Err(ProfileError::Io {
+            kind: std::io::ErrorKind::NotFound,
+            ..
+        }) => None,
+        Err(e) => {
+            eprintln!(
+                "radix-sparse: ignoring tuning profile {path}: {e}; \
+                 using built-in defaults"
+            );
+            None
+        }
+    }
 }
 
 /// Resolves one tunable with the documented precedence: explicit
 /// environment value, else the profile's opinion, else the built-in
-/// default. Pure — the cached getters feed it their parsed env value and
-/// [`active_profile`]'s knob.
+/// default. Pure — [`crate::kernel::KernelPlan::resolve`] feeds it each
+/// knob's parsed environment value and profile opinion.
 #[inline]
 #[must_use]
 pub fn resolve_knob(env: Option<usize>, profile: Option<usize>, default: usize) -> usize {
@@ -395,9 +398,35 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_tile_or_block_is_typed() {
+        // A well-formed profile must not carry a block_rows that makes
+        // `block_rows × width` wrap to a zero chunk size in the fused
+        // pool path (a panic on the first pool-parallel block).
+        let text = format!(
+            "{{\n  \"schema\": \"{PROFILE_SCHEMA}\",\n  \"runs\": [\n    \
+             {{\"threads\": 2, \"block_rows\": 4611686018427387904}}\n  ]\n}}\n"
+        );
+        assert_eq!(
+            parse_profile(&text),
+            Err(ProfileError::Malformed { key: "block_rows" })
+        );
+        let text = text.replace(
+            "\"block_rows\": 4611686018427387904",
+            "\"tile_cols\": 1048577",
+        );
+        assert_eq!(
+            parse_profile(&text),
+            Err(ProfileError::Malformed { key: "tile_cols" })
+        );
+        // The bound itself is in range.
+        let text = text.replace("1048577", "1048576");
+        assert_eq!(parse_profile(&text).unwrap()[0].tile_cols, Some(1 << 20));
+    }
+
+    #[test]
     fn active_profile_is_stable() {
         // Cannot control the environment here (process-global); pin that
-        // repeated calls agree (OnceLock semantics).
+        // repeated reads agree.
         assert_eq!(active_profile(), active_profile());
     }
 }

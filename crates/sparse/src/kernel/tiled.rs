@@ -13,7 +13,7 @@
 //! * each output element is then one register-accumulated dot product,
 //!   written exactly once — no read-modify-write traffic;
 //! * the kernel loops **tile-major over a block of batch rows** (tile of
-//!   [`tile_cols`] columns outer, row inner), so a tile's entry list —
+//!   `tile_cols` columns outer, row inner), so a tile's entry list —
 //!   small enough to stay cache-resident — is reused across the whole row
 //!   block, and the epilogue runs on each freshly-written, cache-hot tile
 //!   segment.
@@ -34,11 +34,15 @@
 //! Multiplying zeros through is the right call for *dense* activations,
 //! but deep ReLU networks routinely produce blocks that are > 90% zeros,
 //! where the gather burns its bandwidth on additive identities. The
-//! [`ActivationSchedule`] dispatch restores the zero-skip selectively: a
-//! cheap per-32-row-block nonzero count on the input activations picks the
-//! gather (dense blocks) or the zero-skipping scatter (sparse blocks),
-//! with the crossover settable via `RADIX_ACT_SPARSE_THRESHOLD`
-//! ([`crate::kernel::act_sparse_percent`], measured by `make calibrate`).
+//! activation-sparsity dispatch restores the zero-skip selectively: a
+//! cheap per-row-block nonzero count on the input activations picks the
+//! gather (dense blocks) or the zero-skipping scatter (sparse blocks) —
+//! the untiled ELL/CSR row walk, at the cost of read-modify-write output
+//! traffic. Accumulation order is ascending source row under **both**
+//! schedules, so results are equal whichever is picked (up to the sign of
+//! an all-zero sum). The crossover is the plan's `act_sparse_percent`
+//! ([`crate::kernel::KernelPlan`], `RADIX_ACT_SPARSE_THRESHOLD`, measured
+//! by `make calibrate`): `0` always gathers, `100` always scatters.
 //!
 //! The same tile-major treatment also serves the **transposed** products
 //! of the backward/training pass: `X · Wᵀ` gathers over the columns of
@@ -47,16 +51,13 @@
 //! blocks of `W` rows zero-copy, via `gather_t_block_ell` /
 //! `gather_t_block_csr` below, and need no prebuilt `ColumnTiles`.
 
-use std::sync::OnceLock;
-
 use crate::csr::CsrMatrix;
 #[cfg(test)]
 use crate::dense::DenseMatrix;
 use crate::dense::DenseView;
 use crate::kernel::epilogue::Epilogue;
-use crate::kernel::heuristic::env_usize_opt;
+use crate::kernel::heuristic::KernelPlan;
 use crate::kernel::lanes;
-use crate::kernel::profile::{active_profile, resolve_knob};
 use crate::scalar::Scalar;
 
 /// Default output-column tile width (elements). Chosen by measuring the
@@ -67,21 +68,10 @@ use crate::scalar::Scalar;
 /// measure within a few percent.
 pub const DEFAULT_TILE_COLS: usize = 1024;
 
-/// The active column-tile width, resolved with the tunable precedence
-/// (env > profile > default): `RADIX_TILE_COLS` from the environment if
-/// set to a positive parseable `usize`, else the persisted tuning
-/// profile's opinion at this thread count ([`active_profile`]), otherwise
-/// [`DEFAULT_TILE_COLS`]. Read once and cached for the process lifetime.
+/// The process plan's `tile_cols` ([`KernelPlan::process`]).
 #[must_use]
 pub fn tile_cols() -> usize {
-    static TILE: OnceLock<usize> = OnceLock::new();
-    *TILE.get_or_init(|| {
-        resolve_knob(
-            env_usize_opt("RADIX_TILE_COLS"),
-            active_profile().and_then(|p| p.tile_cols),
-            DEFAULT_TILE_COLS,
-        )
-    })
+    KernelPlan::process().tile_cols
 }
 
 /// Default rows per block in the tile-major loops ("chunk grain"): one
@@ -90,51 +80,10 @@ pub fn tile_cols() -> usize {
 /// less often than the untiled per-row stream.
 pub const DEFAULT_BLOCK_ROWS: usize = 32;
 
-/// The active tile-major row-block grain, resolved with the tunable
-/// precedence (env > profile > default): `RADIX_BLOCK_ROWS` from the
-/// environment if set to a positive parseable `usize`, else the persisted
-/// tuning profile's opinion at this thread count, otherwise
-/// [`DEFAULT_BLOCK_ROWS`]. Read once and cached for the process lifetime.
+/// The process plan's `block_rows` ([`KernelPlan::process`]).
 #[must_use]
 pub fn block_rows() -> usize {
-    static ROWS: OnceLock<usize> = OnceLock::new();
-    *ROWS.get_or_init(|| {
-        resolve_knob(
-            env_usize_opt("RADIX_BLOCK_ROWS"),
-            active_profile().and_then(|p| p.block_rows),
-            DEFAULT_BLOCK_ROWS,
-        )
-    })
-}
-
-/// How the tiled forward kernels treat the input activations of each
-/// 32-row batch block.
-///
-/// The tiled gather deliberately multiplies zero activations through
-/// (branch-free stream — see the module docs), which is fastest for dense
-/// activations but wasteful when a block is almost entirely zeros (deep
-/// ReLU layers). The scatter schedule walks only the nonzero activations
-/// of each row — the untiled ELL/CSR scatter with its zero-skip — at the
-/// cost of read-modify-write output traffic. Accumulation order is
-/// ascending source row under **both** schedules, so results are equal
-/// whichever is picked (up to the sign of an all-zero sum; pinned by the
-/// property suite in `tests/prepared_kernels.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ActivationSchedule {
-    /// Count each block's nonzero activations and choose per block: at or
-    /// below [`crate::kernel::act_sparse_percent`] percent nonzero
-    /// (`RADIX_ACT_SPARSE_THRESHOLD`) the block scatters, otherwise it
-    /// gathers. The count is branch-free within a row and early-exits at
-    /// the first row boundary past the threshold, so dense blocks (the
-    /// common case) pay only ~1% of the product's multiply-adds for the
-    /// test; sparse blocks pay one full pass (`1/degree` of the kernel
-    /// work), dwarfed by what the scatter then saves.
-    #[default]
-    Auto,
-    /// Always the branch-free tiled gather (the dense-activation choice).
-    Gather,
-    /// Always the zero-skipping scatter (the sparse-activation choice).
-    Scatter,
+    KernelPlan::process().block_rows
 }
 
 /// The one-time column-tiling pass over a prepared weight matrix: the CSC
@@ -290,7 +239,7 @@ fn gather_tile_row<T: Scalar>(
 ///
 /// Per output element, contributions accumulate in ascending entry order
 /// within the `W` row — exactly the untiled transposed gather's order, so
-/// results are bitwise equal to `spmm_transposed_into`.
+/// results are bitwise equal whatever the tile width.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gather_t_block_ell<T: Scalar, F: Fn(T) -> T + Sync>(
     inds: &[usize],
@@ -505,8 +454,6 @@ mod tests {
 
     #[test]
     fn tile_cols_env_default() {
-        // Cannot set the env var here (process-global, racy across tests);
-        // just pin that the cached value is positive and stable.
         assert!(tile_cols() > 0);
         assert_eq!(tile_cols(), tile_cols());
     }

@@ -23,8 +23,8 @@
 //!   matrix powers over an abstract [`Scalar`] semiring,
 //! * [`kernel`] — the prepared-kernel engine: [`PreparedWeights`] with an
 //!   ELLPACK fast path for the constant-row-degree matrices RadiX-Net
-//!   produces, allocation-free `_into` products, and fused
-//!   bias/activation [`Epilogue`]s,
+//!   produces, allocation-free products into reusable buffers configured
+//!   by a [`KernelPlan`] value, and fused bias/activation [`Epilogue`]s,
 //! * [`PathCount`] — a saturating `u128` scalar so Theorem-1 verification
 //!   cannot silently overflow,
 //! * [`io`] — Graph-Challenge-style TSV reading/writing.
@@ -72,7 +72,7 @@ pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::{AsDenseView, DenseMatrix, DenseView};
 pub use error::SparseError;
-pub use kernel::{ActivationSchedule, Bias, Epilogue, PreparedWeights};
+pub use kernel::{Bias, Epilogue, KernelPlan, Par, PreparedWeights};
 pub use kron::{kron, kron_ones_left};
 pub use perm::CyclicShift;
 pub use scalar::{PathCount, Scalar};

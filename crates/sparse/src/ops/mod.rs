@@ -23,6 +23,6 @@ pub use add::{add, scale};
 pub use elementwise::{hadamard, mask_to_pattern, pattern_overlap};
 pub use matpow::{chain_product, matpow};
 pub use spmm::{par_spmm, par_spmm_dense, spmm, spmm_dense};
-pub use spmm_left::{dense_spmm, dense_spmm_transposed, par_dense_spmm, par_dense_spmm_transposed};
+pub use spmm_left::{dense_spmm, dense_spmm_transposed};
 pub use spmv::{spmv, spmv_into};
 pub use stack::{block_diag, hstack, vstack};

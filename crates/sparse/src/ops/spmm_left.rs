@@ -4,9 +4,9 @@
 //! forward pass (activations `X` are batch-major dense, weights `W` are a
 //! sparse layer) and, with the roles of the factors' indices exchanged, on
 //! the backward pass (`grad_in = delta · Wᵀ`, computed without forming
-//! `Wᵀ`). Both kernels iterate `W` rows so CSR needs no transpose.
-
-use rayon::prelude::*;
+//! `Wᵀ`). Both kernels iterate `W` rows so CSR needs no transpose. They
+//! are the serial, allocate-per-call references the prepared kernels'
+//! bitwise suites compare against.
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
@@ -45,41 +45,6 @@ pub fn dense_spmm<T: Scalar>(
     Ok(c)
 }
 
-/// Rayon batch-row-parallel dense × CSR.
-///
-/// # Errors
-/// Returns [`SparseError::ShapeMismatch`] if `X.ncols() != W.nrows()`.
-pub fn par_dense_spmm<T: Scalar>(
-    x: &DenseMatrix<T>,
-    w: &CsrMatrix<T>,
-) -> Result<DenseMatrix<T>, SparseError> {
-    if x.ncols() != w.nrows() {
-        return Err(SparseError::ShapeMismatch {
-            op: "par_dense_spmm",
-            lhs: x.shape(),
-            rhs: w.shape(),
-        });
-    }
-    let ncols_out = w.ncols();
-    let mut c: DenseMatrix<T> = DenseMatrix::zeros(x.nrows(), ncols_out);
-    c.as_mut_slice()
-        .par_chunks_mut(ncols_out.max(1))
-        .enumerate()
-        .for_each(|(b, crow)| {
-            let xrow = x.row(b);
-            for (i, &xv) in xrow.iter().enumerate() {
-                if xv.is_zero() {
-                    continue;
-                }
-                let (cols, vals) = w.row(i);
-                for (&j, &wv) in cols.iter().zip(vals) {
-                    crow[j] = crow[j].add(xv.mul(wv));
-                }
-            }
-        });
-    Ok(c)
-}
-
 /// Serial dense × CSRᵀ without materializing the transpose:
 /// `C[b, i] = Σ_j X[b, j] · W[i, j]` (i.e. `C = X · Wᵀ`).
 ///
@@ -112,40 +77,6 @@ pub fn dense_spmm_transposed<T: Scalar>(
     Ok(c)
 }
 
-/// Rayon batch-row-parallel dense × CSRᵀ.
-///
-/// # Errors
-/// Returns [`SparseError::ShapeMismatch`] if `X.ncols() != W.ncols()`.
-pub fn par_dense_spmm_transposed<T: Scalar>(
-    x: &DenseMatrix<T>,
-    w: &CsrMatrix<T>,
-) -> Result<DenseMatrix<T>, SparseError> {
-    if x.ncols() != w.ncols() {
-        return Err(SparseError::ShapeMismatch {
-            op: "par_dense_spmm_transposed",
-            lhs: x.shape(),
-            rhs: w.shape(),
-        });
-    }
-    let ncols_out = w.nrows();
-    let mut c: DenseMatrix<T> = DenseMatrix::zeros(x.nrows(), ncols_out);
-    c.as_mut_slice()
-        .par_chunks_mut(ncols_out.max(1))
-        .enumerate()
-        .for_each(|(b, crow)| {
-            let xrow = x.row(b);
-            for (i, ci) in crow.iter_mut().enumerate() {
-                let (cols, vals) = w.row(i);
-                let mut acc = T::ZERO;
-                for (&j, &wv) in cols.iter().zip(vals) {
-                    acc = acc.add(xrow[j].mul(wv));
-                }
-                *ci = acc;
-            }
-        });
-    Ok(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,12 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn par_matches_serial() {
-        let (x, w) = sample();
-        assert_eq!(par_dense_spmm(&x, &w).unwrap(), dense_spmm(&x, &w).unwrap());
-    }
-
-    #[test]
     fn transposed_matches_explicit_transpose() {
         let (x, _) = sample();
         let w: CsrMatrix<f64> =
@@ -182,7 +107,6 @@ mod tests {
         let via_kernel = dense_spmm_transposed(&x, &w).unwrap();
         let via_transpose = dense_spmm(&x, &w.transpose()).unwrap();
         assert_eq!(via_kernel, via_transpose);
-        assert_eq!(par_dense_spmm_transposed(&x, &w).unwrap(), via_kernel);
     }
 
     #[test]
@@ -190,9 +114,7 @@ mod tests {
         let (x, w) = sample();
         let bad = DenseMatrix::<f64>::zeros(2, 5);
         assert!(dense_spmm(&bad, &w).is_err());
-        assert!(par_dense_spmm(&bad, &w).is_err());
         assert!(dense_spmm_transposed(&x, &w).is_err()); // 3 vs ncols 2
-        assert!(par_dense_spmm_transposed(&x, &w).is_err());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use proptest::Just;
 
 use radix_sparse::{
-    ActivationSchedule, Bias, CooMatrix, CsrMatrix, CyclicShift, DenseMatrix, Epilogue,
+    Bias, CooMatrix, CsrMatrix, CyclicShift, DenseMatrix, Epilogue, KernelPlan, Par,
     PreparedWeights,
 };
 
@@ -133,6 +133,18 @@ fn irregular_matrix() -> impl Strategy<Value = CsrMatrix<f64>> {
     })
 }
 
+/// `w` prepared (not yet tiled) under a plan with `tile_cols`-wide tiles
+/// and the forward gather forced (`act_sparse_percent: 0`), so the
+/// lane-chunked per-column dot always runs.
+fn prepared_at(w: &CsrMatrix<f64>, tile_cols: usize) -> PreparedWeights<f64> {
+    let plan = KernelPlan {
+        tile_cols,
+        act_sparse_percent: 0,
+        ..KernelPlan::default()
+    };
+    PreparedWeights::with_plan(w.clone(), plan)
+}
+
 /// Shared body: every transposed kernel variant (untiled serial/parallel,
 /// tiled at an explicit width) against the scalar reference, bitwise.
 fn check_transposed_all(
@@ -153,17 +165,17 @@ fn check_transposed_all(
             Epilogue::identity(),
         )
     };
-    let p = PreparedWeights::from_csr(w.clone());
+    // Untiled: one tile spanning every row of `w`.
+    let p = prepared_at(w, w.nrows().max(1));
     let mut out = DenseMatrix::default();
-    p.spmm_transposed_into(x, &mut out, &epi).unwrap();
+    p.spmm_transposed(x, &mut out, &epi, Par::Serial).unwrap();
     assert_bitwise_eq(&out, &expect, "untiled serial")?;
-    p.par_spmm_transposed_into(x, &mut out, &epi).unwrap();
+    p.spmm_transposed(x, &mut out, &epi, Par::Pool).unwrap();
     assert_bitwise_eq(&out, &expect, "untiled parallel")?;
-    p.spmm_transposed_tiled_with(x, &mut out, &epi, tile_width)
-        .unwrap();
+    let p = prepared_at(w, tile_width);
+    p.spmm_transposed(x, &mut out, &epi, Par::Serial).unwrap();
     assert_bitwise_eq(&out, &expect, "tiled")?;
-    p.par_spmm_transposed_tiled_with(x, &mut out, &epi, tile_width)
-        .unwrap();
+    p.spmm_transposed(x, &mut out, &epi, Par::Pool).unwrap();
     assert_bitwise_eq(&out, &expect, "tiled parallel")?;
     Ok(())
 }
@@ -184,16 +196,14 @@ fn check_forward_gather(
     } else {
         Epilogue::identity()
     };
-    let mut p = PreparedWeights::from_csr(w.clone());
+    let mut p = prepared_at(w, tile_width);
     let mut expect = DenseMatrix::default();
-    p.spmm_into(x, &mut expect, &epi).unwrap();
-    p.tile_with(tile_width);
+    p.spmm(x, &mut expect, &epi, Par::Serial).unwrap();
+    p.tile();
     let mut out = DenseMatrix::default();
-    p.spmm_tiled_scheduled_into(x, &mut out, &epi, ActivationSchedule::Gather)
-        .unwrap();
+    p.spmm(x, &mut out, &epi, Par::Serial).unwrap();
     assert_bitwise_eq(&out, &expect, "forward tiled gather")?;
-    p.par_spmm_tiled_scheduled_into(x, &mut out, &epi, ActivationSchedule::Gather)
-        .unwrap();
+    p.spmm(x, &mut out, &epi, Par::Pool).unwrap();
     assert_bitwise_eq(&out, &expect, "forward tiled gather parallel")?;
     Ok(())
 }

@@ -1,18 +1,22 @@
 //! Property-based equivalence suite for the prepared-kernel engine
-//! (`radix_sparse::kernel`): on random inputs, the prepared/fused kernels
-//! — ELL fast path and CSR fallback, serial and Rayon-parallel, with and
-//! without an epilogue — must produce **bitwise-identical** output to the
-//! existing naive path (`dense_spmm` / `dense_spmm_transposed` followed by
-//! separate bias and activation passes). Bitwise, not approximate: the
-//! prepared kernels accumulate in the same order as the naive ones, so
-//! even floating-point results must match exactly.
+//! (`radix_sparse::kernel`): on random inputs, the three prepared products
+//! — `spmm`, `spmm_transposed`, `spmm_rows_to`; ELL fast path and CSR
+//! fallback; serial and on the pool; with and without an epilogue — must
+//! produce **bitwise-identical** output to the naive path (`dense_spmm` /
+//! `dense_spmm_transposed` followed by separate bias and activation
+//! passes) under **every** `KernelPlan` of a cross product of tile
+//! widths, block grains and activation-dispatch thresholds. Bitwise, not
+//! approximate: the prepared kernels accumulate in the same order as the
+//! naive ones on every path, so even floating-point results must match
+//! exactly. One oracle, [`check_plans`], carries every property.
 
 use proptest::prelude::*;
 use proptest::Just;
 
+use radix_sparse::kernel::MAX_TILE_OR_BLOCK;
 use radix_sparse::ops::{dense_spmm, dense_spmm_transposed, par_spmm, spmm};
 use radix_sparse::{
-    ActivationSchedule, Bias, CooMatrix, CsrMatrix, CyclicShift, DenseMatrix, Epilogue,
+    Bias, CooMatrix, CsrMatrix, CyclicShift, DenseMatrix, Epilogue, KernelPlan, Par,
     PreparedWeights,
 };
 
@@ -62,15 +66,33 @@ fn batch_for(rows: usize) -> impl Strategy<Value = DenseMatrix<f64>> {
     })
 }
 
+fn relu(v: f64) -> f64 {
+    v.max(0.0)
+}
+
+/// Which product the oracle checks.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `X · W`: `spmm`, and the same product assembled from uneven
+    /// `spmm_rows_to` blocks.
+    Forward,
+    /// `X · Wᵀ`: `spmm_transposed`.
+    Transposed,
+}
+
 /// The naive reference: allocate-and-return product, then a separate
 /// full pass for bias, then another for the activation map.
-fn naive_forward(
+fn naive(
+    op: Op,
     x: &DenseMatrix<f64>,
     w: &CsrMatrix<f64>,
     bias: Option<&[f64]>,
-    map: Option<fn(f64) -> f64>,
 ) -> DenseMatrix<f64> {
-    let mut out = dense_spmm(x, w).unwrap();
+    let mut out = match op {
+        Op::Forward => dense_spmm(x, w),
+        Op::Transposed => dense_spmm_transposed(x, w),
+    }
+    .unwrap();
     if let Some(bs) = bias {
         for i in 0..out.nrows() {
             let row: &mut [f64] = out.row_mut(i);
@@ -78,158 +100,140 @@ fn naive_forward(
                 *v += b;
             }
         }
-    }
-    if let Some(f) = map {
-        out.map_inplace(f);
+        out.map_inplace(relu);
     }
     out
 }
 
-fn relu(v: f64) -> f64 {
-    v.max(0.0)
-}
-
-/// Shared body: fused bias + ReLU epilogue vs the naive two-extra-passes
-/// path, all prepared variants.
-fn check_fused(
-    w: &CsrMatrix<f64>,
-    x: &DenseMatrix<f64>,
-    bias_scale: f64,
+/// Element-by-element equality on `to_bits`, with the one exemption the
+/// engine documents (`kernel::tiled`): the gather multiplies zero
+/// activations through where the scatter skips them, which can only ever
+/// show as the sign of an all-zero sum — so `0.0` and `-0.0` compare
+/// equal, and nothing else that differs does.
+fn assert_bits_eq(
+    got: &DenseMatrix<f64>,
+    want: &DenseMatrix<f64>,
+    what: &dyn Fn() -> String,
 ) -> Result<(), TestCaseError> {
-    let bias: Vec<f64> = (0..w.ncols())
-        .map(|j| bias_scale * (j as f64 * 0.3 - 1.0))
-        .collect();
-    let p = PreparedWeights::from_csr(w.clone());
-    let expect = naive_forward(x, w, Some(&bias), Some(relu));
-    let epi: Epilogue<'_, f64, fn(f64) -> f64> = Epilogue::new(Bias::PerOutput(&bias), relu);
-    assert_all_variants_eq(&p, x, &epi, &expect)
-}
-
-/// Shared body: transposed kernels vs `dense_spmm_transposed`.
-fn check_transposed(w: &CsrMatrix<f64>, x: &DenseMatrix<f64>) -> Result<(), TestCaseError> {
-    let p = PreparedWeights::from_csr(w.clone());
-    let expect = dense_spmm_transposed(x, w).unwrap();
-    let mut out = DenseMatrix::default();
-    let epi: Epilogue<'_, f64, fn(f64) -> f64> = Epilogue::identity();
-    p.spmm_transposed_into(x, &mut out, &epi).unwrap();
-    prop_assert_eq!(&out, &expect, "serial");
-    p.par_spmm_transposed_into(x, &mut out, &epi).unwrap();
-    prop_assert_eq!(&out, &expect, "parallel");
-    p.spmm_transposed_auto_into(x, &mut out, &epi).unwrap();
-    prop_assert_eq!(&out, &expect, "auto");
-    Ok(())
-}
-
-/// Shared body: tiled transposed kernels (serial, parallel, default-width
-/// and auto wrappers) at an explicit tile width, with a fused bias + ReLU
-/// epilogue, vs the untiled `spmm_transposed_into` — bitwise.
-fn check_transposed_tiled(
-    w: &CsrMatrix<f64>,
-    x: &DenseMatrix<f64>,
-    tile_width: usize,
-    bias_scale: f64,
-) -> Result<(), TestCaseError> {
-    let bias: Vec<f64> = (0..w.nrows())
-        .map(|i| bias_scale * (i as f64 * 0.2 - 0.7))
-        .collect();
-    let epi: Epilogue<'_, f64, fn(f64) -> f64> = Epilogue::new(Bias::PerOutput(&bias), relu);
-    let p = PreparedWeights::from_csr(w.clone());
-    let mut expect = DenseMatrix::default();
-    p.spmm_transposed_into(x, &mut expect, &epi).unwrap();
-    let mut out = DenseMatrix::default();
-    p.spmm_transposed_tiled_with(x, &mut out, &epi, tile_width)
-        .unwrap();
-    prop_assert_eq!(&out, &expect, "tiled serial (width {})", tile_width);
-    p.par_spmm_transposed_tiled_with(x, &mut out, &epi, tile_width)
-        .unwrap();
-    prop_assert_eq!(&out, &expect, "tiled parallel (width {})", tile_width);
-    p.spmm_transposed_tiled_into(x, &mut out, &epi).unwrap();
-    prop_assert_eq!(&out, &expect, "tiled default width");
-    p.spmm_transposed_tiled_auto_into(x, &mut out, &epi)
-        .unwrap();
-    prop_assert_eq!(&out, &expect, "tiled auto");
-    Ok(())
-}
-
-/// Shared body: the forced activation schedules (gather / scatter) and the
-/// auto dispatch, serial and parallel, vs the untiled prepared forward.
-fn check_scheduled(
-    w: &CsrMatrix<f64>,
-    x: &DenseMatrix<f64>,
-    tile_width: usize,
-) -> Result<(), TestCaseError> {
-    let epi: Epilogue<'_, f64, fn(f64) -> f64> = Epilogue::map(relu);
-    let mut p = PreparedWeights::from_csr(w.clone());
-    let mut expect = DenseMatrix::default();
-    p.spmm_into(x, &mut expect, &epi).unwrap();
-    p.tile_with(tile_width);
-    let mut out = DenseMatrix::default();
-    for sched in [
-        ActivationSchedule::Auto,
-        ActivationSchedule::Gather,
-        ActivationSchedule::Scatter,
-    ] {
-        p.spmm_tiled_scheduled_into(x, &mut out, &epi, sched)
-            .unwrap();
-        prop_assert_eq!(&out, &expect, "serial {:?} (width {})", sched, tile_width);
-        p.par_spmm_tiled_scheduled_into(x, &mut out, &epi, sched)
-            .unwrap();
-        prop_assert_eq!(&out, &expect, "parallel {:?} (width {})", sched, tile_width);
+    prop_assert_eq!(got.shape(), want.shape(), "{}: shape", what());
+    for (k, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        prop_assert!(
+            g.to_bits() == w.to_bits() || (*g == 0.0 && *w == 0.0),
+            "{}: element {} differs ({} vs {})",
+            what(),
+            k,
+            g,
+            w
+        );
     }
     Ok(())
 }
 
-/// Asserts all prepared variants (serial, parallel, auto) equal `expect`.
-fn assert_all_variants_eq(
+/// The one oracle. Computes `op` on `(x, w)` — bare, or with a fused
+/// per-output bias (scaled by `bias_scale`) + ReLU epilogue — under every
+/// plan of
+///
+/// * `tile_cols` ∈ {1, 3, 8, one tile spanning everything} ∪ `extra_tile`,
+/// * `block_rows` ∈ {1, 5, 32},
+/// * `act_sparse_percent` ∈ {0 (always gather), 10 (count), 100 (always
+///   scatter)},
+///
+/// serially and on the pool, tiles built wherever the plan's width allows,
+/// and compares each result on `to_bits` against the naive two-pass
+/// reference. `Op::Forward` also assembles the product from uneven
+/// `spmm_rows_to` blocks, walked in order (`Par::Serial`) or handed to
+/// the pool (`Par::Pool`) the way the fused Challenge schedule does.
+fn check_plans(
+    op: Op,
+    w: &CsrMatrix<f64>,
+    x: &DenseMatrix<f64>,
+    bias_scale: Option<f64>,
+    extra_tile: Option<usize>,
+) -> Result<(), TestCaseError> {
+    let nout = match op {
+        Op::Forward => w.ncols(),
+        Op::Transposed => w.nrows(),
+    };
+    let bias: Option<Vec<f64>> =
+        bias_scale.map(|s| (0..nout).map(|j| s * (j as f64 * 0.3 - 1.0)).collect());
+    let expect = naive(op, x, w, bias.as_deref());
+    let epi: Epilogue<'_, f64, fn(f64) -> f64> = match &bias {
+        Some(bs) => Epilogue::new(Bias::PerOutput(bs), relu),
+        None => Epilogue::identity(),
+    };
+    let tiles = [1, 3, 8, MAX_TILE_OR_BLOCK].into_iter().chain(extra_tile);
+    let mut out = DenseMatrix::default();
+    for tile_cols in tiles {
+        for block_rows in [1, 5, 32] {
+            for act_sparse_percent in [0, 10, 100] {
+                let plan = KernelPlan {
+                    tile_cols,
+                    block_rows,
+                    act_sparse_percent,
+                    ..KernelPlan::default()
+                };
+                let mut p = PreparedWeights::with_plan(w.clone(), plan);
+                prop_assert_eq!(p.tile(), w.ncols() > tile_cols, "tile() under {:?}", plan);
+                for par in [Par::Serial, Par::Pool] {
+                    let what = |call: &str| format!("{call} {par:?} under {plan:?}");
+                    match op {
+                        Op::Forward => {
+                            p.spmm(x, &mut out, &epi, par).unwrap();
+                            assert_bits_eq(&out, &expect, &|| what("spmm"))?;
+                            assemble_from_row_blocks(&p, x, &epi, par, &mut out);
+                            assert_bits_eq(&out, &expect, &|| what("spmm_rows_to"))?;
+                        }
+                        Op::Transposed => {
+                            p.spmm_transposed(x, &mut out, &epi, par).unwrap();
+                            assert_bits_eq(&out, &expect, &|| what("spmm_transposed"))?;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `epi(X · W)` assembled from `spmm_rows_to` over uneven row blocks
+/// (half the batch, so the last block is short for odd batches).
+fn assemble_from_row_blocks(
     p: &PreparedWeights<f64>,
     x: &DenseMatrix<f64>,
     epi: &Epilogue<'_, f64, fn(f64) -> f64>,
-    expect: &DenseMatrix<f64>,
-) -> Result<(), TestCaseError> {
-    let mut out = DenseMatrix::default();
-    p.spmm_into(x, &mut out, epi).unwrap();
-    prop_assert_eq!(&out, expect, "serial");
-    p.par_spmm_into(x, &mut out, epi).unwrap();
-    prop_assert_eq!(&out, expect, "parallel");
-    p.spmm_auto_into(x, &mut out, epi).unwrap();
-    prop_assert_eq!(&out, expect, "auto");
-    Ok(())
+    par: Par,
+    out: &mut DenseMatrix<f64>,
+) {
+    let ncols = p.ncols();
+    // Stale contents must not matter: every block is fully written.
+    *out = DenseMatrix::from_vec(x.nrows(), ncols, vec![9.0; x.nrows() * ncols]).unwrap();
+    if out.as_slice().is_empty() {
+        return;
+    }
+    let brows = (x.nrows() / 2).max(1);
+    let block = |blk: usize, chunk: &mut [f64]| {
+        p.spmm_rows_to(x, blk * brows, chunk.len() / ncols, chunk, epi)
+            .unwrap();
+    };
+    match par {
+        Par::Pool => rayon::for_each_chunk_mut(out.as_mut_slice(), brows * ncols, block),
+        _ => {
+            for (blk, chunk) in out.as_mut_slice().chunks_mut(brows * ncols).enumerate() {
+                block(blk, chunk);
+            }
+        }
+    }
 }
 
-/// Asserts the cache-tiled variants (serial, parallel, auto) at the given
-/// tile width — plus the row-block kernel assembled block by block — are
-/// bitwise equal to `expect` (the untiled prepared result).
-fn assert_tiled_variants_eq(
-    w: &CsrMatrix<f64>,
-    tile_width: usize,
-    x: &DenseMatrix<f64>,
-    epi: &Epilogue<'_, f64, fn(f64) -> f64>,
-    expect: &DenseMatrix<f64>,
-) -> Result<(), TestCaseError> {
-    let mut p = PreparedWeights::from_csr(w.clone());
-    p.tile_with(tile_width);
-    let mut out = DenseMatrix::default();
-    p.spmm_tiled_into(x, &mut out, epi).unwrap();
-    prop_assert_eq!(&out, expect, "tiled serial (width {})", tile_width);
-    p.par_spmm_tiled_into(x, &mut out, epi).unwrap();
-    prop_assert_eq!(&out, expect, "tiled parallel (width {})", tile_width);
-    p.spmm_tiled_auto_into(x, &mut out, epi).unwrap();
-    prop_assert_eq!(&out, expect, "tiled auto (width {})", tile_width);
-    // Row-block kernel: assemble the product from uneven blocks.
-    if x.nrows() > 0 && w.ncols() > 0 {
-        let block_rows = (x.nrows() / 2).max(1);
-        let mut assembled = DenseMatrix::zeros(x.nrows(), w.ncols());
-        let mut start = 0usize;
-        while start < x.nrows() {
-            let rows = block_rows.min(x.nrows() - start);
-            let slice =
-                &mut assembled.as_mut_slice()[start * w.ncols()..(start + rows) * w.ncols()];
-            p.spmm_rows_to(x, start, rows, slice, epi).unwrap();
-            start += rows;
-        }
-        prop_assert_eq!(&assembled, expect, "spmm_rows_to (width {})", tile_width);
-    }
-    Ok(())
+/// Strategy: an irregular matrix with a batch conformable for `op`.
+fn irregular_case(op: Op) -> impl Strategy<Value = (CsrMatrix<f64>, DenseMatrix<f64>)> {
+    irregular_matrix(8).prop_flat_map(move |w| {
+        let width = match op {
+            Op::Forward => w.nrows(),
+            Op::Transposed => w.ncols(),
+        };
+        (Just(w), batch_for(width))
+    })
 }
 
 proptest! {
@@ -237,23 +241,14 @@ proptest! {
     #[test]
     fn ell_bare_product_matches_naive(w in regular_matrix(), seed in 0u64..1000) {
         let x = batch_deterministic(w.nrows(), seed);
-        let p = PreparedWeights::from_csr(w.clone());
-        prop_assert!(p.is_ell());
-        let expect = naive_forward(&x, &w, None, None);
-        assert_all_variants_eq(&p, &x, &Epilogue::identity(), &expect)?;
+        prop_assert!(PreparedWeights::from_csr(w.clone()).is_ell());
+        check_plans(Op::Forward, &w, &x, None, None)?;
     }
 
     /// CSR fallback (irregular matrices), no epilogue.
     #[test]
-    fn irregular_bare_product_matches_naive(
-        (w, x) in irregular_matrix(8).prop_flat_map(|w| {
-            let rows = w.nrows();
-            (Just(w), batch_for(rows))
-        })
-    ) {
-        let p = PreparedWeights::from_csr(w.clone());
-        let expect = naive_forward(&x, &w, None, None);
-        assert_all_variants_eq(&p, &x, &Epilogue::identity(), &expect)?;
+    fn irregular_bare_product_matches_naive((w, x) in irregular_case(Op::Forward)) {
+        check_plans(Op::Forward, &w, &x, None, None)?;
     }
 
     /// Fused bias + activation epilogue vs the two-extra-passes naive
@@ -265,39 +260,31 @@ proptest! {
         bias_scale in -1.0f64..1.0,
     ) {
         let x = batch_deterministic(w.nrows(), seed);
-        check_fused(&w, &x, bias_scale)?;
+        check_plans(Op::Forward, &w, &x, Some(bias_scale), None)?;
     }
 
     /// Fused bias + activation epilogue vs the two-extra-passes naive
     /// path, on the CSR fallback.
     #[test]
     fn irregular_fused_epilogue_matches_two_pass(
-        (w, x) in irregular_matrix(8).prop_flat_map(|w| {
-            let rows = w.nrows();
-            (Just(w), batch_for(rows))
-        }),
+        (w, x) in irregular_case(Op::Forward),
         bias_scale in -1.0f64..1.0,
     ) {
-        check_fused(&w, &x, bias_scale)?;
+        check_plans(Op::Forward, &w, &x, Some(bias_scale), None)?;
     }
 
-    /// Transposed kernels (the backward-pass orientation) vs
-    /// `dense_spmm_transposed`, ELL layout, serial and parallel.
+    /// Transposed product (the backward-pass orientation) vs
+    /// `dense_spmm_transposed`, ELL layout.
     #[test]
     fn ell_transposed_matches_naive(w in regular_matrix(), seed in 0u64..1000) {
         let x = batch_deterministic(w.ncols(), seed);
-        check_transposed(&w, &x)?;
+        check_plans(Op::Transposed, &w, &x, None, None)?;
     }
 
-    /// Transposed kernels vs `dense_spmm_transposed`, CSR fallback.
+    /// Transposed product vs `dense_spmm_transposed`, CSR fallback.
     #[test]
-    fn irregular_transposed_matches_naive(
-        (w, x) in irregular_matrix(8).prop_flat_map(|w| {
-            let cols = w.ncols();
-            (Just(w), batch_for(cols))
-        })
-    ) {
-        check_transposed(&w, &x)?;
+    fn irregular_transposed_matches_naive((w, x) in irregular_case(Op::Transposed)) {
+        check_plans(Op::Transposed, &w, &x, None, None)?;
     }
 
     /// A reused output buffer never changes results: run twice through the
@@ -308,16 +295,19 @@ proptest! {
         let p = PreparedWeights::from_csr(w);
         let epi: Epilogue<'_, f64, fn(f64) -> f64> = Epilogue::map(relu);
         let mut reused = DenseMatrix::default();
-        p.spmm_into(&x, &mut reused, &epi).unwrap();
+        p.spmm(&x, &mut reused, &epi, Par::Serial).unwrap();
         let first = reused.clone();
-        p.spmm_into(&x, &mut reused, &epi).unwrap();
+        p.spmm(&x, &mut reused, &epi, Par::Serial).unwrap();
         prop_assert_eq!(&reused, &first);
+        let mut fresh = DenseMatrix::default();
+        p.spmm(&x, &mut fresh, &epi, Par::Serial).unwrap();
+        prop_assert_eq!(&fresh, &first);
     }
 
-    /// Cache-tiled kernels on the ELL fast path: serial, pool-parallel,
-    /// auto, and the row-block kernel, at random tile widths, with a fused
-    /// bias + ReLU epilogue — all bitwise equal to the untiled prepared
-    /// path (and therefore to the naive path, by the tests above).
+    /// Cache-tiled forward product on the ELL fast path at a random extra
+    /// tile width, with a fused bias + ReLU epilogue: every plan — tiled
+    /// or one tile spanning the matrix, i.e. untiled — agrees with the
+    /// naive path, so tiled equals untiled.
     #[test]
     fn ell_tiled_matches_untiled(
         w in regular_matrix(),
@@ -326,37 +316,21 @@ proptest! {
         bias_scale in -1.0f64..1.0,
     ) {
         let x = batch_deterministic(w.nrows(), seed);
-        let bias: Vec<f64> = (0..w.ncols())
-            .map(|j| bias_scale * (j as f64 * 0.3 - 1.0))
-            .collect();
-        let epi: Epilogue<'_, f64, fn(f64) -> f64> = Epilogue::new(Bias::PerOutput(&bias), relu);
-        let p = PreparedWeights::from_csr(w.clone());
-        let mut expect = DenseMatrix::default();
-        p.spmm_into(&x, &mut expect, &epi).unwrap();
-        assert_tiled_variants_eq(&w, tile_width, &x, &epi, &expect)?;
+        check_plans(Op::Forward, &w, &x, Some(bias_scale), Some(tile_width))?;
     }
 
-    /// Cache-tiled kernels on the CSR fallback (irregular matrices), bare
-    /// product: bitwise equal to the untiled prepared path.
+    /// Cache-tiled forward product on the CSR fallback (irregular
+    /// matrices), bare product.
     #[test]
     fn irregular_tiled_matches_untiled(
-        (w, x) in irregular_matrix(8).prop_flat_map(|w| {
-            let rows = w.nrows();
-            (Just(w), batch_for(rows))
-        }),
+        (w, x) in irregular_case(Op::Forward),
         tile_width in 1usize..10,
     ) {
-        let epi: Epilogue<'_, f64, fn(f64) -> f64> = Epilogue::identity();
-        let p = PreparedWeights::from_csr(w.clone());
-        let mut expect = DenseMatrix::default();
-        p.spmm_into(&x, &mut expect, &epi).unwrap();
-        assert_tiled_variants_eq(&w, tile_width, &x, &epi, &expect)?;
+        check_plans(Op::Forward, &w, &x, None, Some(tile_width))?;
     }
 
-    /// Tiled transposed kernels (the backward-pass orientation) on the
-    /// ELL fast path: serial, pool-parallel, default-width and auto
-    /// wrappers, at random tile widths, with a fused epilogue — all
-    /// bitwise equal to the untiled `spmm_transposed_into`.
+    /// Tiled transposed product (the backward-pass orientation) on the
+    /// ELL fast path at a random extra tile width, with a fused epilogue.
     #[test]
     fn ell_transposed_tiled_matches_untiled(
         w in regular_matrix(),
@@ -365,25 +339,22 @@ proptest! {
         bias_scale in -1.0f64..1.0,
     ) {
         let x = batch_deterministic(w.ncols(), seed);
-        check_transposed_tiled(&w, &x, tile_width, bias_scale)?;
+        check_plans(Op::Transposed, &w, &x, Some(bias_scale), Some(tile_width))?;
     }
 
-    /// Tiled transposed kernels on the CSR fallback (irregular matrices).
+    /// Tiled transposed product on the CSR fallback (irregular matrices).
     #[test]
     fn irregular_transposed_tiled_matches_untiled(
-        (w, x) in irregular_matrix(8).prop_flat_map(|w| {
-            let cols = w.ncols();
-            (Just(w), batch_for(cols))
-        }),
+        (w, x) in irregular_case(Op::Transposed),
         tile_width in 1usize..10,
         bias_scale in -1.0f64..1.0,
     ) {
-        check_transposed_tiled(&w, &x, tile_width, bias_scale)?;
+        check_plans(Op::Transposed, &w, &x, Some(bias_scale), Some(tile_width))?;
     }
 
     /// The activation-sparsity dispatch: forced gather, forced scatter,
-    /// and the per-block auto count all produce the untiled result, on
-    /// dense-ish batches.
+    /// and the per-block count all produce the naive result, on dense-ish
+    /// batches.
     #[test]
     fn activation_schedules_match_untiled(
         w in regular_matrix(),
@@ -391,11 +362,11 @@ proptest! {
         tile_width in 1usize..16,
     ) {
         let x = batch_deterministic(w.nrows(), seed);
-        check_scheduled(&w, &x, tile_width)?;
+        check_plans(Op::Forward, &w, &x, Some(0.0), Some(tile_width))?;
     }
 
     /// The activation-sparsity dispatch on ~95%-zero batches (the regime
-    /// the scatter path exists for), where Auto actually takes the
+    /// the scatter path exists for), where the count actually takes the
     /// scatter branch.
     #[test]
     fn activation_schedules_match_untiled_on_sparse_batches(
@@ -404,7 +375,7 @@ proptest! {
         tile_width in 1usize..16,
     ) {
         let x = batch_deterministic_sparse(w.nrows(), seed);
-        check_scheduled(&w, &x, tile_width)?;
+        check_plans(Op::Forward, &w, &x, Some(0.0), Some(tile_width))?;
     }
 
     /// The rewritten two-pass `par_spmm` (count → prefix-sum → parallel
@@ -475,9 +446,9 @@ fn degenerate_shapes_are_handled() {
     let x = DenseMatrix::<f64>::zeros(0, 6);
     let mut out = DenseMatrix::default();
     let epi: Epilogue<'_, f64, fn(f64) -> f64> = Epilogue::identity();
-    p.spmm_into(&x, &mut out, &epi).unwrap();
+    p.spmm(&x, &mut out, &epi, Par::Serial).unwrap();
     assert_eq!(out.shape(), (0, 6));
-    p.par_spmm_into(&x, &mut out, &epi).unwrap();
+    p.spmm(&x, &mut out, &epi, Par::Pool).unwrap();
     assert_eq!(out.shape(), (0, 6));
 
     // Single-column weight matrix.
@@ -485,20 +456,21 @@ fn degenerate_shapes_are_handled() {
     let p1 = PreparedWeights::from_csr(w1.clone());
     assert!(!p1.is_ell(), "row degrees 1,0,1 are irregular");
     let x1 = DenseMatrix::from_rows(&[&[1.0f64, 5.0, 2.0]]);
-    p1.spmm_into(&x1, &mut out, &epi).unwrap();
+    p1.spmm(&x1, &mut out, &epi, Par::Serial).unwrap();
     assert_eq!(out, dense_spmm(&x1, &w1).unwrap());
 
     // Matrix with zero columns in the pattern sense but nonzero shape.
     let empty = CsrMatrix::<f64>::zeros(4, 4);
     let pe = PreparedWeights::from_csr(empty);
     let xe = DenseMatrix::from_rows(&[&[1.0f64, 2.0, 3.0, 4.0]]);
-    pe.spmm_into(&xe, &mut out, &epi).unwrap();
+    pe.spmm(&xe, &mut out, &epi, Par::Serial).unwrap();
     assert!(out.all_equal_to(0.0));
 
     // 0×n matrix: transposed product gives a (batch × 0) output.
     let z = CsrMatrix::<f64>::zeros(0, 3);
     let pz = PreparedWeights::from_csr(z);
     let xz = DenseMatrix::from_rows(&[&[1.0f64, 2.0, 3.0]]);
-    pz.spmm_transposed_into(&xz, &mut out, &epi).unwrap();
+    pz.spmm_transposed(&xz, &mut out, &epi, Par::Serial)
+        .unwrap();
     assert_eq!(out.shape(), (1, 0));
 }
