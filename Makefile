@@ -13,9 +13,12 @@ verify:
 ## the first step of CI's `pool-suites` matrix job (POOL_THREADS=2 and 4
 ## there).
 ## Single-thread runs silently skip the pool dispatch paths; this doesn't.
+## `radix-sparse` is here for `check_plans`' `Par::Pool` leg (both tile
+## layouts × every plan), which otherwise only sees the default width.
 POOL_THREADS ?= 4
 verify-mt:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p rayon
+	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-sparse
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-nn
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test zero_alloc
 

@@ -549,6 +549,66 @@ mod tests {
     }
 
     #[test]
+    fn radix_layers_tile_index_free_and_permuted_ones_do_not() {
+        // The benchmark's `infer_batch` layers: 4096 wide, radix 16, place
+        // values 1, 16, 256 — each Σ_t P^(t·ν), wider than a default tile.
+        let config = ChallengeConfig::preset(16, 3, 1);
+        let base = ChallengeNetwork::from_config(&config).unwrap();
+        let radix: Vec<CsrMatrix<f32>> = base.layers().iter().map(|l| l.as_csr().clone()).collect();
+        // The same layers under one seeded column permutation: still
+        // constant-degree, no longer sums of shifts.
+        let n = base.n_in();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in (1..n).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            perm.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let permuted: Vec<CsrMatrix<f32>> = radix
+            .iter()
+            .map(|w| {
+                let mut coo = radix_sparse::CooMatrix::new(n, n);
+                for (i, j, v) in w.iter() {
+                    coo.push(i, perm[j], v);
+                }
+                coo.to_csr()
+            })
+            .collect();
+
+        let tiled = KernelPlan::default();
+        let untiled = KernelPlan {
+            tile_cols: radix_sparse::kernel::MAX_TILE_OR_BLOCK,
+            ..tiled
+        };
+        let x = sparse_binary_batch(8, n, 0.4, 9);
+        for (layers, structure) in [
+            (radix, [Some((16, 1)), Some((16, 16)), Some((16, 256))]),
+            (permuted, [None; 3]),
+        ] {
+            let build = |plan| {
+                ChallengeNetwork::from_layers_with_plan(
+                    layers.clone(),
+                    base.bias(),
+                    base.ymax(),
+                    plan,
+                )
+            };
+            let net = build(tiled);
+            assert!(net.layers().iter().all(PreparedWeights::is_tiled));
+            let found: Vec<_> = net.layers().iter().map(PreparedWeights::cyclic).collect();
+            assert_eq!(found, structure);
+            let reference = build(untiled);
+            assert!(!reference.layers().iter().any(PreparedWeights::is_tiled));
+            let expect = bits(&reference.forward(&x, false));
+            for parallel in [false, true] {
+                assert_eq!(bits(&net.forward(&x, parallel)), expect, "{structure:?}");
+            }
+        }
+    }
+
+    #[test]
     fn fuse_layers_is_stable_and_positive() {
         assert!(fuse_layers() >= 1);
         assert_eq!(fuse_layers(), fuse_layers());

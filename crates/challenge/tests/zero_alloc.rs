@@ -130,6 +130,10 @@ fn inference_timed_region_is_allocation_free() {
         net.layers().iter().all(|w| w.is_tiled()),
         "test layers must take the tiled path"
     );
+    assert!(
+        net.layers().iter().all(|w| w.cyclic().is_some()),
+        "radix-2 layers must tile index-free: that gather is what part 3 proves allocation-free"
+    );
     let batch3 = 80usize; // > 2 fuse blocks of 32 rows
     let x3 = sparse_binary_batch(batch3, net.n_in(), 0.5, 11);
     let serial_reference = net.forward(&x3, false);

@@ -28,7 +28,10 @@
 //! * **column tiling** — [`PreparedWeights::tile`] reorders the entries
 //!   tile-contiguous (one-time pass at the plan's `tile_cols`), after
 //!   which the forward product runs a tile-major, cache-blocked gather —
-//!   bitwise identical to the untiled row walk. The transposed product
+//!   bitwise identical to the untiled row walk. A matrix that verifies
+//!   as a sum of cyclic shifts `Σ P^(t·ν)` (paper eq. 2 — every square
+//!   RadiX-Net layer) is stored as value diagonals with no column
+//!   indices at all ([`PreparedWeights::cyclic`]). The transposed product
 //!   needs no such pass: the transpose's CSC layout is `W`'s own CSR/ELL
 //!   storage, so it tiles **zero-copy** whenever `W` has more rows than
 //!   one tile, and training layers (whose updates drop forward tiles)

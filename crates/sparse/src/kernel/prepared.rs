@@ -32,7 +32,7 @@ use crate::dense::{AsDenseView, DenseMatrix, DenseView};
 use crate::error::SparseError;
 use crate::kernel::epilogue::Epilogue;
 use crate::kernel::heuristic::{KernelPlan, Par};
-use crate::kernel::tiled::{gather_t_block_csr, gather_t_block_ell, ColumnTiles};
+use crate::kernel::tiled::{gather_t_block_csr, gather_t_block_ell, Tiles};
 use crate::scalar::Scalar;
 
 /// A weight matrix prepared for repeated products: CSR storage plus a
@@ -87,10 +87,11 @@ pub struct PreparedWeights<T> {
     /// `Some(d)` when every row stores exactly `d` entries (the ELL fast
     /// path is valid); `None` for irregular matrices (CSR fallback).
     degree: Option<usize>,
-    /// Column-tiled entry layout (built on demand by
-    /// [`PreparedWeights::tile`]); `None` means the forward product runs
-    /// the untiled row walk.
-    tiles: Option<ColumnTiles<T>>,
+    /// Column-tiled layout (built on demand by [`PreparedWeights::tile`]):
+    /// value diagonals for a sum of cyclic shifts, a CSC entry list for
+    /// anything else; `None` means the forward product runs the untiled
+    /// row walk.
+    tiles: Option<Tiles<T>>,
     plan: KernelPlan,
 }
 
@@ -137,16 +138,31 @@ impl<T: Scalar> PreparedWeights<T> {
         self.plan
     }
 
-    /// Builds the column-tiled entry layout at the plan's tile width.
-    /// Returns whether tiles were built: matrices no wider than one tile
-    /// keep the untiled schedule (tiling them would only add overhead).
-    /// Idempotent.
+    /// Builds the column-tiled layout at the plan's tile width. Returns
+    /// whether tiles were built; idempotent. Two kinds of matrix keep the
+    /// untiled schedule:
+    ///
+    /// * one no wider than a tile (tiling it would only add overhead);
+    /// * one storing a non-finite weight: the tiled gather multiplies zero
+    ///   activations through where the scatter skips them, and `0 · ∞` is
+    ///   `NaN`, not an additive identity.
+    ///
+    /// A matrix that verifies as `Σ_{t<r} P^(t·ν)` — every layer paper
+    /// eq. (2) builds, see [`PreparedWeights::cyclic`] — gets the
+    /// index-free layout: `r` value diagonals and no column indices.
+    /// Everything else gets the CSC entry list. Results are bitwise equal
+    /// either way.
     pub fn tile(&mut self) -> bool {
         if self.ncols() <= self.plan.tile_cols {
             return false;
         }
         if self.tiles.is_none() {
-            self.tiles = Some(ColumnTiles::build(&self.csr, self.plan.tile_cols));
+            // `w · 0 == 0` is exactly the law multiplying zeros through
+            // relies on; it fails for ±∞ and NaN only.
+            if !self.values().iter().all(|w| w.mul(T::ZERO).is_zero()) {
+                return false;
+            }
+            self.tiles = Some(Tiles::build(&self.csr, self.plan.tile_cols));
         }
         true
     }
@@ -161,7 +177,18 @@ impl<T: Scalar> PreparedWeights<T> {
     /// The active tile width in output columns, if tiled.
     #[must_use]
     pub fn tile_width(&self) -> Option<usize> {
-        self.tiles.as_ref().map(ColumnTiles::tile_cols)
+        self.is_tiled().then_some(self.plan.tile_cols)
+    }
+
+    /// `Some((radix, stride))` when the tiles are the index-free layout:
+    /// [`PreparedWeights::tile`] verified the matrix is exactly
+    /// `Σ_{t<radix} P^(t·stride)` (`P` the unit cyclic shift, `radix ≥ 2`,
+    /// `radix · stride ≤ n`) and the tiled gather runs as `radix`
+    /// unit-stride shift-adds. `None` when untiled or on the general CSC
+    /// tiles.
+    #[must_use]
+    pub fn cyclic(&self) -> Option<(usize, usize)> {
+        self.tiles.as_ref().and_then(Tiles::cyclic)
     }
 
     /// The underlying CSR matrix (structure and values unchanged).
@@ -223,8 +250,8 @@ impl<T: Scalar> PreparedWeights<T> {
     /// prepared layout) stays fixed, which is exactly the "train values on
     /// a frozen topology" regime of the paper.
     ///
-    /// Column tiles hold a reordered **copy** of the values, so they are
-    /// dropped here to keep the tiled kernels consistent; call
+    /// Tiles of either layout hold a reordered **copy** of the values, so
+    /// they are dropped here to keep the tiled kernels consistent; call
     /// [`PreparedWeights::tile`] again after the update if tiled inference
     /// is still wanted. (Training layers never tile, so in practice this
     /// only guards against mixing the two regimes.)
@@ -876,6 +903,57 @@ mod tests {
         assert!(p.is_tiled());
         p.values_mut()[0] *= 2.0;
         assert!(!p.is_tiled(), "stale tile values must not survive");
+    }
+
+    #[test]
+    fn cyclic_layout_accessors_stay_coherent() {
+        // `regular()` is Σ_{t<3} P^t on 12 nodes: the index-free layout.
+        let mut p = prepared(&regular(), tiled_plan());
+        assert_eq!(p.cyclic(), Some((3, 1)));
+        assert!(p.is_tiled());
+        assert_eq!(p.tile_width(), Some(4));
+        assert!(p.tile(), "idempotent");
+        assert_eq!(p.cyclic(), Some((3, 1)));
+        // The diagonals are a value copy, dropped like any other tiles.
+        p.values_mut()[0] *= 2.0;
+        assert_eq!(p.cyclic(), None);
+        assert!(!p.is_tiled());
+        assert_eq!(p.tile_width(), None);
+        // Untiled and CSC-tiled matrices report no structure.
+        assert_eq!(PreparedWeights::from_csr(regular()).cyclic(), None);
+        let p = prepared(
+            &irregular(),
+            KernelPlan {
+                tile_cols: 1,
+                ..KernelPlan::default()
+            },
+        );
+        assert!(p.is_tiled());
+        assert_eq!(p.cyclic(), None);
+    }
+
+    #[test]
+    fn non_finite_weights_are_never_tiled() {
+        let x = batch(5, 12); // zeros wherever (i + j) % 3 == 0
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut w = regular();
+            w.data_mut()[7] = bad;
+            let mut p = PreparedWeights::with_plan(w.clone(), tiled_plan());
+            assert!(!p.tile(), "{bad} must keep the untiled schedule");
+            assert!(!p.is_tiled());
+            assert_eq!((p.tile_width(), p.cyclic()), (None, None));
+            // Either tile layout would multiply a zero activation by the
+            // bad weight (NaN); the scatter skips it, as the oracle does.
+            let expect = dense_spmm(&x, &w).unwrap();
+            let mut out = DenseMatrix::default();
+            for par in PARS {
+                p.spmm(&x, &mut out, &Epilogue::identity(), par).unwrap();
+                let bits = |m: &DenseMatrix<f64>| {
+                    m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&out), bits(&expect), "{bad} {par:?}");
+            }
+        }
     }
 
     #[test]

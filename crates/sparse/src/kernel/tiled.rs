@@ -28,8 +28,13 @@
 //! module exists for. For finite weights the extra `x·w` terms with
 //! `x == ±0.0` are `±0.0`, an additive identity (up to the sign of an
 //! all-zero sum, which IEEE equality cannot distinguish), so results are
-//! equal everywhere it matters; matrices storing non-finite weights
-//! (`0 · ∞ = NaN`) should simply not be tiled.
+//! equal everywhere it matters; a matrix storing a non-finite weight
+//! (`0 · ∞ = NaN`) is never tiled — `PreparedWeights::tile` refuses it.
+//!
+//! A matrix that is exactly a sum of cyclic shifts — every square
+//! RadiX-Net layer — gets a second, index-free tile layout,
+//! [`CyclicDiagonals`]: same tile-major loop, same order, no `src` or
+//! `col_ptr` arrays. [`Tiles`] is the choice between the two.
 //!
 //! Multiplying zeros through is the right call for *dense* activations,
 //! but deep ReLU networks routinely produce blocks that are > 90% zeros,
@@ -152,22 +157,14 @@ impl<T: Scalar> ColumnTiles<T> {
         }
     }
 
-    /// Tile width in output columns.
-    pub(crate) fn tile_cols(&self) -> usize {
-        self.tile_cols
-    }
-
     /// Number of column tiles.
+    #[cfg(test)]
     pub(crate) fn ntiles(&self) -> usize {
         self.ncols.div_ceil(self.tile_cols).max(1)
     }
 
     /// Computes rows `[x_start, x_start + rows)` of `epi(X · W)` into
-    /// `out` (row-major, `rows × ncols`), tile-major: for each column
-    /// tile, every row of the block gathers its tile segment (one dot
-    /// product per output element, written exactly once — stale `out`
-    /// contents don't matter), then the epilogue runs on that cache-hot
-    /// segment.
+    /// `out` on the tile-major schedule ([`gather_block_tiles`]).
     ///
     /// Per output element, contributions accumulate in ascending source
     /// row — exactly the untiled scatter's order. Zero activations are
@@ -182,24 +179,52 @@ impl<T: Scalar> ColumnTiles<T> {
         out: &mut [T],
         epi: &Epilogue<'_, T, F>,
     ) {
-        let ncols = self.ncols;
-        debug_assert_eq!(out.len(), rows * ncols, "output block size");
-        // Same contract as the per-row kernels: a mis-sized per-output
-        // bias is an error even though the tiled loop only sees segments.
-        epi.assert_width(ncols);
-        if ncols == 0 {
-            return;
-        }
-        for t in 0..self.ntiles() {
-            let base = t * self.tile_cols;
-            let width = self.tile_cols.min(ncols - base);
-            let col_ptr = &self.col_ptr[base..base + width + 1];
-            for b in 0..rows {
-                let xrow = x.row(x_start + b);
-                let oseg = &mut out[b * ncols + base..b * ncols + base + width];
+        gather_block_tiles(
+            self.tile_cols,
+            self.ncols,
+            x,
+            x_start,
+            rows,
+            out,
+            epi,
+            |base, xrow, oseg| {
+                let col_ptr = &self.col_ptr[base..base + oseg.len() + 1];
                 gather_tile_row(col_ptr, &self.src, &self.vals, xrow, oseg);
-                epi.apply_cols(oseg, base);
-            }
+            },
+        );
+    }
+}
+
+/// The tile-major block loop both tile layouts run: computes rows
+/// `[x_start, x_start + rows)` of `epi(X · W)` into `out` (row-major,
+/// `rows × ncols`). For each `tile_cols`-wide column tile, every row of
+/// the block gathers its tile segment through `tile_row(first_column,
+/// xrow, segment)` (each output element written exactly once — stale
+/// `out` contents don't matter), then the epilogue runs on that cache-hot
+/// segment.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn gather_block_tiles<T: Scalar, F: Fn(T) -> T + Sync>(
+    tile_cols: usize,
+    ncols: usize,
+    x: DenseView<'_, T>,
+    x_start: usize,
+    rows: usize,
+    out: &mut [T],
+    epi: &Epilogue<'_, T, F>,
+    tile_row: impl Fn(usize, &[T], &mut [T]),
+) {
+    debug_assert_eq!(out.len(), rows * ncols, "output block size");
+    // Same contract as the per-row kernels: a mis-sized per-output
+    // bias is an error even though the tiled loop only sees segments.
+    epi.assert_width(ncols);
+    for base in (0..ncols).step_by(tile_cols) {
+        let width = tile_cols.min(ncols - base);
+        for b in 0..rows {
+            let xrow = x.row(x_start + b);
+            let oseg = &mut out[b * ncols + base..b * ncols + base + width];
+            tile_row(base, xrow, oseg);
+            epi.apply_cols(oseg, base);
         }
     }
 }
@@ -225,6 +250,223 @@ fn gather_tile_row<T: Scalar>(
         let lo = col_ptr[jl];
         let hi = col_ptr[jl + 1];
         *o = lanes::dot_src_u32(&src[lo..hi], &vals[lo..hi], xrow);
+    }
+}
+
+/// Output columns per register block of the shift-add gather. The lanes
+/// of a block are independent accumulation chains, so a wider block hides
+/// the add latency one [`lanes::LANE_WIDTH`]-wide block exposes: on the
+/// 4096×16 `f32` layers, alternating runs read 4.3–5.0 / 5.6–6.6 /
+/// 6.3–7.0 / 7.1–7.8 Gedge/s at 8 / 16 / 32 / 64 columns. 32 `f32`
+/// accumulators are the most the 16 SSE registers hold; 64 live on the
+/// stack, and its lead does not reach `infer_batch` (within 2 % over four
+/// alternating pairs). Pieces shorter than this fall through to
+/// `LANE_WIDTH` and then single-column blocks, all in the same term
+/// order.
+const CYCLIC_BLOCK: usize = 4 * lanes::LANE_WIDTH;
+
+/// The index-free tile layout of a RadiX-Net layer. Paper eq. (2) builds
+/// every layer as `W = Σ_{t<r} P^(t·ν)` (`P` the unit cyclic shift on `n`
+/// nodes, `r` the radix, `ν` the place value, `r·ν ≤ n`): row `i` holds
+/// columns `{(i + t·ν) mod n}`, so column `j` gathers from sources
+/// `{(j − t·ν) mod n}` and the sources are implied by `(n, r, ν)` — only
+/// the `r` value diagonals are stored, 8 bytes per edge and batch row
+/// (`x` and `w`) where [`ColumnTiles`] moves 12.
+///
+/// **Order.** Cut the columns into segments `[kν, (k+1)ν)` for
+/// `k < r − 1` and a last segment `[(r−1)ν, n)`. For a column `j` of
+/// segment `k`, terms `t ≤ k` read the unwrapped source `j − tν ≤ j` and
+/// terms `t > k` the wrapped source `j − tν + n > j`, so ascending source
+/// row — the order every other kernel accumulates in — is the fixed term
+/// order `t = k, k−1, …, 0, r−1, r−2, …, k+1`, the same for every column
+/// of the segment. A run of adjacent columns therefore accumulates
+/// lane-wise from contiguous unit-stride slices of `x` and of the
+/// diagonals, each lane bitwise equal to [`lanes::dot_src_u32`] over the
+/// column's CSC entries.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CyclicDiagonals<T> {
+    /// Tile width in output columns.
+    tile_cols: usize,
+    /// Nodes per side (the matrix is `n × n`).
+    n: usize,
+    /// Terms in the sum (`r`, every row's and column's degree).
+    radix: usize,
+    /// Shift between consecutive terms (`ν`).
+    stride: usize,
+    /// `diags[t·n + j] = W[(j − t·ν) mod n, j]`.
+    diags: Vec<T>,
+}
+
+impl<T: Scalar> CyclicDiagonals<T> {
+    /// Checks, in one `O(nnz)` pass, that `csr` is exactly
+    /// `Σ_{t<r} P^(t·ν)` for some `r ≥ 2`, `ν ≥ 1`, `r·ν ≤ n` — row 0
+    /// fixes `r` and `ν`, and every row `i` must then hold the columns
+    /// `{(i + t·ν) mod n}` in CSR's ascending order — filling the value
+    /// diagonals as it goes. Any mismatch returns `None` (the caller
+    /// builds [`ColumnTiles`] instead); nothing about the matrix's
+    /// provenance is assumed.
+    pub(crate) fn detect(csr: &CsrMatrix<T>, tile_cols: usize) -> Option<Self> {
+        let n = csr.nrows();
+        if n != csr.ncols() || n == 0 {
+            return None;
+        }
+        let (row0, _) = csr.row(0);
+        let radix = row0.len();
+        if radix < 2 || row0[0] != 0 {
+            return None;
+        }
+        let stride = row0[1];
+        // `r·ν ≤ n` keeps the `r` sources of a column distinct; the
+        // entry count bounds the diagonal allocation by what the matrix
+        // already stores.
+        if stride == 0 || radix.checked_mul(stride)? > n || Some(csr.nnz()) != radix.checked_mul(n)
+        {
+            return None;
+        }
+        let mut diags = vec![T::ZERO; radix * n];
+        for i in 0..n {
+            let (cols, ws) = csr.row(i);
+            if cols.len() != radix {
+                return None;
+            }
+            // Terms `t < unwrapped` land on `i + tν < n`; the rest wrap
+            // to `i + tν − n < i`, so they come first in the sorted row.
+            let unwrapped = (n - i).div_ceil(stride).min(radix);
+            let mut t = unwrapped % radix;
+            for (&j, &w) in cols.iter().zip(ws) {
+                let shifted = i + t * stride;
+                if j != if shifted < n { shifted } else { shifted - n } {
+                    return None;
+                }
+                diags[t * n + j] = w;
+                t = if t + 1 < radix { t + 1 } else { 0 };
+            }
+        }
+        Some(CyclicDiagonals {
+            tile_cols,
+            n,
+            radix,
+            stride,
+            diags,
+        })
+    }
+
+    /// [`ColumnTiles::gather_block`] on this layout: the same tile-major
+    /// loop, each (tile, row) pass a shift-add over the diagonals.
+    pub(crate) fn gather_block<F: Fn(T) -> T + Sync>(
+        &self,
+        x: DenseView<'_, T>,
+        x_start: usize,
+        rows: usize,
+        out: &mut [T],
+        epi: &Epilogue<'_, T, F>,
+    ) {
+        gather_block_tiles(
+            self.tile_cols,
+            self.n,
+            x,
+            x_start,
+            rows,
+            out,
+            epi,
+            |base, xrow, oseg| self.gather_tile_row(base, xrow, oseg),
+        );
+    }
+
+    /// One (tile, batch row) pass: `oseg` is output columns `[base, base
+    /// + oseg.len())`, cut at the segment boundaries it spans. Standalone
+    /// symbol for the same code-placement reason as [`gather_tile_row`].
+    #[inline(never)]
+    fn gather_tile_row(&self, base: usize, xrow: &[T], oseg: &mut [T]) {
+        debug_assert_eq!(xrow.len(), self.n, "activation row width");
+        let end = base + oseg.len();
+        let mut lo = base;
+        while lo < end {
+            let k = (lo / self.stride).min(self.radix - 1);
+            let hi = if k + 1 < self.radix {
+                end.min((k + 1) * self.stride)
+            } else {
+                end
+            };
+            let piece = &mut oseg[lo - base..hi - base];
+            let mut done = self.blocks::<CYCLIC_BLOCK>(k, lo, xrow, piece);
+            done += self.blocks::<{ lanes::LANE_WIDTH }>(k, lo + done, xrow, &mut piece[done..]);
+            self.blocks::<1>(k, lo + done, xrow, &mut piece[done..]);
+            lo = hi;
+        }
+    }
+
+    /// Computes the whole `W`-column blocks of `out` (output columns
+    /// `[lo, lo + out.len())`, all inside segment `k`), returning how
+    /// many columns that covered. Each block starts at zero and adds its
+    /// `r` terms in the segment's ascending-source order, lane-wise.
+    #[inline(always)]
+    fn blocks<const W: usize>(&self, k: usize, lo: usize, xrow: &[T], out: &mut [T]) -> usize {
+        let (n, nu) = (self.n, self.stride);
+        let mut j = lo;
+        for o in out.chunks_exact_mut(W) {
+            let mut acc = [T::ZERO; W];
+            for t in (0..k + 1).rev() {
+                add_term(&mut acc, &xrow[j - t * nu..], &self.diags[t * n + j..]);
+            }
+            for t in (k + 1..self.radix).rev() {
+                add_term(&mut acc, &xrow[j + n - t * nu..], &self.diags[t * n + j..]);
+            }
+            o.copy_from_slice(&acc);
+            j += W;
+        }
+        j - lo
+    }
+}
+
+/// `acc[l] += xs[l] · ds[l]` over the first `W` elements of each slice.
+#[inline(always)]
+fn add_term<T: Scalar, const W: usize>(acc: &mut [T; W], xs: &[T], ds: &[T]) {
+    for ((a, &x), &d) in acc.iter_mut().zip(&xs[..W]).zip(&ds[..W]) {
+        *a = a.add(x.mul(d));
+    }
+}
+
+/// The tile layout [`crate::kernel::PreparedWeights::tile`] built: the
+/// index-free diagonals when the matrix verifies as a sum of cyclic
+/// shifts, the general CSC entry list otherwise.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Tiles<T> {
+    Columns(ColumnTiles<T>),
+    Cyclic(CyclicDiagonals<T>),
+}
+
+impl<T: Scalar> Tiles<T> {
+    /// Builds the layout for `csr` at `tile_cols`-wide tiles.
+    pub(crate) fn build(csr: &CsrMatrix<T>, tile_cols: usize) -> Self {
+        match CyclicDiagonals::detect(csr, tile_cols) {
+            Some(diags) => Tiles::Cyclic(diags),
+            None => Tiles::Columns(ColumnTiles::build(csr, tile_cols)),
+        }
+    }
+
+    /// `Some((radix, stride))` under the index-free layout.
+    pub(crate) fn cyclic(&self) -> Option<(usize, usize)> {
+        match self {
+            Tiles::Columns(_) => None,
+            Tiles::Cyclic(diags) => Some((diags.radix, diags.stride)),
+        }
+    }
+
+    /// One row block of `epi(X · W)`, tile-major, on whichever layout was
+    /// built (see [`ColumnTiles::gather_block`]).
+    pub(crate) fn gather_block<F: Fn(T) -> T + Sync>(
+        &self,
+        x: DenseView<'_, T>,
+        x_start: usize,
+        rows: usize,
+        out: &mut [T],
+        epi: &Epilogue<'_, T, F>,
+    ) {
+        match self {
+            Tiles::Columns(tiles) => tiles.gather_block(x, x_start, rows, out, epi),
+            Tiles::Cyclic(diags) => diags.gather_block(x, x_start, rows, out, epi),
+        }
     }
 }
 
@@ -449,6 +691,125 @@ mod tests {
             for (b, row) in out.chunks(24).enumerate() {
                 assert_eq!(row, expect_csr.row(b + 2), "csr width {width} row {b}");
             }
+        }
+    }
+
+    /// `Σ_{t<r} P^(t·ν)` on `n` nodes with a distinct, never-zero weight
+    /// per edge.
+    fn cyclic(n: usize, r: usize, nu: usize) -> CsrMatrix<f64> {
+        let mut k = 0u64;
+        CyclicShift::radix_submatrix::<u64>(n, r, nu).map(|_| {
+            k += 1;
+            k as f64 * 0.125 - 3.3
+        })
+    }
+
+    #[test]
+    fn detect_stores_each_diagonal() {
+        // r·ν = n, r·ν < n (the divisor-last-system case), ν = 1.
+        for (n, r, nu) in [(12, 3, 4), (12, 3, 2), (9, 4, 1), (5, 2, 2)] {
+            let w = cyclic(n, r, nu);
+            let d = CyclicDiagonals::detect(&w, 4).expect("a sum of shifts");
+            assert_eq!((d.radix, d.stride), (r, nu));
+            assert_eq!(d.diags.len(), w.nnz());
+            for t in 0..r {
+                for j in 0..n {
+                    let i = (j + n - t * nu) % n;
+                    assert_eq!(d.diags[t * n + j], w.get(i, j), "diag {t} col {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn detect_rejects_everything_else() {
+        let none = |w: &CsrMatrix<f64>| CyclicDiagonals::detect(w, 4).is_none();
+        // Degree 1 (row 0 cannot fix ν), a pure shift, the empty matrix.
+        assert!(none(&CsrMatrix::identity(6)));
+        assert!(none(&CyclicShift::new(6, 2).to_csr()));
+        assert!(none(&CsrMatrix::zeros(0, 0)));
+        // r·ν > n: the columns are distinct but the term order is not
+        // the segment order.
+        assert!(none(&cyclic(10, 4, 3)));
+        // Non-square.
+        assert!(none(&crate::kron_ones_left(2, 1, &cyclic(6, 2, 1))));
+        // Right row 0, one later row off by a column.
+        let mut coo = crate::CooMatrix::new(6, 6);
+        for (i, j, v) in cyclic(6, 2, 2).iter() {
+            coo.push(i, if (i, j) == (3, 5) { 4 } else { j }, v);
+        }
+        assert!(none(&coo.to_csr()));
+    }
+
+    #[test]
+    fn cyclic_gather_matches_column_tiles_bitwise() {
+        // Widths where the 32-lane blocks, the 8-lane blocks, the
+        // single-column tail and every wrap segment all run.
+        for (n, r, nu) in [(100, 3, 1), (100, 3, 33), (100, 4, 9), (67, 2, 20)] {
+            let w = cyclic(n, r, nu);
+            let x = batch(5, n);
+            let expect = dense_spmm(&x, &w).unwrap();
+            for tile_cols in [1, 7, 40, 64, 1000] {
+                let d = CyclicDiagonals::detect(&w, tile_cols).expect("a sum of shifts");
+                let mut out = vec![9.0f64; 5 * n]; // stale contents must not matter
+                d.gather_block(x.view(), 0, 5, &mut out, &Epilogue::identity());
+                assert_eq!(out, expect.as_slice(), "({n},{r},{nu}) tile {tile_cols}");
+                let mut cols = vec![7.0f64; 5 * n];
+                ColumnTiles::build(&w, tile_cols).gather_block(
+                    x.view(),
+                    0,
+                    5,
+                    &mut cols,
+                    &Epilogue::identity(),
+                );
+                assert_eq!(out, cols, "({n},{r},{nu}) tile {tile_cols} vs CSC");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Whenever detection accepts, `(n, r, ν, diags)` is the matrix:
+        /// rebuilding CSR from them reproduces indices and value bits
+        /// exactly. And it accepts every unbroken `Σ P^(t·ν)` with
+        /// `r ≥ 2`, `ν ≥ 1`, `r·ν ≤ n`.
+        #[test]
+        fn accepted_diagonals_rebuild_the_csr(
+            n in 1usize..40,
+            r in 1usize..6,
+            nu in 0usize..9,
+            moved in (0usize..40, 0usize..6, 0usize..40),
+            break_it in 0usize..2,
+        ) {
+            let mut coo = crate::CooMatrix::new(n, n);
+            let (row, term, to) = moved;
+            let mut k = 0u64;
+            for (i, j, _) in CyclicShift::radix_submatrix::<u64>(n, r.min(n), nu).iter() {
+                k += 1;
+                let hit = break_it == 1 && i == row % n && j == (i + term * nu) % n;
+                coo.push(i, if hit { to % n } else { j }, k as f64 * 0.375 - 4.0);
+            }
+            let w: CsrMatrix<f64> = coo.to_csr();
+            let r = r.min(n);
+            let Some(d) = CyclicDiagonals::detect(&w, 8) else {
+                proptest::prop_assert!(
+                    break_it == 1 || r < 2 || nu == 0 || r * nu > n,
+                    "({}, {}, {}) must be accepted", n, r, nu
+                );
+                return Ok(());
+            };
+            let (dr, dnu) = (d.radix, d.stride);
+            proptest::prop_assert!(dr >= 2 && dnu >= 1 && dr * dnu <= n);
+            let mut rebuilt = crate::CooMatrix::new(n, n);
+            for t in 0..dr {
+                for j in 0..n {
+                    rebuilt.push((j + n - t * dnu) % n, j, d.diags[t * n + j]);
+                }
+            }
+            let rebuilt: CsrMatrix<f64> = rebuilt.to_csr();
+            proptest::prop_assert_eq!(rebuilt.indptr(), w.indptr());
+            proptest::prop_assert_eq!(rebuilt.indices(), w.indices());
+            let bits = |m: &CsrMatrix<f64>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&rebuilt), bits(&w));
         }
     }
 

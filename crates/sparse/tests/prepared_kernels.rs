@@ -8,7 +8,11 @@
 //! widths, block grains and activation-dispatch thresholds. Bitwise, not
 //! approximate: the prepared kernels accumulate in the same order as the
 //! naive ones on every path, so even floating-point results must match
-//! exactly. One oracle, [`check_plans`], carries every property.
+//! exactly. One oracle, [`check_plans`], carries every property — for
+//! both tile layouts: it also pins which matrices `tile()` gives the
+//! index-free cyclic layout ([`expected_cyclic`]), and a deterministic
+//! structure axis at the bottom runs it over `Σ P^(t·ν)` layers and their
+//! near misses in `f32` and `f64`.
 
 use proptest::prelude::*;
 use proptest::Just;
@@ -16,9 +20,40 @@ use proptest::Just;
 use radix_sparse::kernel::MAX_TILE_OR_BLOCK;
 use radix_sparse::ops::{dense_spmm, dense_spmm_transposed, par_spmm, spmm};
 use radix_sparse::{
-    Bias, CooMatrix, CsrMatrix, CyclicShift, DenseMatrix, Epilogue, KernelPlan, Par,
-    PreparedWeights,
+    kron_ones_left, Bias, CooMatrix, CsrMatrix, CyclicShift, DenseMatrix, Epilogue, KernelPlan,
+    Par, PreparedWeights, Scalar,
 };
+
+/// The element types the oracle runs in.
+trait Float: Scalar + std::fmt::Display {
+    fn of(v: f64) -> Self;
+    fn bits(self) -> u64;
+    fn relu(self) -> Self;
+}
+
+impl Float for f64 {
+    fn of(v: f64) -> Self {
+        v
+    }
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+    fn relu(self) -> Self {
+        self.max(0.0)
+    }
+}
+
+impl Float for f32 {
+    fn of(v: f64) -> Self {
+        v as f32
+    }
+    fn bits(self) -> u64 {
+        u64::from(self.to_bits())
+    }
+    fn relu(self) -> Self {
+        self.max(0.0)
+    }
+}
 
 /// Strategy: an irregular random sparse f64 matrix of bounded shape
 /// (row degrees vary, so the prepared kernels take the CSR fallback —
@@ -66,8 +101,8 @@ fn batch_for(rows: usize) -> impl Strategy<Value = DenseMatrix<f64>> {
     })
 }
 
-fn relu(v: f64) -> f64 {
-    v.max(0.0)
+fn relu<T: Float>(v: T) -> T {
+    v.relu()
 }
 
 /// Which product the oracle checks.
@@ -82,12 +117,12 @@ enum Op {
 
 /// The naive reference: allocate-and-return product, then a separate
 /// full pass for bias, then another for the activation map.
-fn naive(
+fn naive<T: Float>(
     op: Op,
-    x: &DenseMatrix<f64>,
-    w: &CsrMatrix<f64>,
-    bias: Option<&[f64]>,
-) -> DenseMatrix<f64> {
+    x: &DenseMatrix<T>,
+    w: &CsrMatrix<T>,
+    bias: Option<&[T]>,
+) -> DenseMatrix<T> {
     let mut out = match op {
         Op::Forward => dense_spmm(x, w),
         Op::Transposed => dense_spmm_transposed(x, w),
@@ -95,9 +130,9 @@ fn naive(
     .unwrap();
     if let Some(bs) = bias {
         for i in 0..out.nrows() {
-            let row: &mut [f64] = out.row_mut(i);
+            let row: &mut [T] = out.row_mut(i);
             for (v, &b) in row.iter_mut().zip(bs) {
-                *v += b;
+                *v = v.add(b);
             }
         }
         out.map_inplace(relu);
@@ -110,15 +145,15 @@ fn naive(
 /// activations through where the scatter skips them, which can only ever
 /// show as the sign of an all-zero sum — so `0.0` and `-0.0` compare
 /// equal, and nothing else that differs does.
-fn assert_bits_eq(
-    got: &DenseMatrix<f64>,
-    want: &DenseMatrix<f64>,
+fn assert_bits_eq<T: Float>(
+    got: &DenseMatrix<T>,
+    want: &DenseMatrix<T>,
     what: &dyn Fn() -> String,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(got.shape(), want.shape(), "{}: shape", what());
     for (k, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
         prop_assert!(
-            g.to_bits() == w.to_bits() || (*g == 0.0 && *w == 0.0),
+            g.bits() == w.bits() || (g.is_zero() && w.is_zero()),
             "{}: element {} differs ({} vs {})",
             what(),
             k,
@@ -138,15 +173,16 @@ fn assert_bits_eq(
 /// * `act_sparse_percent` ∈ {0 (always gather), 10 (count), 100 (always
 ///   scatter)},
 ///
-/// serially and on the pool, tiles built wherever the plan's width allows,
-/// and compares each result on `to_bits` against the naive two-pass
-/// reference. `Op::Forward` also assembles the product from uneven
+/// serially and on the pool, tiles built wherever the plan's width allows
+/// — as the index-free cyclic layout exactly where [`expected_cyclic`]
+/// says, as CSC tiles otherwise — and compares each result on `to_bits`
+/// against the naive two-pass reference. `Op::Forward` also assembles the product from uneven
 /// `spmm_rows_to` blocks, walked in order (`Par::Serial`) or handed to
 /// the pool (`Par::Pool`) the way the fused Challenge schedule does.
-fn check_plans(
+fn check_plans<T: Float>(
     op: Op,
-    w: &CsrMatrix<f64>,
-    x: &DenseMatrix<f64>,
+    w: &CsrMatrix<T>,
+    x: &DenseMatrix<T>,
     bias_scale: Option<f64>,
     extra_tile: Option<usize>,
 ) -> Result<(), TestCaseError> {
@@ -154,10 +190,14 @@ fn check_plans(
         Op::Forward => w.ncols(),
         Op::Transposed => w.nrows(),
     };
-    let bias: Option<Vec<f64>> =
-        bias_scale.map(|s| (0..nout).map(|j| s * (j as f64 * 0.3 - 1.0)).collect());
+    let bias: Option<Vec<T>> = bias_scale.map(|s| {
+        (0..nout)
+            .map(|j| T::of(s * (j as f64 * 0.3 - 1.0)))
+            .collect()
+    });
     let expect = naive(op, x, w, bias.as_deref());
-    let epi: Epilogue<'_, f64, fn(f64) -> f64> = match &bias {
+    let cyclic = expected_cyclic(w);
+    let epi: Epilogue<'_, T, fn(T) -> T> = match &bias {
         Some(bs) => Epilogue::new(Bias::PerOutput(bs), relu),
         None => Epilogue::identity(),
     };
@@ -174,6 +214,8 @@ fn check_plans(
                 };
                 let mut p = PreparedWeights::with_plan(w.clone(), plan);
                 prop_assert_eq!(p.tile(), w.ncols() > tile_cols, "tile() under {:?}", plan);
+                let layout = if p.is_tiled() { cyclic } else { None };
+                prop_assert_eq!(p.cyclic(), layout, "cyclic() under {:?}", plan);
                 for par in [Par::Serial, Par::Pool] {
                     let what = |call: &str| format!("{call} {par:?} under {plan:?}");
                     match op {
@@ -197,21 +239,21 @@ fn check_plans(
 
 /// `epi(X · W)` assembled from `spmm_rows_to` over uneven row blocks
 /// (half the batch, so the last block is short for odd batches).
-fn assemble_from_row_blocks(
-    p: &PreparedWeights<f64>,
-    x: &DenseMatrix<f64>,
-    epi: &Epilogue<'_, f64, fn(f64) -> f64>,
+fn assemble_from_row_blocks<T: Float>(
+    p: &PreparedWeights<T>,
+    x: &DenseMatrix<T>,
+    epi: &Epilogue<'_, T, fn(T) -> T>,
     par: Par,
-    out: &mut DenseMatrix<f64>,
+    out: &mut DenseMatrix<T>,
 ) {
     let ncols = p.ncols();
     // Stale contents must not matter: every block is fully written.
-    *out = DenseMatrix::from_vec(x.nrows(), ncols, vec![9.0; x.nrows() * ncols]).unwrap();
+    *out = DenseMatrix::from_vec(x.nrows(), ncols, vec![T::of(9.0); x.nrows() * ncols]).unwrap();
     if out.as_slice().is_empty() {
         return;
     }
     let brows = (x.nrows() / 2).max(1);
-    let block = |blk: usize, chunk: &mut [f64]| {
+    let block = |blk: usize, chunk: &mut [T]| {
         p.spmm_rows_to(x, blk * brows, chunk.len() / ncols, chunk, epi)
             .unwrap();
     };
@@ -223,6 +265,22 @@ fn assemble_from_row_blocks(
             }
         }
     }
+}
+
+/// What `cyclic()` must report wherever tiles are built, read straight
+/// off paper eq. (2): take `r` and `ν` from row 0, regenerate
+/// `Σ_{t<r} P^(t·ν)` and compare patterns.
+fn expected_cyclic<T: Float>(w: &CsrMatrix<T>) -> Option<(usize, usize)> {
+    let n = w.nrows();
+    if n == 0 || w.ncols() != n {
+        return None;
+    }
+    let (r, nu) = match w.row(0).0 {
+        row0 @ [0, nu, ..] => (row0.len(), *nu),
+        _ => return None,
+    };
+    let shifts = CyclicShift::radix_submatrix::<u64>(n, r, nu);
+    (r * nu <= n && w.same_pattern(&shifts)).then_some((r, nu))
 }
 
 /// Strategy: an irregular matrix with a batch conformable for `op`.
@@ -293,7 +351,7 @@ proptest! {
     fn buffer_reuse_is_idempotent(w in regular_matrix(), seed in 0u64..1000) {
         let x = batch_deterministic(w.nrows(), seed);
         let p = PreparedWeights::from_csr(w);
-        let epi: Epilogue<'_, f64, fn(f64) -> f64> = Epilogue::map(relu);
+        let epi: Epilogue<'_, f64, fn(f64) -> f64> = Epilogue::map(relu::<f64>);
         let mut reused = DenseMatrix::default();
         p.spmm(&x, &mut reused, &epi, Par::Serial).unwrap();
         let first = reused.clone();
@@ -402,7 +460,7 @@ proptest! {
 
 /// A deterministic pseudo-random batch (keeps `regular_matrix` cases fast
 /// while still varying with the proptest seed).
-fn batch_deterministic(rows: usize, seed: u64) -> DenseMatrix<f64> {
+fn batch_deterministic<T: Float>(rows: usize, seed: u64) -> DenseMatrix<T> {
     let b = (seed % 4 + 1) as usize;
     let mut m = DenseMatrix::zeros(b, rows);
     let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -412,7 +470,7 @@ fn batch_deterministic(rows: usize, seed: u64) -> DenseMatrix<f64> {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             if !state.is_multiple_of(3) {
-                m.set(i, j, ((state >> 33) % 1000) as f64 * 0.004 - 2.0);
+                m.set(i, j, T::of(((state >> 33) % 1000) as f64 * 0.004 - 2.0));
             }
         }
     }
@@ -421,7 +479,7 @@ fn batch_deterministic(rows: usize, seed: u64) -> DenseMatrix<f64> {
 
 /// Like [`batch_deterministic`], but ~95% zeros — the post-ReLU
 /// deep-layer regime the scatter schedule targets.
-fn batch_deterministic_sparse(rows: usize, seed: u64) -> DenseMatrix<f64> {
+fn batch_deterministic_sparse<T: Float>(rows: usize, seed: u64) -> DenseMatrix<T> {
     let b = (seed % 4 + 1) as usize;
     let mut m = DenseMatrix::zeros(b, rows);
     let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(99);
@@ -431,7 +489,7 @@ fn batch_deterministic_sparse(rows: usize, seed: u64) -> DenseMatrix<f64> {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             if (state >> 33).is_multiple_of(20) {
-                m.set(i, j, ((state >> 13) % 1000) as f64 * 0.004 - 2.0);
+                m.set(i, j, T::of(((state >> 13) % 1000) as f64 * 0.004 - 2.0));
             }
         }
     }
@@ -473,4 +531,122 @@ fn degenerate_shapes_are_handled() {
     pz.spmm_transposed(&xz, &mut out, &epi, Par::Serial)
         .unwrap();
     assert_eq!(out.shape(), (1, 0));
+}
+
+/// `pattern` with a distinct, never-zero weight on every edge (distinct
+/// in `f32` too at these sizes), so a diagonal stored under the wrong
+/// term or column cannot cancel out.
+fn weigh<T: Float>(pattern: &CsrMatrix<u64>) -> CsrMatrix<T> {
+    let mut k = 0u32;
+    pattern.map(|_| {
+        k += 1;
+        T::of(f64::from(k) / 1024.0 + 0.25)
+    })
+}
+
+/// Forward products of `w` under every plan (plus `extra_tile`): with the
+/// fused epilogue on a dense-ish batch, bare on a ~95%-zero one (where
+/// the activation count takes the scatter). Two rows each — the 4096-wide
+/// cases run unoptimized under `cargo test`.
+fn check_forward<T: Float>(w: &CsrMatrix<T>, extra_tile: usize, what: &str) {
+    let dense = batch_deterministic::<T>(w.nrows(), 1);
+    let sparse = batch_deterministic_sparse::<T>(w.nrows(), 5);
+    for (x, bias_scale) in [(&dense, Some(0.5)), (&sparse, None)] {
+        check_plans(Op::Forward, w, x, bias_scale, Some(extra_tile))
+            .unwrap_or_else(|e| panic!("{what}: {e:?}"));
+    }
+}
+
+/// The structure axis, positive side: `Σ_{t<r} P^(t·ν)` layers at sizes
+/// where the wide and 8-lane blocks, the single-column tail and every
+/// wrap segment all run — the benchmark's three 4096×16 layers at the
+/// default tile width, `ν` from 1 to `n/r` on 256 nodes at a tile width
+/// that straddles segments, and `r·ν < n` (a last system whose product
+/// strictly divides `N'`). `check_plans` pins `cyclic()` through
+/// [`expected_cyclic`]; this pins `expected_cyclic` itself.
+fn cyclic_layers_match_naive<T: Float>() {
+    for (n, r, nu, extra_tile) in [
+        (4096, 16, 1, 1024),
+        (4096, 16, 16, 1024),
+        (4096, 16, 256, 1024),
+        (256, 4, 1, 100),
+        (256, 4, 4, 100),
+        (256, 4, 16, 100),
+        (256, 4, 64, 100),
+        (96, 4, 8, 40),
+    ] {
+        let w: CsrMatrix<T> = weigh(&CyclicShift::radix_submatrix(n, r, nu));
+        assert_eq!(expected_cyclic(&w), Some((r, nu)), "({n}, {r}, {nu})");
+        check_forward(&w, extra_tile, &format!("({n}, {r}, {nu})"));
+    }
+}
+
+#[test]
+fn cyclic_layers_match_naive_f64() {
+    cyclic_layers_match_naive::<f64>();
+}
+
+#[test]
+fn cyclic_layers_match_naive_f32() {
+    cyclic_layers_match_naive::<f32>();
+}
+
+/// The structure axis, negative side: near misses that must keep the CSC
+/// tiles (`cyclic() == None` under every tiling plan, via `check_plans`)
+/// and still match the oracle there.
+fn near_misses_keep_column_tiles<T: Float>() {
+    let shifts = |n, r, nu| CyclicShift::radix_submatrix::<u64>(n, r, nu);
+    // `pattern` with each entry's position rewritten by `f`.
+    let rewired = |pattern: &CsrMatrix<u64>, f: &dyn Fn(usize, usize) -> (usize, usize)| {
+        let mut coo = CooMatrix::new(pattern.nrows(), pattern.ncols());
+        for (i, j, v) in pattern.iter() {
+            let (i, j) = f(i, j);
+            coo.push(i, j, v);
+        }
+        coo.to_csr()
+    };
+    let base = shifts(256, 4, 16);
+    let cases: [(&str, CsrMatrix<u64>); 6] = [
+        (
+            "one edge moved",
+            rewired(&base, &|i, j| {
+                if (i, j) == (5, 53) {
+                    (5, 54)
+                } else {
+                    (i, j)
+                }
+            }),
+        ),
+        (
+            "two rows swapped",
+            rewired(&base, &|i, j| match i {
+                3 => (100, j),
+                100 => (3, j),
+                _ => (i, j),
+            }),
+        ),
+        ("r·ν > n", shifts(24, 4, 7)),
+        ("ν = 0, duplicates summed", shifts(24, 3, 0)),
+        ("non-square", kron_ones_left(2, 1, &shifts(24, 3, 2))),
+        (
+            "Kronecker-expanded",
+            kron_ones_left(2, 2, &shifts(96, 4, 8)),
+        ),
+    ];
+    for (what, pattern) in cases {
+        let w: CsrMatrix<T> = weigh(&pattern);
+        assert_eq!(expected_cyclic(&w), None, "{what}");
+        assert!(w.ncols() > 8, "{what}: must tile under check_plans' widths");
+        check_forward(&w, 40, what);
+    }
+}
+
+#[test]
+fn near_misses_keep_column_tiles_f64() {
+    near_misses_keep_column_tiles::<f64>();
+}
+
+#[test]
+fn near_misses_keep_column_tiles_f32() {
+    near_misses_keep_column_tiles::<f32>();
 }
