@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify verify-mt verify-serve verify-chaos verify-recovery verify-steal serve-smoke build test fmt fmt-check clippy doc bench-check bench bench-json bench-json-default bench-json-smoke bench-serve bench-gate bench-baseline bench-serve-baseline benchmark-smoke calibrate calibrate-smoke profile-check tune-report clean
+.PHONY: verify verify-mt verify-serve verify-chaos verify-recovery verify-steal serve-smoke build test fmt fmt-check clippy doc benchmark-smoke ab calibrate calibrate-smoke profile-check clean
 
 ## Tier-1 verify: exactly what CI's main job runs.
 verify:
@@ -103,66 +103,6 @@ clippy:
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps
 
-## Compile (but do not run) the criterion benches.
-bench-check:
-	$(CARGO) bench --no-run
-
-bench:
-	$(CARGO) bench
-
-## Run the pinned kernel subset and write BENCH_kernels.json (edges/sec
-## per kernel) — the perf baseline future PRs diff against.
-bench-json:
-	$(CARGO) run --release -p radix-bench --bin bench_kernels
-
-## CI smoke: min-of-3 iterations per kernel, JSON written to a scratch
-## path so the committed baseline is never clobbered by quick numbers.
-bench-json-smoke:
-	RADIX_BENCH_QUICK=1 RADIX_BENCH_OUT=target/BENCH_kernels_smoke.json \
-		$(CARGO) run --release -p radix-bench --bin bench_kernels
-
-## Serving-latency benchmark: closed-loop capacity plus p50/p99 at three
-## relative offered loads, written to target/BENCH_serve_fresh.json. Also
-## enforces the serving acceptance bound (low-load p99 <= the configured
-## RADIX_SERVE_DEADLINE_US budget) — nonzero exit on violation.
-bench-serve:
-	$(CARGO) run --release -p radix-bench --bin bench_serve
-
-## Perf regression gate: fresh quick-mode kernel AND serving-latency runs
-## compared against the committed BENCH_kernels.json with generous
-## tolerances (2x kernels / 3x serve by default; override with
-## RADIX_BENCH_TOLERANCE / RADIX_BENCH_SERVE_TOLERANCE). Fails on gross
-## regressions and prints a per-kernel delta table of every offender. CI
-## uploads both scratch JSONs as workflow artifacts.
-bench-gate:
-	RADIX_BENCH_QUICK=1 RADIX_BENCH_OUT=target/BENCH_kernels.scratch.json \
-		$(CARGO) run --release -p radix-bench --bin bench_kernels
-	RADIX_BENCH_QUICK=1 RADIX_BENCH_OUT=target/BENCH_serve.scratch.json \
-		$(CARGO) run --release -p radix-bench --bin bench_serve
-	RADIX_BENCH_CANDIDATE=target/BENCH_kernels.scratch.json:target/BENCH_serve.scratch.json \
-		$(CARGO) run --release -p radix-bench --bin bench_gate
-
-## Rewrite the committed baseline for THIS machine's thread count: a
-## full-budget emitter run merged point-wise into BENCH_kernels.json keyed
-## by the worker-pool width (runs at other widths, and points the emitter
-## didn't measure — e.g. serve_* latency points — are preserved). Run once
-## per machine shape — e.g. `RADIX_POOL_THREADS=2 make bench-baseline` to
-## commit the multi-core rows the pool kernels gate against on 2-core CI.
-bench-baseline:
-	RADIX_BENCH_OUT=target/BENCH_kernels_fresh.json \
-		$(CARGO) run --release -p radix-bench --bin bench_kernels
-	RADIX_BENCH_FRESH=target/BENCH_kernels_fresh.json \
-		$(CARGO) run --release -p radix-bench --bin bench_baseline
-
-## Same, for the serving-latency points: a full-budget bench_serve run
-## merged point-wise into BENCH_kernels.json at this machine's width,
-## leaving the kernel points there intact.
-bench-serve-baseline:
-	RADIX_BENCH_OUT=target/BENCH_serve_fresh.json \
-		$(CARGO) run --release -p radix-bench --bin bench_serve
-	RADIX_BENCH_FRESH=target/BENCH_serve_fresh.json \
-		$(CARGO) run --release -p radix-bench --bin bench_baseline
-
 ## The repo's end-to-end benchmark (BENCHMARK.json, benchmark/README.md)
 ## in smoke mode — one 1-second window per workload with every output
 ## check on — plus its estimator unit tests. The package is standalone
@@ -171,8 +111,18 @@ benchmark-smoke:
 	$(CARGO) run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
 
+## The perf gate: build PARENT and CHANGE, run the end-to-end benchmark on
+## both in PAIRS alternating pairs, print a parent/change table per
+## workload and metric. Exits 1 when a change median is worse than the
+## parent's by more than the metric's BENCHMARK.json bound, a run fails,
+## or a larger share of operations fails. `make ab PARENT=HEAD~`.
+CHANGE ?= HEAD
+PAIRS ?= 10
+ab:
+	scripts/ab.sh "$(PARENT)" "$(CHANGE)" "$(PAIRS)"
+
 ## Autotune this machine: sweep tile width x block rows x fuse depth x
-## activation-sparsity threshold together on the committed bench shapes
+## activation-sparsity threshold together on two fixed layer shapes
 ## (one process, one loop over KernelPlan values) and write the winner to
 ## ./RADIX_PROFILE.json (merged at this pool width; override the path
 ## with RADIX_PROFILE). The kernels load the profile at startup; RADIX_*
@@ -193,21 +143,6 @@ calibrate-smoke:
 ## nonzero exit when missing/truncated/corrupt.
 profile-check:
 	$(CARGO) run --release -p radix-bench --bin profile_check
-
-## Quick kernel run with the baked-in default tunables, written to the
-## path tune-report reads as its "default" side. Explicitly clears
-## RADIX_PROFILE so a profile in the working tree can't leak in.
-bench-json-default:
-	RADIX_BENCH_QUICK=1 RADIX_BENCH_OUT=target/BENCH_kernels.default.json \
-		RADIX_PROFILE=target/nonexistent-profile.json \
-		$(CARGO) run --release -p radix-bench --bin bench_kernels
-
-## Markdown delta table: tuned (target/BENCH_kernels.scratch.json, i.e.
-## the gate's candidate measured under the calibrated profile) vs default
-## (target/BENCH_kernels.default.json). Report-only; CI appends it to the
-## job summary.
-tune-report:
-	$(CARGO) run --release -p radix-bench --bin tune_report
 
 clean:
 	$(CARGO) clean

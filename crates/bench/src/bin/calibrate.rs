@@ -1,5 +1,5 @@
-//! Machine autotuning: sweeps the kernel tunables **together** on the
-//! committed bench shapes and persists the winner as a per-machine
+//! Machine autotuning: sweeps the kernel tunables **together** on two
+//! fixed layer shapes and persists the winner as a per-machine
 //! tuning profile (`RADIX_PROFILE.json`) that `radix-sparse` and
 //! `radix-challenge` load at startup (see `make calibrate`).
 //!

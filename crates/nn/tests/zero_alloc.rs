@@ -109,12 +109,10 @@ fn train_step_timed_region_is_allocation_free() {
     let mut ws = GradWorkspace::for_network(&net, batch_rows);
     let warmup = net.forward(&x); // spawns the pool, sizes nothing persistent
     assert_eq!(warmup.shape(), (batch_rows, net.n_out()));
-    // Prime the process-wide tunables: each is read from the environment
+    // Prime the process-wide plan: its knobs are read from the environment
     // exactly once (an allocation), cached in a OnceLock thereafter — a
     // one-time process setup cost, not part of any train step.
-    let _ = radix_sparse::kernel::tile_cols();
-    let _ = radix_sparse::kernel::par_threshold();
-    let _ = radix_sparse::kernel::act_sparse_percent();
+    let _ = radix_sparse::KernelPlan::process();
 
     // The counter is process-global, and libtest's harness thread lazily
     // allocates its channel-parking context the first time it gets

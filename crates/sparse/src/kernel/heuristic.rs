@@ -13,9 +13,8 @@
 //! tuning profile's run at this pool width
 //! ([`crate::kernel::profile`]), else the built-in default. Constructors
 //! that take no plan (`PreparedWeights::from_csr`, `SparseLinear::new`,
-//! `ChallengeNetwork::from_layers`) use it; the free functions
-//! ([`par_threshold`], [`act_sparse_percent`], [`crate::kernel::tile_cols`],
-//! [`crate::kernel::block_rows`]) are one-line views of it.
+//! `ChallengeNetwork::from_layers`) use it; [`crate::kernel::tile_cols`]
+//! and [`crate::kernel::block_rows`] are one-line views of it.
 
 use std::ops::RangeInclusive;
 use std::sync::OnceLock;
@@ -184,18 +183,6 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// The process plan's `par_threshold`.
-#[must_use]
-pub fn par_threshold() -> usize {
-    KernelPlan::process().par_threshold
-}
-
-/// The process plan's `act_sparse_percent`.
-#[must_use]
-pub fn act_sparse_percent() -> usize {
-    KernelPlan::process().act_sparse_percent
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,7 +197,10 @@ mod tests {
 
     #[test]
     fn threshold_is_stable_across_calls() {
-        assert_eq!(par_threshold(), par_threshold());
+        assert_eq!(
+            KernelPlan::process().par_threshold,
+            KernelPlan::process().par_threshold
+        );
         assert_eq!(KernelPlan::process(), KernelPlan::process());
     }
 
@@ -236,7 +226,10 @@ mod tests {
 
     #[test]
     fn act_sparse_percent_is_stable_across_calls() {
-        assert_eq!(act_sparse_percent(), act_sparse_percent());
+        assert_eq!(
+            KernelPlan::process().act_sparse_percent,
+            KernelPlan::process().act_sparse_percent
+        );
     }
 
     #[test]

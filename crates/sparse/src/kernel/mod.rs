@@ -59,8 +59,8 @@ mod tiled;
 
 pub use epilogue::{Bias, Epilogue};
 pub use heuristic::{
-    act_sparse_percent, env_usize, par_threshold, KernelPlan, Par, DEFAULT_ACT_SPARSE_PERCENT,
-    DEFAULT_FUSE_LAYERS, DEFAULT_PAR_THRESHOLD, MAX_TILE_OR_BLOCK,
+    env_usize, KernelPlan, Par, DEFAULT_ACT_SPARSE_PERCENT, DEFAULT_FUSE_LAYERS,
+    DEFAULT_PAR_THRESHOLD, MAX_TILE_OR_BLOCK,
 };
 pub use lanes::LANE_WIDTH;
 pub use pingpong::PingPong;

@@ -3,11 +3,10 @@
 //! The kernel tunables (column-tile width, row-block grain, fusion depth,
 //! activation-sparsity crossover) default to values hand-picked on one
 //! machine. `make calibrate` (the `radix-bench` autotuner) sweeps them
-//! *jointly* on the committed bench shapes and persists the winner here —
-//! a versioned JSON profile, schema'd like `BENCH_kernels.json`
-//! (line-oriented, hand-rolled — no serde in the offline build), with one
-//! run per worker-pool width, because the best schedule at 1 thread is
-//! not the best at 8.
+//! *jointly* on two fixed layer shapes and persists the winner here — a
+//! versioned JSON profile (line-oriented, hand-rolled — no serde in the
+//! offline build), with one run per worker-pool width, because the best
+//! schedule at 1 thread is not the best at 8.
 //!
 //! Consumers never read this file directly: [`crate::kernel::KernelPlan::process`]
 //! resolves each knob, once per process, with the precedence
@@ -121,8 +120,8 @@ impl fmt::Display for ProfileError {
 impl std::error::Error for ProfileError {}
 
 /// Extracts the string value of a `"key": "value"` pair from a line.
-/// (Duplicated from `radix-bench`'s parser — this crate sits below it in
-/// the dependency graph, and the helper is a handful of lines.)
+/// (Hand-rolled here: the offline build has no JSON crate, and the
+/// profile's own line-oriented format is all this has to read.)
 fn string_field(line: &str, key: &str) -> Option<String> {
     let tag = format!("\"{key}\":");
     let rest = &line[line.find(&tag)? + tag.len()..];

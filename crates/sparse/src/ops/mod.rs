@@ -1,9 +1,8 @@
 //! Sparse linear-algebra kernels over an abstract [`crate::Scalar`] semiring.
 //!
 //! * [`spmv`] — sparse matrix × dense vector,
-//! * [`spmm_dense`] / [`par_spmm_dense`] — CSR × dense → dense (serial and
-//!   Rayon row-parallel), the Graph-Challenge inference kernel,
-//! * [`spmm`] / [`par_spmm`] — CSR × CSR → CSR via sparse accumulators,
+//! * [`spmm_dense`] — CSR × dense → dense,
+//! * [`spmm`] — CSR × CSR → CSR via sparse accumulators,
 //! * [`add`] — CSR + CSR,
 //! * [`scale`] — scalar multiple,
 //! * [`matpow`] — `A^k` for square `A`,
@@ -22,7 +21,7 @@ mod stack;
 pub use add::{add, scale};
 pub use elementwise::{hadamard, mask_to_pattern, pattern_overlap};
 pub use matpow::{chain_product, matpow};
-pub use spmm::{par_spmm, par_spmm_dense, spmm, spmm_dense};
+pub use spmm::{spmm, spmm_dense};
 pub use spmm_left::{dense_spmm, dense_spmm_transposed};
 pub use spmv::{spmv, spmv_into};
 pub use stack::{block_diag, hstack, vstack};

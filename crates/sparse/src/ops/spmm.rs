@@ -1,14 +1,11 @@
-//! Sparse matrix–matrix products: CSR × dense and CSR × CSR, serial and
-//! Rayon row-parallel.
+//! Sparse matrix–matrix products: CSR × dense and CSR × CSR.
 //!
-//! `par_spmm_dense` is the hot kernel of the Graph-Challenge harness
-//! (`Y ← Y · W` with `Y` dense activations, `W` a RadiX-Net layer). The
-//! CSR × CSR kernels use a dense "sparse accumulator" (SPA) workspace per
-//! row — the classical Gustavson algorithm — with one workspace per Rayon
-//! worker via `map_init` so the parallel version allocates `O(threads ·
-//! ncols)`, not `O(rows · ncols)`.
-
-use rayon::prelude::*;
+//! These are the general, allocating kernels. [`spmm`] (Gustavson's
+//! algorithm with a dense "sparse accumulator" workspace per row) is what
+//! [`crate::ops::matpow`] and [`crate::ops::chain_product`] — and so the
+//! Theorem-1 path counts — run on; it and [`spmm_dense`] also serve as
+//! test references. Network layers run on the prepared engine in
+//! [`crate::kernel`] instead.
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
@@ -44,62 +41,6 @@ pub fn spmm_dense<T: Scalar>(
     Ok(c)
 }
 
-/// Rayon row-parallel CSR × dense → dense.
-///
-/// Rows of the output are independent, so this parallelizes over chunks of
-/// output rows with no synchronization.
-///
-/// # Errors
-/// Returns [`SparseError::ShapeMismatch`] if `A.ncols() != B.nrows()`.
-pub fn par_spmm_dense<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &DenseMatrix<T>,
-) -> Result<DenseMatrix<T>, SparseError> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::ShapeMismatch {
-            op: "par_spmm_dense",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let ncols_out = b.ncols();
-    let mut c: DenseMatrix<T> = DenseMatrix::zeros(a.nrows(), ncols_out);
-    c.as_mut_slice()
-        .par_chunks_mut(ncols_out.max(1))
-        .enumerate()
-        .for_each(|(i, crow)| {
-            let (cols, vals) = a.row(i);
-            for (&k, &v) in cols.iter().zip(vals) {
-                let brow = b.row(k);
-                for (cij, &bkj) in crow.iter_mut().zip(brow) {
-                    *cij = cij.add(v.mul(bkj));
-                }
-            }
-        });
-    Ok(c)
-}
-
-/// Accumulates `A[i,:] · B` into the SPA workspace, recording which columns
-/// were touched (unsorted).
-#[inline]
-fn spa_accumulate<T: Scalar>(
-    acols: &[usize],
-    avals: &[T],
-    b: &CsrMatrix<T>,
-    workspace: &mut [T],
-    touched: &mut Vec<usize>,
-) {
-    for (&k, &v) in acols.iter().zip(avals) {
-        let (bcols, bvals) = b.row(k);
-        for (&j, &bv) in bcols.iter().zip(bvals) {
-            if workspace[j].is_zero() {
-                touched.push(j);
-            }
-            workspace[j] = workspace[j].add(v.mul(bv));
-        }
-    }
-}
-
 /// One row of a Gustavson SPA product: accumulate `A[i,:] · B` into the
 /// workspace, then harvest sorted nonzeros.
 fn spa_row<T: Scalar>(
@@ -111,7 +52,15 @@ fn spa_row<T: Scalar>(
     out_cols: &mut Vec<usize>,
     out_vals: &mut Vec<T>,
 ) {
-    spa_accumulate(acols, avals, b, workspace, touched);
+    for (&k, &v) in acols.iter().zip(avals) {
+        let (bcols, bvals) = b.row(k);
+        for (&j, &bv) in bcols.iter().zip(bvals) {
+            if workspace[j].is_zero() {
+                touched.push(j);
+            }
+            workspace[j] = workspace[j].add(v.mul(bv));
+        }
+    }
     touched.sort_unstable();
     for &j in touched.iter() {
         let val = workspace[j];
@@ -122,36 +71,6 @@ fn spa_row<T: Scalar>(
         }
     }
     touched.clear();
-}
-
-/// Symbolic (pattern-only) row count: the number of **structurally**
-/// reachable output columns of one row product — no multiplications, no
-/// value reads, just a boolean mark per touched column. This upper-bounds
-/// the numeric count: it includes entries that later cancel to exact zero
-/// (which the numeric harvest drops); [`par_spmm`] allocates with the
-/// symbolic counts and compacts afterwards in the (rare) cancellation
-/// case.
-fn spa_row_symbolic_count(
-    acols: &[usize],
-    b_indptr: &[usize],
-    b_indices: &[usize],
-    marks: &mut [bool],
-    touched: &mut Vec<usize>,
-) -> usize {
-    for &k in acols {
-        for &j in &b_indices[b_indptr[k]..b_indptr[k + 1]] {
-            if !marks[j] {
-                marks[j] = true;
-                touched.push(j);
-            }
-        }
-    }
-    let count = touched.len();
-    for &j in touched.iter() {
-        marks[j] = false;
-    }
-    touched.clear();
-    count
 }
 
 /// Serial CSR × CSR → CSR (Gustavson SPA).
@@ -194,134 +113,6 @@ pub fn spmm<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result<CsrMatrix<T
     ))
 }
 
-/// Rayon row-parallel CSR × CSR → CSR, with a two-pass stitch-free scheme:
-///
-/// 1. **Symbolic count** — each row's *structural* output nnz is computed
-///    in parallel from the patterns alone: boolean marks, **no
-///    multiplications and no value reads**, so the first pass costs half
-///    the arithmetic of the old numeric count pass,
-/// 2. **Prefix-sum** — the symbolic counts become a provisional `indptr`,
-/// 3. **Write** — the final `indices`/`data` buffers are allocated once,
-///    split into disjoint per-row segments, and filled numerically in
-///    parallel; each row reports how many entries it actually stored,
-/// 4. **Compact** — only if some entry cancelled to exact zero (numeric
-///    count < symbolic count, rare in practice and impossible for the
-///    non-negative path-counting semirings): rows are shifted left in one
-///    serial `O(nnz)` sweep and `indptr` is rebuilt from the actual
-///    counts, restoring exact equality with the serial [`spmm`] (which
-///    never stores explicit zeros).
-///
-/// This never materializes a `(Vec<usize>, Vec<T>)` pair per output row:
-/// the only allocations are the three output arrays plus one mark/SPA
-/// workspace per worker. Accumulation order per row matches the serial
-/// kernel, so values (and cancellations) are bitwise identical.
-///
-/// # Errors
-/// Returns [`SparseError::ShapeMismatch`] if `A.ncols() != B.nrows()`.
-pub fn par_spmm<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-) -> Result<CsrMatrix<T>, SparseError> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::ShapeMismatch {
-            op: "par_spmm",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-
-    // Pass 1: symbolic per-row counts (pattern union, no multiplies).
-    let b_indptr = b.indptr();
-    let b_indices = b.indices();
-    let counts: Vec<usize> = (0..a.nrows())
-        .into_par_iter()
-        .map_init(
-            || (vec![false; b.ncols()], Vec::new()),
-            |(marks, touched), i| {
-                let (acols, _) = a.row(i);
-                spa_row_symbolic_count(acols, b_indptr, b_indices, marks, touched)
-            },
-        )
-        .collect();
-
-    // Prefix-sum the symbolic counts into a provisional row-pointer array.
-    let mut indptr = Vec::with_capacity(a.nrows() + 1);
-    indptr.push(0usize);
-    let mut running = 0usize;
-    for &c in &counts {
-        running += c;
-        indptr.push(running);
-    }
-    let symbolic_nnz = running;
-
-    // Pass 2: parallel numeric write into disjoint per-row segments of the
-    // final buffers (CSR rows partition the index/value arrays, so the
-    // split is safe and lock-free). Each row returns its actual stored
-    // count (≤ the symbolic segment length: cancellations are dropped).
-    let mut indices = vec![0usize; symbolic_nnz];
-    let mut data = vec![T::ZERO; symbolic_nnz];
-    let mut segments: Vec<(usize, &mut [usize], &mut [T])> = Vec::with_capacity(a.nrows());
-    let mut ind_rest = indices.as_mut_slice();
-    let mut dat_rest = data.as_mut_slice();
-    for (i, &len) in counts.iter().enumerate() {
-        let (iseg, itail) = ind_rest.split_at_mut(len);
-        let (dseg, dtail) = dat_rest.split_at_mut(len);
-        segments.push((i, iseg, dseg));
-        ind_rest = itail;
-        dat_rest = dtail;
-    }
-    let actual: Vec<usize> = segments
-        .into_par_iter()
-        .map_init(
-            || (vec![T::ZERO; b.ncols()], Vec::new()),
-            |(workspace, touched), (i, iseg, dseg)| {
-                let (acols, avals) = a.row(i);
-                spa_accumulate(acols, avals, b, workspace, touched);
-                touched.sort_unstable();
-                let mut k = 0usize;
-                for &j in touched.iter() {
-                    let val = workspace[j];
-                    workspace[j] = T::ZERO;
-                    if !val.is_zero() {
-                        iseg[k] = j;
-                        dseg[k] = val;
-                        k += 1;
-                    }
-                }
-                touched.clear();
-                debug_assert!(k <= iseg.len(), "symbolic count is an upper bound");
-                k
-            },
-        )
-        .collect();
-
-    // Pass 3 (rare): compact away the slack left by exact cancellations.
-    let actual_nnz: usize = actual.iter().sum();
-    if actual_nnz != symbolic_nnz {
-        let mut write = 0usize;
-        for (i, &len) in actual.iter().enumerate() {
-            let start = indptr[i];
-            if write != start {
-                indices.copy_within(start..start + len, write);
-                data.copy_within(start..start + len, write);
-            }
-            indptr[i] = write;
-            write += len;
-        }
-        indptr[a.nrows()] = write;
-        indices.truncate(write);
-        data.truncate(write);
-    }
-
-    Ok(CsrMatrix::from_parts_unchecked(
-        a.nrows(),
-        b.ncols(),
-        indptr,
-        indices,
-        data,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,34 +131,12 @@ mod tests {
     }
 
     #[test]
-    fn par_spmm_dense_matches_serial() {
-        let w: CsrMatrix<f64> =
-            CyclicShift::radix_submatrix::<u64>(32, 4, 2).map(|v| v as f64 * 0.5);
-        let mut b = DenseMatrix::zeros(32, 8);
-        for i in 0..32 {
-            for j in 0..8 {
-                b.set(i, j, (i * 8 + j) as f64 * 0.01);
-            }
-        }
-        let serial = spmm_dense(&w, &b).unwrap();
-        let parallel = par_spmm_dense(&w, &b).unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn spmm_matches_dense_product() {
         let a = CsrMatrix::from_dense(&dense(&[&[1.0, 0.0, 2.0], &[0.0, 3.0, 0.0]]));
         let b = CsrMatrix::from_dense(&dense(&[&[1.0, 1.0], &[0.0, 2.0], &[4.0, 0.0]]));
         let c = spmm(&a, &b).unwrap();
         let dref = a.to_dense().matmul(&b.to_dense()).unwrap();
         assert_eq!(c.to_dense(), dref);
-    }
-
-    #[test]
-    fn par_spmm_matches_serial() {
-        let a: CsrMatrix<u64> = CyclicShift::radix_submatrix(24, 3, 1);
-        let b: CsrMatrix<u64> = CyclicShift::radix_submatrix(24, 2, 3);
-        assert_eq!(spmm(&a, &b).unwrap(), par_spmm(&a, &b).unwrap());
     }
 
     #[test]
@@ -383,9 +152,7 @@ mod tests {
         let a = CsrMatrix::<f64>::zeros(2, 3);
         let b = CsrMatrix::<f64>::zeros(2, 3);
         assert!(spmm(&a, &b).is_err());
-        assert!(par_spmm(&a, &b).is_err());
         assert!(spmm_dense(&a, &DenseMatrix::zeros(2, 2)).is_err());
-        assert!(par_spmm_dense(&a, &DenseMatrix::zeros(2, 2)).is_err());
     }
 
     #[test]
@@ -394,27 +161,6 @@ mod tests {
         let b = CsrMatrix::from_dense(&dense(&[&[1.0], &[-1.0]]));
         let c = spmm(&a, &b).unwrap();
         assert_eq!(c.nnz(), 0, "exact cancellation must not store a zero");
-    }
-
-    #[test]
-    fn par_spmm_compacts_cancellations_exactly() {
-        // Rows with full, partial, and no cancellation: the symbolic count
-        // pass over-counts rows 0 and 2, and the compaction sweep must
-        // shift the surviving rows into place.
-        let a = CsrMatrix::from_dense(&dense(&[
-            &[1.0, 1.0, 0.0], // cancels completely against b
-            &[2.0, 0.0, 1.0], // no cancellation
-            &[0.0, 1.0, 1.0], // partial: one of two outputs cancels
-            &[0.0, 0.0, 3.0], // no cancellation
-        ]));
-        let b = CsrMatrix::from_dense(&dense(&[&[1.0, 0.0], &[-1.0, 1.0], &[1.0, -1.0]]));
-        let serial = spmm(&a, &b).unwrap();
-        let parallel = par_spmm(&a, &b).unwrap();
-        assert_eq!(serial, parallel);
-        assert!(
-            serial.nnz() < a.nnz(),
-            "the case must actually exercise cancellation"
-        );
     }
 
     #[test]
@@ -443,7 +189,7 @@ mod tests {
         let b = CsrMatrix::<f64>::zeros(4, 0);
         let c = spmm(&a, &b).unwrap();
         assert_eq!(c.shape(), (0, 0));
-        let d = par_spmm_dense(&a, &DenseMatrix::zeros(4, 2)).unwrap();
+        let d = spmm_dense(&a, &DenseMatrix::zeros(4, 2)).unwrap();
         assert_eq!(d.shape(), (0, 2));
     }
 }

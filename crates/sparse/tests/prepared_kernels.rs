@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use proptest::Just;
 
 use radix_sparse::kernel::MAX_TILE_OR_BLOCK;
-use radix_sparse::ops::{dense_spmm, dense_spmm_transposed, par_spmm, spmm};
+use radix_sparse::ops::{dense_spmm, dense_spmm_transposed};
 use radix_sparse::{
     kron_ones_left, Bias, CooMatrix, CsrMatrix, CyclicShift, DenseMatrix, Epilogue, KernelPlan,
     Par, PreparedWeights, Scalar,
@@ -434,27 +434,6 @@ proptest! {
     ) {
         let x = batch_deterministic_sparse(w.nrows(), seed);
         check_plans(Op::Forward, &w, &x, Some(0.0), Some(tile_width))?;
-    }
-
-    /// The rewritten two-pass `par_spmm` (count → prefix-sum → parallel
-    /// write) remains exactly equivalent to the serial Gustavson kernel,
-    /// including under numeric cancellation.
-    #[test]
-    fn par_spmm_two_pass_matches_serial(
-        (a, b) in irregular_matrix(8).prop_flat_map(|a| {
-            let k = a.ncols();
-            let inner = proptest::collection::vec((0..k, 0..6usize, -2.0f64..2.0), 0..24)
-                .prop_map(move |ts| {
-                    let mut coo = CooMatrix::new(k, 6);
-                    for (i, j, v) in ts {
-                        coo.push(i, j, v);
-                    }
-                    coo.to_csr()
-                });
-            (Just(a), inner)
-        })
-    ) {
-        prop_assert_eq!(par_spmm(&a, &b).unwrap(), spmm(&a, &b).unwrap());
     }
 }
 

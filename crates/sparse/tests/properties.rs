@@ -92,27 +92,10 @@ proptest! {
     }
 
     #[test]
-    fn par_spmm_matches_serial((a, b) in conformable_pair()) {
-        prop_assert_eq!(
-            ops::par_spmm(&a, &b).unwrap(),
-            ops::spmm(&a, &b).unwrap()
-        );
-    }
-
-    #[test]
     fn spmm_dense_matches_sparse((a, b) in conformable_pair()) {
         let via_dense = ops::spmm_dense(&a, &b.to_dense()).unwrap();
         let via_sparse = ops::spmm(&a, &b).unwrap().to_dense();
         prop_assert_eq!(via_dense, via_sparse);
-    }
-
-    #[test]
-    fn par_spmm_dense_matches_serial((a, b) in conformable_pair()) {
-        let bd = b.to_dense();
-        prop_assert_eq!(
-            ops::par_spmm_dense(&a, &bd).unwrap(),
-            ops::spmm_dense(&a, &bd).unwrap()
-        );
     }
 
     #[test]
