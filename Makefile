@@ -13,13 +13,18 @@ verify:
 ## the first step of CI's `pool-suites` matrix job (POOL_THREADS=2 and 4
 ## there).
 ## Single-thread runs silently skip the pool dispatch paths; this doesn't.
-## `radix-sparse` is here for `check_plans`' `Par::Pool` leg (both tile
-## layouts × every plan), which otherwise only sees the default width.
+## `radix-sparse` is here for `check_plans`' `Par::Pool` leg (both storage
+## layouts — cyclic diagonals and CSR/ELL with its CSC tiles — × every
+## plan × all four products), which otherwise only sees the default
+## width; `radix-challenge --lib infer` for the fused schedule's pool leg,
+## which runs RadiX layers on the diagonal storage at every width,
+## narrower than a tile included.
 POOL_THREADS ?= 4
 verify-mt:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p rayon
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-sparse
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-nn
+	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --lib infer
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test zero_alloc
 
 ## The serving-engine suites under a forced multi-thread worker pool —

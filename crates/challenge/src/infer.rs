@@ -139,14 +139,13 @@ impl ChallengeNetwork {
     /// Propagates topology construction errors.
     pub fn from_config(config: &ChallengeConfig) -> Result<Self, radix_net::RadixError> {
         let net = config.spec()?.build();
-        let weight = config.weight;
-        let layers = net.fnnt().submatrices().iter().map(|w| w.map(|_| weight));
-        Ok(Self::prepare(
-            layers,
-            config.bias,
-            config.ymax,
-            KernelPlan::process(),
-        ))
+        let (weight, plan) = (config.weight, KernelPlan::process());
+        let layers = net
+            .fnnt()
+            .submatrices()
+            .iter()
+            .map(|w| PreparedWeights::with_plan(w.map(|_| weight), plan));
+        Ok(Self::prepare(layers, config.bias, config.ymax, plan))
     }
 
     /// Builds directly from explicit weight layers (for tests and for
@@ -174,22 +173,48 @@ impl ChallengeNetwork {
         ymax: f32,
         plan: KernelPlan,
     ) -> Self {
-        Self::prepare(layers.into_iter(), bias, ymax, plan)
+        let layers = layers
+            .into_iter()
+            .map(|w| PreparedWeights::with_plan(w, plan));
+        Self::prepare(layers, bias, ymax, plan)
     }
 
-    /// Prepares and tiles each layer as the iterator yields it — a layer
-    /// built lazily (as `from_config` does) is tiled while still
-    /// cache-hot — then checks the invariants every other method relies on.
+    /// Builds from layers already prepared — a trained `radix_nn`
+    /// network's, say — keeping their storage: a diagonal-stored layer is
+    /// taken over as is. A layer prepared under another plan is prepared
+    /// again under `plan` from its CSR.
+    ///
+    /// # Panics
+    /// As [`ChallengeNetwork::from_layers_with_plan`].
+    #[must_use]
+    pub fn from_prepared(
+        layers: Vec<PreparedWeights<f32>>,
+        bias: f32,
+        ymax: f32,
+        plan: KernelPlan,
+    ) -> Self {
+        let layers = layers.into_iter().map(|p| {
+            if p.plan() == plan {
+                p
+            } else {
+                PreparedWeights::with_plan(p.into_csr(), plan)
+            }
+        });
+        Self::prepare(layers, bias, ymax, plan)
+    }
+
+    /// Tiles each layer as the iterator yields it — a layer built lazily
+    /// (as `from_config` does) is tiled while still cache-hot — then
+    /// checks the invariants every other method relies on.
     fn prepare(
-        layers: impl Iterator<Item = CsrMatrix<f32>>,
+        layers: impl Iterator<Item = PreparedWeights<f32>>,
         bias: f32,
         ymax: f32,
         plan: KernelPlan,
     ) -> Self {
         assert!(plan.fuse_layers > 0, "fuse depth must be positive");
         let layers: Vec<_> = layers
-            .map(|w| {
-                let mut p = PreparedWeights::with_plan(w, plan);
+            .map(|mut p| {
                 // One-time column-tiling pass; narrow layers stay untiled.
                 p.tile();
                 p
@@ -506,7 +531,7 @@ mod tests {
         // exercise a partial block, exactly one block, and several blocks
         // (including a trailing partial one).
         let base = ChallengeNetwork::from_config(&ChallengeConfig::preset(2, 5, 3)).unwrap();
-        let csrs: Vec<CsrMatrix<f32>> = base.layers().iter().map(|l| l.as_csr().clone()).collect();
+        let csrs: Vec<CsrMatrix<f32>> = base.layers().iter().map(|l| l.to_csr()).collect();
         let epi = base.epilogue();
         for batch in [1usize, 7, 31, 32, 33, 64, 80] {
             let x = sparse_binary_batch(batch, base.n_in(), 0.4, batch as u64);
@@ -554,7 +579,7 @@ mod tests {
         // values 1, 16, 256 — each Σ_t P^(t·ν), wider than a default tile.
         let config = ChallengeConfig::preset(16, 3, 1);
         let base = ChallengeNetwork::from_config(&config).unwrap();
-        let radix: Vec<CsrMatrix<f32>> = base.layers().iter().map(|l| l.as_csr().clone()).collect();
+        let radix: Vec<CsrMatrix<f32>> = base.layers().iter().map(|l| l.to_csr()).collect();
         // The same layers under one seeded column permutation: still
         // constant-degree, no longer sums of shifts.
         let n = base.n_in();

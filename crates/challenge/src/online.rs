@@ -55,7 +55,7 @@ use radix_nn::{
     History, Network, Optimizer, TrainConfig, TrainRestartPolicy, TrainSuperviseError,
     TrainSupervisor,
 };
-use radix_sparse::{CsrMatrix, DenseMatrix};
+use radix_sparse::{DenseMatrix, KernelPlan, PreparedWeights};
 
 use crate::infer::ChallengeNetwork;
 use crate::serve::{ServeClient, ServeConfig, ServeEngine, ServeError, ServeHandle, ServeStats};
@@ -172,14 +172,14 @@ pub struct OnlineSession {
     poll: Duration,
 }
 
-/// The sparse weight matrices of a fully sparse training network, or
+/// The prepared sparse weights of a fully sparse training network, or
 /// the index of the first dense layer.
-fn sparse_csrs(net: &Network) -> Result<Vec<CsrMatrix<f32>>, OnlineError> {
+fn sparse_layers(net: &Network) -> Result<Vec<PreparedWeights<f32>>, OnlineError> {
     net.layers()
         .iter()
         .enumerate()
         .map(|(i, l)| match l {
-            radix_nn::Layer::Sparse(sl) => Ok(sl.weights().clone()),
+            radix_nn::Layer::Sparse(sl) => Ok(sl.prepared().clone()),
             radix_nn::Layer::Dense(_) => Err(OnlineError::NotSparse { layer: i }),
         })
         .collect()
@@ -288,7 +288,12 @@ impl OnlineSession {
         ckpt: Checkpointer,
         serve_faults: crate::fault::FaultInjector,
     ) -> Result<Self, OnlineError> {
-        let serve_net = ChallengeNetwork::from_layers(sparse_csrs(net)?, config.bias, config.ymax);
+        let serve_net = ChallengeNetwork::from_prepared(
+            sparse_layers(net)?,
+            config.bias,
+            config.ymax,
+            KernelPlan::process(),
+        );
         let handle = ServeEngine::start_with_faults(serve_net, &config.serve, serve_faults);
         Ok(OnlineSession {
             handle,

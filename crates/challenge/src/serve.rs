@@ -951,8 +951,9 @@ impl ServeHandle {
     ///
     /// The checkpoint is loaded, validated (fully sparse, same layer
     /// count, every shape identical to the serving network's — the
-    /// engine's pre-allocated workspace must stay valid), re-prepared
-    /// into tiled ELL form under the running network's kernel plan, and
+    /// engine's pre-allocated workspace must stay valid), taken over in
+    /// the storage decoding prepared (a RadiX layer's diagonals, tiled ELL
+    /// otherwise) under the running network's kernel plan, and
     /// *staged*; the engine thread swaps it in at its next batch
     /// boundary (an idle engine is woken for it at once). In-flight requests complete on the old weights;
     /// subsequent flushes use the new ones. The engine keeps its
@@ -981,12 +982,12 @@ impl ServeHandle {
                 got: layers.len(),
             });
         }
-        let mut csrs = Vec::with_capacity(layers.len());
+        let mut prepared = Vec::with_capacity(layers.len());
         for (i, l) in layers.iter().enumerate() {
             let radix_nn::Layer::Sparse(sl) = l else {
                 return Err(ReloadError::NotSparse { layer: i });
             };
-            let got = (sl.weights().nrows(), sl.weights().ncols());
+            let got = sl.prepared().shape();
             if got != expected[i] {
                 return Err(ReloadError::ShapeMismatch {
                     layer: i,
@@ -994,10 +995,10 @@ impl ServeHandle {
                     got,
                 });
             }
-            csrs.push(sl.weights().clone());
+            prepared.push(sl.prepared().clone());
         }
-        let new_net = ChallengeNetwork::from_layers_with_plan(
-            csrs,
+        let new_net = ChallengeNetwork::from_prepared(
+            prepared,
             self.shared.net_bias,
             self.shared.net_ymax,
             self.shared.net_plan,

@@ -30,6 +30,15 @@
 //! values — no `indptr` array at all (`indptr[i] = i·degree` is implied).
 //! Irregular CSR layers and dense layers have their own records.
 //!
+//! Values and per-parameter optimizer state are written in CSR order
+//! whatever a layer's in-memory storage: a RadiX layer kept as its
+//! diagonals (`radix_sparse::PreparedWeights::cyclic`) holds its
+//! weights, gradients and optimizer state in diagonal order, so the
+//! encoder writes its CSR rebuild and permutes each weight state vector
+//! through the layer's fixed map, and the decoder permutes back. The
+//! bytes are the same as for the CSR-stored layer, and files stay
+//! interchangeable across storages.
+//!
 //! ## Atomic write protocol
 //!
 //! [`save`] encodes to memory, writes `<name>.tmp` in the target
@@ -48,13 +57,14 @@
 //! [`CheckpointError`]. `tests/checkpoint.rs` fuzzes truncations and bit
 //! flips to pin this down.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use radix_sparse::{CsrMatrix, DenseMatrix};
+use radix_sparse::{CsrMatrix, DenseMatrix, PreparedWeights};
 
 use crate::activation::Activation;
 use crate::fault::{TrainFaultInjector, WriteFault, INJECTED_TRAIN_PANIC_MSG};
@@ -227,8 +237,11 @@ pub struct Checkpoint {
 // because the build is offline; no external crate.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `CRC32_TABLES[0]` is the classic byte table, and
+/// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table lookups advance the register by eight input bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -241,20 +254,46 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1usize;
+    while t < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) of `bytes` — the per-section and footer checksum.
+/// Slice-by-8: eight bytes per step through eight table lookups, the same
+/// value as the byte-at-a-time loop.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -403,6 +442,16 @@ fn act_from(code: u8) -> Result<Activation, CheckpointError> {
     })
 }
 
+/// The prepared weights parameter `id` is the weight vector of, if it
+/// belongs to a sparse layer — the one kind of state whose in-memory order
+/// (the layer's storage order) can differ from the file's CSR order.
+fn sparse_weights(net: &Network, id: usize) -> Option<&PreparedWeights<f32>> {
+    match net.layers().get(id / 2) {
+        Some(Layer::Sparse(s)) if id.is_multiple_of(2) => Some(s.prepared()),
+        _ => None,
+    }
+}
+
 fn encode_net(net: &Network, buf: &mut Vec<u8>) {
     put_u8(
         buf,
@@ -464,8 +513,9 @@ fn encode_net(net: &Network, buf: &mut Vec<u8>) {
 }
 
 /// Serializes one optimizer state table in deterministic (sorted
-/// param-id) order, so identical states encode to identical bytes.
-fn encode_state_table(table: &HashMap<usize, Vec<f32>>, buf: &mut Vec<u8>) {
+/// param-id) order, so identical states encode to identical bytes; a
+/// sparse layer's weight state goes out in CSR order.
+fn encode_state_table(table: &HashMap<usize, Vec<f32>>, net: &Network, buf: &mut Vec<u8>) {
     let mut ids: Vec<usize> = table.keys().copied().collect();
     ids.sort_unstable();
     put_u32(buf, ids.len() as u32);
@@ -473,13 +523,17 @@ fn encode_state_table(table: &HashMap<usize, Vec<f32>>, buf: &mut Vec<u8>) {
         put_u32(buf, id as u32);
         let v = &table[&id];
         put_u64(buf, v.len() as u64);
-        for &x in v {
+        let v = match sparse_weights(net, id) {
+            Some(w) if w.nnz() == v.len() => w.to_csr_order(v),
+            _ => Cow::Borrowed(v.as_slice()),
+        };
+        for &x in v.iter() {
             put_f32(buf, x);
         }
     }
 }
 
-fn encode_opt(opt: &Optimizer, buf: &mut Vec<u8>) {
+fn encode_opt(opt: &Optimizer, net: &Network, buf: &mut Vec<u8>) {
     match opt {
         Optimizer::Sgd { lr } => {
             put_u8(buf, 0);
@@ -489,7 +543,7 @@ fn encode_opt(opt: &Optimizer, buf: &mut Vec<u8>) {
             put_u8(buf, 1);
             put_f32(buf, *lr);
             put_f32(buf, *mu);
-            encode_state_table(velocity, buf);
+            encode_state_table(velocity, net, buf);
         }
         Optimizer::Adam {
             lr,
@@ -506,8 +560,8 @@ fn encode_opt(opt: &Optimizer, buf: &mut Vec<u8>) {
             put_f32(buf, *beta2);
             put_f32(buf, *eps);
             put_u32(buf, *t);
-            encode_state_table(m, buf);
-            encode_state_table(v, buf);
+            encode_state_table(m, net, buf);
+            encode_state_table(v, net, buf);
         }
     }
 }
@@ -527,11 +581,32 @@ fn encode_progress(p: &TrainProgress, buf: &mut Vec<u8>) {
     }
 }
 
-fn put_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+/// Appends one framed section — tag, payload length, the payload `fill`
+/// writes, its CRC — encoding the payload in place and patching its
+/// length in afterwards.
+fn put_section(out: &mut Vec<u8>, tag: u32, fill: impl FnOnce(&mut Vec<u8>)) {
     put_u32(out, tag);
-    put_u64(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    put_u32(out, crc32(payload));
+    let len_at = out.len();
+    put_u64(out, 0);
+    let start = out.len();
+    fill(out);
+    let len = (out.len() - start) as u64;
+    out[len_at..start].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[start..]);
+    put_u32(out, crc);
+}
+
+/// About the encoded size: every parameter is a 4-byte value, a sparse
+/// weight also a 4-byte column id, and each optimizer state table one
+/// more 4-byte value per parameter; 4 KiB covers headers, per-row
+/// `indptr` of irregular layers and the history.
+fn encoded_size_hint(net: &Network, opt: &Optimizer) -> usize {
+    let tables = match opt {
+        Optimizer::Sgd { .. } => 0,
+        Optimizer::Momentum { .. } => 1,
+        Optimizer::Adam { .. } => 2,
+    };
+    net.num_params() * 4 * (2 + tables) + 4096
 }
 
 /// Encodes a checkpoint to its complete byte representation (sections,
@@ -539,19 +614,13 @@ fn put_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
 /// identical bytes.
 #[must_use]
 pub fn encode(net: &Network, opt: &Optimizer, progress: &TrainProgress) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4096);
+    let mut out = Vec::with_capacity(encoded_size_hint(net, opt));
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
     put_u32(&mut out, 3);
-    let mut payload = Vec::with_capacity(4096);
-    encode_net(net, &mut payload);
-    put_section(&mut out, TAG_NET, &payload);
-    payload.clear();
-    encode_opt(opt, &mut payload);
-    put_section(&mut out, TAG_OPT, &payload);
-    payload.clear();
-    encode_progress(progress, &mut payload);
-    put_section(&mut out, TAG_PROG, &payload);
+    put_section(&mut out, TAG_NET, |buf| encode_net(net, buf));
+    put_section(&mut out, TAG_OPT, |buf| encode_opt(opt, net, buf));
+    put_section(&mut out, TAG_PROG, |buf| encode_progress(progress, buf));
     let footer = crc32(&out);
     put_u32(&mut out, footer);
     out
@@ -738,6 +807,11 @@ fn decode_state_table(
             });
         }
         let v = r.f32_vec(len)?;
+        // The file holds CSR order; keep the layer's storage order.
+        let v = match sparse_weights(net, id) {
+            Some(w) => w.from_csr_order(v),
+            None => v,
+        };
         table.insert(id, v);
     }
     Ok(table)
@@ -1109,5 +1183,49 @@ impl Checkpointer {
             }
         }
         Ok(None)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The byte-at-a-time table loop `crc32` replaced: the oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_short_length() {
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=64 {
+            for start in 0..8.min(64 - len + 1) {
+                let s = &bytes[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} start {start}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_matches_bytewise_on_random_buffers(
+            bytes in proptest::collection::vec(0u8..=255, 64..4096),
+        ) {
+            for len in 0..=64 {
+                proptest::prop_assert_eq!(crc32(&bytes[..len]), crc32_bytewise(&bytes[..len]));
+            }
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
     }
 }

@@ -4,11 +4,7 @@
 //! adjacency pattern); training updates the values but never the pattern —
 //! the "de novo sparse" regime of the paper (§I), as opposed to pruning.
 
-use rayon::prelude::*;
-
-use radix_sparse::{
-    AsDenseView, Bias, CsrMatrix, DenseMatrix, DenseView, Epilogue, Par, PreparedWeights,
-};
+use radix_sparse::{AsDenseView, Bias, CsrMatrix, DenseMatrix, Epilogue, Par, PreparedWeights};
 
 use crate::activation::Activation;
 
@@ -16,7 +12,10 @@ use crate::activation::Activation;
 /// parameter storage (`w` parallel to the weight values, `b` to the bias).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerGrads {
-    /// Weight gradients (CSR value order for sparse, row-major for dense).
+    /// Weight gradients, in the layer's storage order: the order of
+    /// `PreparedWeights::values` for sparse layers (diagonal order `t·n + j`
+    /// for a sum of cyclic shifts, CSR order otherwise), row-major for
+    /// dense ones.
     pub w: Vec<f32>,
     /// Bias gradients.
     pub b: Vec<f32>,
@@ -64,9 +63,11 @@ impl LayerGrads {
 }
 
 /// A linear layer with a sparse weight matrix and per-output bias. The
-/// weights are held as [`PreparedWeights`]: RadiX-Net/X-Net patterns have
-/// constant row degree, so forward/backward run on the ELL fast path with
-/// the bias + activation epilogue fused into the kernel.
+/// weights are held as [`PreparedWeights`]: a RadiX-Net layer is stored
+/// as its value diagonals and trains forward, backward and weight
+/// gradient as shift-adds over them; X-Net and other constant-degree
+/// patterns run the ELL fast path. Either way the bias + activation
+/// epilogue is fused into the kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseLinear {
     w: PreparedWeights<f32>,
@@ -117,8 +118,8 @@ pub enum Layer {
 
 impl SparseLinear {
     /// Creates a sparse layer from weights and activation; bias starts at
-    /// 0. The weight matrix is prepared once here (constant-row-degree
-    /// detection for the ELL fast path).
+    /// 0. The weight matrix is prepared once here (its storage chosen:
+    /// diagonals for a sum of cyclic shifts, else CSR/ELL).
     #[must_use]
     pub fn new(w: CsrMatrix<f32>, act: Activation) -> Self {
         let b = vec![0.0; w.ncols()];
@@ -144,10 +145,12 @@ impl SparseLinear {
         }
     }
 
-    /// The weight matrix in CSR form.
+    /// The weight matrix in CSR form, rebuilt from the prepared storage
+    /// ([`PreparedWeights::to_csr`]); training and inference never need
+    /// it.
     #[must_use]
-    pub fn weights(&self) -> &CsrMatrix<f32> {
-        self.w.as_csr()
+    pub fn weights(&self) -> CsrMatrix<f32> {
+        self.w.to_csr()
     }
 
     /// The per-output bias vector.
@@ -168,12 +171,12 @@ impl SparseLinear {
         &self.w
     }
 
-    /// Builds the column-tiled layout for cache-blocked forward products
-    /// (tiles as wide as the weight's `KernelPlan` says — the process
-    /// plan's `RADIX_TILE_COLS`; narrow layers stay untiled). Worth
-    /// calling on a **frozen** network before inference-heavy use; a
-    /// training update (`apply_update`) drops the tiles again, since they
-    /// hold a reordered copy of the weight values.
+    /// Readies the column-tiled forward schedule (tiles as wide as the
+    /// weight's `KernelPlan` says — the process plan's `RADIX_TILE_COLS`;
+    /// narrow layers stay untiled). A diagonal-stored layer needs nothing
+    /// built; a CSR-stored one gets a CSC copy of its values, which an
+    /// update (`apply_update`) drops again — so call this on a frozen
+    /// network before inference-heavy use.
     pub fn tile(&mut self) -> bool {
         self.w.tile()
     }
@@ -292,15 +295,23 @@ impl Layer {
     /// # Panics
     /// Panics if `x.ncols() != n_in()`.
     pub fn forward_into(&self, x: &impl AsDenseView<f32>, out: &mut DenseMatrix<f32>) {
+        self.forward_into_par(x, out, Par::Auto);
+    }
+
+    /// [`Layer::forward_into`] with the kernels' serial-vs-pool choice
+    /// made by the caller (a data-parallel chunk, already on the pool,
+    /// passes `Par::Serial`).
+    pub(crate) fn forward_into_par(
+        &self,
+        x: &impl AsDenseView<f32>,
+        out: &mut DenseMatrix<f32>,
+        par: Par,
+    ) {
         match self {
             Layer::Sparse(l) => {
                 let act = l.act;
                 let epi = Epilogue::new(Bias::PerOutput(&l.b), move |v: f32| act.apply(v));
-                // Tiled-aware: layers tiled via SparseLinear::tile run the
-                // cache-blocked schedule, untrained/untiled layers fall
-                // back to the plain ELL walk (bitwise-identical results).
-                l.w.spmm(x, out, &epi, Par::Auto)
-                    .expect("layer width mismatch");
+                l.w.spmm(x, out, &epi, par).expect("layer width mismatch");
             }
             Layer::Dense(l) => {
                 x.as_view()
@@ -342,14 +353,15 @@ impl Layer {
     /// place (becoming scratch). `grads` and `grad_in` are resized
     /// (reusing allocations) and filled.
     ///
-    /// Sparse layers run entirely on the prepared engine: the weight
-    /// gradients accumulate through the pool's allocation-free chunk
-    /// dispatch, and the input gradient `delta · Wᵀ` runs the **tiled
-    /// transposed** kernel (`PreparedWeights::spmm_transposed`), which is
-    /// zero-copy over the ELL layout — so wide training layers get the
-    /// cache-blocked schedule without ever calling
-    /// [`SparseLinear::tile`], and a steady-state train step performs no
-    /// heap allocation (`tests/zero_alloc.rs` pins this down).
+    /// Sparse layers run entirely on the prepared storage: the weight
+    /// gradients come from `PreparedWeights::weight_grads` and the input
+    /// gradient `delta · Wᵀ` from `PreparedWeights::spmm_transposed`,
+    /// both tile-major over the storage itself — shift-adds over the
+    /// diagonals of a RadiX layer, the ELL rows of any other — so no
+    /// [`SparseLinear::tile`] call is involved, the weight gradient is in
+    /// the layer's storage order, and a steady-state train step performs
+    /// no heap allocation (`tests/zero_alloc.rs` pins this down). Serial
+    /// vs pool is `Par::Auto`, the weight's `KernelPlan` work threshold.
     ///
     /// # Panics
     /// Panics on shape mismatches between `x`, `out`, and `delta`.
@@ -360,6 +372,20 @@ impl Layer {
         delta: &mut DenseMatrix<f32>,
         grads: &mut LayerGrads,
         grad_in: &mut DenseMatrix<f32>,
+    ) {
+        self.backward_into_par(x, out, delta, grads, grad_in, Par::Auto);
+    }
+
+    /// [`Layer::backward_into`] with the kernels' serial-vs-pool choice
+    /// made by the caller.
+    pub(crate) fn backward_into_par(
+        &self,
+        x: &impl AsDenseView<f32>,
+        out: &DenseMatrix<f32>,
+        delta: &mut DenseMatrix<f32>,
+        grads: &mut LayerGrads,
+        grad_in: &mut DenseMatrix<f32>,
+        par: Par,
     ) {
         let x = x.as_view();
         assert_eq!(out.shape(), delta.shape(), "output/grad shape mismatch");
@@ -384,10 +410,9 @@ impl Layer {
 
         match self {
             Layer::Sparse(l) => {
-                sparse_weight_grads_into(&l.w, x, delta.view(), &mut grads.w);
-                // The backward orientation needs no prebuilt tiles: the
-                // transpose's gather layout is the ELL storage itself.
-                l.w.spmm_transposed(delta, grad_in, &Epilogue::identity(), Par::Auto)
+                l.w.weight_grads(&x, delta, &mut grads.w, par)
+                    .expect("layer shapes match the weights");
+                l.w.spmm_transposed(delta, grad_in, &Epilogue::identity(), par)
                     .expect("delta width matches weight columns");
             }
             Layer::Dense(l) => {
@@ -457,71 +482,6 @@ impl Layer {
         match self {
             Layer::Sparse(l) => (l.w.nnz(), l.b.len()),
             Layer::Dense(l) => (l.w.nrows() * l.w.ncols(), l.b.len()),
-        }
-    }
-}
-
-/// Gradients of the structural nonzeros only:
-/// `grad_w[(i,j)] = Σ_b x[b,i] · delta[b,j]`, in CSR (= ELL) value order,
-/// written into the caller's (already zeroed) buffer.
-///
-/// At constant degree (every RadiX/X-Net layer) the flat gradient vector
-/// partitions into `degree`-sized per-row segments, so the parallel path
-/// runs on the persistent pool's **allocation-free** chunk dispatch
-/// (`rayon::for_each_chunk_mut`, chunk index = weight row) — this is what
-/// keeps the steady-state train step heap-silent. Irregular CSR layers
-/// still parallelize (a per-row segment list is materialized per call —
-/// they sit outside the zero-alloc RadiX regime); small products walk
-/// `indptr` slices serially. The serial-vs-pool switch is the same
-/// `Par::Auto` work threshold the products use.
-fn sparse_weight_grads_into(
-    w: &PreparedWeights<f32>,
-    x: DenseView<'_, f32>,
-    delta: DenseView<'_, f32>,
-    grads: &mut [f32],
-) {
-    let csr = w.as_csr();
-    assert_eq!(grads.len(), csr.nnz(), "gradient buffer length");
-    if grads.is_empty() {
-        return;
-    }
-    let row_grads = |i: usize, seg: &mut [f32]| {
-        let (cols, _) = csr.row(i);
-        for b in 0..x.nrows() {
-            let xv = x.get(b, i);
-            if xv == 0.0 {
-                continue;
-            }
-            let drow = delta.row(b);
-            for (g, &j) in seg.iter_mut().zip(cols) {
-                *g += xv * drow[j];
-            }
-        }
-    };
-    let parallel = w.plan().pool(Par::Auto, w.work(x.nrows()));
-    match w.degree() {
-        Some(d) if d > 0 && parallel => {
-            rayon::for_each_chunk_mut(grads, d, row_grads);
-        }
-        None if parallel => {
-            // Irregular rows: split the flat vector into per-row segments
-            // (CSR rows partition the value array) and fan out.
-            let mut segments: Vec<(usize, &mut [f32])> = Vec::with_capacity(csr.nrows());
-            let mut rest = grads;
-            for i in 0..csr.nrows() {
-                let (seg, tail) = rest.split_at_mut(csr.row_nnz(i));
-                segments.push((i, seg));
-                rest = tail;
-            }
-            segments
-                .into_par_iter()
-                .for_each(|(i, seg)| row_grads(i, seg));
-        }
-        _ => {
-            let indptr = csr.indptr();
-            for i in 0..csr.nrows() {
-                row_grads(i, &mut grads[indptr[i]..indptr[i + 1]]);
-            }
         }
     }
 }
@@ -698,6 +658,8 @@ mod tests {
         let grad_out = random_batch(4, 6, 4);
         let (gs, gin_s) = l.backward(&x, &out_s, &grad_out);
         let (gd, gin_d) = ld.backward(&x, &out_d, &grad_out);
+        // The sparse gradient is in storage order; read it in CSR order.
+        let gs_w = sl.prepared().to_csr_order(&gs.w);
 
         // Input grads equal.
         for i in 0..4 {
@@ -709,9 +671,9 @@ mod tests {
         for (k, (i, j, _)) in w_csr.iter().enumerate() {
             let dense_grad = gd.w[i * 6 + j];
             assert!(
-                (gs.w[k] - dense_grad).abs() < 1e-5,
+                (gs_w[k] - dense_grad).abs() < 1e-5,
                 "entry ({i},{j}): {} vs {}",
-                gs.w[k],
+                gs_w[k],
                 dense_grad
             );
         }

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use radix_net::Fnnt;
-use radix_sparse::{AsDenseView, DenseMatrix, DenseView};
+use radix_sparse::{AsDenseView, DenseMatrix, DenseView, Par};
 
 use crate::activation::Activation;
 use crate::init::{init_dense, init_sparse, Init};
@@ -230,15 +230,25 @@ impl Network {
     /// # Panics
     /// Panics if `x.ncols() != n_in()`.
     pub fn forward_trace_into(&self, x: &impl AsDenseView<f32>, trace: &mut Vec<DenseMatrix<f32>>) {
-        let x = x.as_view();
+        self.forward_trace_par(x.as_view(), trace, Par::Auto);
+    }
+
+    /// [`Network::forward_trace_into`] with the layers' serial-vs-pool
+    /// choice made by the caller.
+    fn forward_trace_par(
+        &self,
+        x: DenseView<'_, f32>,
+        trace: &mut Vec<DenseMatrix<f32>>,
+        par: Par,
+    ) {
         let n = self.layers.len();
         trace.resize_with(n, || DenseMatrix::zeros(0, 0));
         for (i, layer) in self.layers.iter().enumerate() {
             let (head, tail) = trace.split_at_mut(i);
             if i == 0 {
-                layer.forward_into(&x, &mut tail[0]);
+                layer.forward_into_par(&x, &mut tail[0], par);
             } else {
-                layer.forward_into(&head[i - 1], &mut tail[0]);
+                layer.forward_into_par(&head[i - 1], &mut tail[0], par);
             }
         }
     }
@@ -281,7 +291,15 @@ impl Network {
             grads,
             ..
         } = ws;
-        self.grad_batch_core(x.as_view(), targets, trace, delta, grad_in, grads)
+        self.grad_batch_core(
+            x.as_view(),
+            targets,
+            Par::Auto,
+            trace,
+            delta,
+            grad_in,
+            grads,
+        )
     }
 
     /// One full forward + backward over `x` through caller-provided
@@ -289,18 +307,22 @@ impl Network {
     /// and pool-native data-parallel ([`Network::par_grad_batch_with`])
     /// paths. The data-parallel dispatch hands each worker its slot's
     /// trace/delta scratch plus the **chunk's own** gradient buffers, so a
-    /// chunk's result survives until the fixed-order reduction.
+    /// chunk's result survives until the fixed-order reduction, and runs
+    /// the chunk's kernels with `par = Par::Serial`: the chunk already is
+    /// a pool task, and the kernels are bitwise equal on every `Par`.
+    #[allow(clippy::too_many_arguments)]
     fn grad_batch_core(
         &self,
         x: DenseView<'_, f32>,
         targets: Targets<'_>,
+        par: Par,
         trace: &mut Vec<DenseMatrix<f32>>,
         delta: &mut DenseMatrix<f32>,
         grad_in: &mut DenseMatrix<f32>,
         grads: &mut [LayerGrads],
     ) -> f32 {
         assert_eq!(grads.len(), self.layers.len(), "gradient layer count");
-        self.forward_trace_into(&x, trace);
+        self.forward_trace_par(x, trace, par);
         let logits = trace.last().expect("at least one layer");
         // The loss gradient is written straight into the workspace delta
         // buffer — the last per-batch allocation the training loop used to
@@ -311,14 +333,15 @@ impl Network {
         };
         for i in (0..self.layers.len()).rev() {
             if i == 0 {
-                self.layers[0].backward_into(&x, &trace[0], delta, &mut grads[0], grad_in);
+                self.layers[0].backward_into_par(&x, &trace[0], delta, &mut grads[0], grad_in, par);
             } else {
-                self.layers[i].backward_into(
+                self.layers[i].backward_into_par(
                     &trace[i - 1],
                     &trace[i],
                     delta,
                     &mut grads[i],
                     grad_in,
+                    par,
                 );
             }
             // The gradient w.r.t. this layer's input is the next (earlier)
@@ -437,6 +460,7 @@ impl Network {
             slot.loss = self.grad_batch_core(
                 x.rows_view(range.clone()),
                 targets.slice(range),
+                Par::Serial,
                 trace,
                 delta,
                 grad_in,
@@ -483,7 +507,7 @@ impl Network {
                     let b_segs = b_len.div_ceil(REDUCE_PARAM_CHUNK);
                     let decay = (wd > 0.0).then(|| {
                         let w: &[f32] = match layer {
-                            Layer::Sparse(s) => s.weights().data(),
+                            Layer::Sparse(s) => s.prepared().values(),
                             Layer::Dense(d) => d.weights().as_slice(),
                         };
                         (w, wd)
@@ -576,8 +600,9 @@ impl Network {
         for (layer, g) in self.layers.iter().zip(grads) {
             match layer {
                 Layer::Sparse(s) => {
-                    assert_eq!(g.w.len(), s.weights().nnz(), "weight grad length");
-                    for (gw, &w) in g.w.iter_mut().zip(s.weights().data()) {
+                    let w = s.prepared().values();
+                    assert_eq!(g.w.len(), w.len(), "weight grad length");
+                    for (gw, &w) in g.w.iter_mut().zip(w) {
                         *gw += wd * w;
                     }
                 }
@@ -636,7 +661,7 @@ impl Network {
         for layer in &self.layers {
             full += layer.n_in() * layer.n_out();
             nnz += match layer {
-                Layer::Sparse(s) => s.weights().nnz(),
+                Layer::Sparse(s) => s.prepared().nnz(),
                 Layer::Dense(_) => layer.n_in() * layer.n_out(),
             };
         }

@@ -19,12 +19,12 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use radix_net::{MixedRadixSystem, RadixNetSpec};
+use radix_net::{MixedRadixSystem, MixedRadixTopology, RadixNetSpec};
 use radix_nn::checkpoint::{decode, encode, load, save};
 use radix_nn::{
-    train_classifier, train_classifier_checkpointed, Activation, CheckpointError, Checkpointer,
-    Init, Loss, Network, Optimizer, TrainConfig, TrainFaultInjector, TrainFaultPlan, TrainProgress,
-    INJECTED_TRAIN_PANIC_MSG,
+    train_classifier, train_classifier_checkpointed, train_regressor, Activation, CheckpointError,
+    Checkpointer, Init, Layer, Loss, Network, Optimizer, TrainConfig, TrainFaultInjector,
+    TrainFaultPlan, TrainProgress, INJECTED_TRAIN_PANIC_MSG,
 };
 use radix_sparse::DenseMatrix;
 
@@ -112,6 +112,70 @@ fn save_then_load_roundtrips_exactly() {
         encode(&net, &opt, &progress)
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn momentum_state_of_a_cyclic_net_is_stored_in_csr_order() {
+    // Mixed radix (2, 4, 2) on 16 nodes: three Σ P^(t·ν) layers, each
+    // stored as its diagonals, so weights and velocity live in storage
+    // order `t·n + j` in memory.
+    let fnnt = MixedRadixTopology::new(MixedRadixSystem::new([2, 4, 2]).unwrap()).into_fnnt();
+    let mut net = Network::from_fnnt(&fnnt, Activation::Tanh, Init::Xavier, Loss::Mse, 5);
+    let n = net.n_in();
+    let mut x = DenseMatrix::zeros(24, n);
+    let mut y = DenseMatrix::zeros(24, n);
+    for b in 0..24 {
+        for j in 0..n {
+            x.set(b, j, ((b * 7 + j * 3) % 13) as f32 * 0.1 - 0.6);
+            y.set(b, j, ((b + j * 5) % 11) as f32 * 0.05);
+        }
+    }
+    let mut opt = Optimizer::momentum(0.05, 0.9);
+    let config = TrainConfig {
+        epochs: 2,
+        batch_size: 8,
+        seed: 3,
+        ..TrainConfig::default()
+    };
+    train_regressor(&mut net, &x, &y, &mut opt, &config);
+
+    // encode → decode → encode is byte-identical, and decoding restores
+    // the same network.
+    let progress = TrainProgress::default();
+    let bytes = encode(&net, &opt, &progress);
+    let ck = decode(&bytes).unwrap();
+    assert_eq!(ck.net, net);
+    assert_eq!(encode(&ck.net, &ck.opt, &ck.progress), bytes);
+
+    // The file holds layer 1's velocity (parameter 2) in CSR order. The
+    // oracle maps CSR entry (i, j) of Σ P^(t·ν) to its storage slot
+    // t·n + j directly, with t = ((j − i) mod n) / ν.
+    let Layer::Sparse(layer) = &net.layers()[1] else {
+        unreachable!("RadiX layers are sparse")
+    };
+    let Some((_, nu)) = layer.prepared().cyclic() else {
+        panic!("a RadiX layer is stored as its diagonals")
+    };
+    let Optimizer::Momentum { velocity, .. } = &opt else {
+        unreachable!()
+    };
+    let v = &velocity[&2];
+    let le_bytes =
+        |vals: Vec<f32>| -> Vec<u8> { vals.into_iter().flat_map(f32::to_le_bytes).collect() };
+    let csr_order = le_bytes(
+        layer
+            .weights()
+            .iter()
+            .map(|(i, j, _)| v[(j + n - i) % n / nu * n + j])
+            .collect(),
+    );
+    let storage_order = le_bytes(v.clone());
+    let holds = |seq: &[u8]| bytes.windows(seq.len()).any(|w| w == seq);
+    assert!(holds(&csr_order), "velocity must be written in CSR order");
+    assert!(
+        !holds(&storage_order),
+        "storage order must not reach the file"
+    );
 }
 
 #[test]

@@ -473,40 +473,52 @@ macro_rules! prop_assert {
     };
 }
 
-/// Fails the current case unless the two expressions are equal.
+/// Fails the current case unless the two expressions are equal. Like
+/// `assert_eq!`, the operands are matched rather than `let`-bound, so
+/// temporaries they borrow from (`a.owned().field()`) live until the
+/// comparison is done.
 #[macro_export]
 macro_rules! prop_assert_eq {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (left, right) = (&$left, &$right);
-        $crate::prop_assert!(
-            *left == *right,
-            "assertion failed: `{} == {}`\n  left: {:?}\n right: {:?}",
-            stringify!($left), stringify!($right), left, right
-        );
-    }};
-    ($left:expr, $right:expr, $($fmt:tt)+) => {{
-        let (left, right) = (&$left, &$right);
-        $crate::prop_assert!(
-            *left == *right,
-            "assertion failed: `{} == {}`: {}\n  left: {:?}\n right: {:?}",
-            stringify!($left), stringify!($right), format_args!($($fmt)+), left, right
-        );
-    }};
+    ($left:expr, $right:expr $(,)?) => {
+        match (&$left, &$right) {
+            (left, right) => {
+                $crate::prop_assert!(
+                    *left == *right,
+                    "assertion failed: `{} == {}`\n  left: {:?}\n right: {:?}",
+                    stringify!($left), stringify!($right), left, right
+                );
+            }
+        }
+    };
+    ($left:expr, $right:expr, $($fmt:tt)+) => {
+        match (&$left, &$right) {
+            (left, right) => {
+                $crate::prop_assert!(
+                    *left == *right,
+                    "assertion failed: `{} == {}`: {}\n  left: {:?}\n right: {:?}",
+                    stringify!($left), stringify!($right), format_args!($($fmt)+), left, right
+                );
+            }
+        }
+    };
 }
 
 /// Fails the current case if the two expressions are equal.
 #[macro_export]
 macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (left, right) = (&$left, &$right);
-        $crate::prop_assert!(
-            *left != *right,
-            "assertion failed: `{} != {}`\n  both: {:?}",
-            stringify!($left),
-            stringify!($right),
-            left
-        );
-    }};
+    ($left:expr, $right:expr $(,)?) => {
+        match (&$left, &$right) {
+            (left, right) => {
+                $crate::prop_assert!(
+                    *left != *right,
+                    "assertion failed: `{} != {}`\n  both: {:?}",
+                    stringify!($left),
+                    stringify!($right),
+                    left
+                );
+            }
+        }
+    };
 }
 
 /// Discards the current case (without failing) unless `cond` holds.

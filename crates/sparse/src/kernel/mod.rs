@@ -1,44 +1,46 @@
-//! Prepared-kernel execution engine: fixed-degree (ELLPACK-style) weight
-//! layouts, caller-provided output buffers, and fused bias/activation
-//! epilogues.
+//! Prepared-kernel execution engine: index-free diagonal and
+//! fixed-degree (ELLPACK-style) weight storage, caller-provided output
+//! buffers, and fused bias/activation epilogues.
 //!
 //! The generic [`crate::ops`] kernels treat every CSR matrix as irregular:
 //! each row access chases `indptr`, every product allocates a fresh output,
 //! and consumers make a second full pass over that output for bias +
 //! activation + clamp. RadiX-Net layer matrices are better than that —
-//! every row has the same degree by construction — and this module exploits
-//! it:
+//! each is a sum of cyclic shifts, so every index is implied by three
+//! numbers — and this module exploits it:
 //!
-//! * [`PreparedWeights`] — a weight matrix analyzed once; constant-degree
-//!   matrices get unit-stride ELL row addressing, irregular ones fall back
-//!   to CSR transparently,
-//! * **three products** — [`PreparedWeights::spmm`] (`X · W`),
-//!   [`PreparedWeights::spmm_transposed`] (`X · Wᵀ`, the backward/training
-//!   orientation) and [`PreparedWeights::spmm_rows_to`] (one row block of
-//!   `X · W`, what multi-layer fusion chains layers through). Each writes
-//!   into a reusable buffer instead of allocating; the whole-batch two
-//!   take a [`Par`] — serial, pool, or decided by the work threshold —
-//!   and dispatch through the rayon shim's persistent worker pool with
-//!   zero heap allocation,
+//! * [`PreparedWeights`] — a weight matrix analyzed once: a sum of cyclic
+//!   shifts `Σ P^(t·ν)` (paper eq. 2 — every square RadiX-Net layer) is
+//!   stored as its value diagonals and nothing else
+//!   ([`PreparedWeights::cyclic`]); any other matrix keeps its CSR,
+//!   constant-degree ones with unit-stride ELL row addressing, irregular
+//!   ones with CSR row slicing,
+//! * **three products and a gradient** — [`PreparedWeights::spmm`]
+//!   (`X · W`), [`PreparedWeights::spmm_transposed`] (`X · Wᵀ`, the
+//!   backward/training orientation), [`PreparedWeights::spmm_rows_to`]
+//!   (one row block of `X · W`, what multi-layer fusion chains layers
+//!   through) and [`PreparedWeights::weight_grads`] (`Σ_b x[b, i]·δ[b, j]`
+//!   per stored entry). Each writes into a reusable buffer instead of
+//!   allocating; the whole-batch calls take a [`Par`] — serial, pool, or
+//!   decided by the work threshold — and dispatch through the rayon shim's
+//!   persistent worker pool with zero heap allocation. On the diagonals
+//!   all of them run as unit-stride shift-adds,
 //! * [`KernelPlan`] — the five tunables (tile width, block rows,
 //!   activation-sparsity crossover, pool threshold, fuse depth) as one
 //!   value stored in each [`PreparedWeights`]. [`KernelPlan::process`]
 //!   resolves the process-wide plan once (environment > tuning profile >
 //!   default); [`PreparedWeights::with_plan`] takes any other,
-//! * **column tiling** — [`PreparedWeights::tile`] reorders the entries
-//!   tile-contiguous (one-time pass at the plan's `tile_cols`), after
-//!   which the forward product runs a tile-major, cache-blocked gather —
-//!   bitwise identical to the untiled row walk. A matrix that verifies
-//!   as a sum of cyclic shifts `Σ P^(t·ν)` (paper eq. 2 — every square
-//!   RadiX-Net layer) is stored as value diagonals with no column
-//!   indices at all ([`PreparedWeights::cyclic`]). The transposed product
-//!   needs no such pass: the transpose's CSC layout is `W`'s own CSR/ELL
-//!   storage, so it tiles **zero-copy** whenever `W` has more rows than
-//!   one tile, and training layers (whose updates drop forward tiles)
-//!   stay tiled throughout,
-//! * **activation-sparsity dispatch** — per row block of a tiled forward
-//!   product, a cheap nonzero count picks the branch-free gather (dense
-//!   activations) or the zero-skipping scatter (post-ReLU sparse
+//! * **column tiling** — the diagonal storage is tile-major at every
+//!   width; [`PreparedWeights::tile`] gives a CSR-stored matrix a
+//!   tile-contiguous CSC copy of its entries (one-time pass at the plan's
+//!   `tile_cols`), after which its forward product runs a tile-major,
+//!   cache-blocked gather — bitwise identical to the untiled row walk.
+//!   The transposed product needs no such pass: the transpose's rows are
+//!   the storage's own (diagonals or CSR/ELL), so it tiles **zero-copy**
+//!   whenever `W` has more rows than one tile,
+//! * **activation-sparsity dispatch** — per row block of a gathering
+//!   forward product, a cheap nonzero count picks the branch-free gather
+//!   (dense activations) or the zero-skipping scatter (post-ReLU sparse
 //!   activations), crossover the plan's `act_sparse_percent`,
 //! * [`Epilogue`] / [`Bias`] — bias + elementwise map fused into the
 //!   kernel's per-row (per-tile, when tiled) finish, eliminating the

@@ -1,69 +1,85 @@
-//! Prepared fixed-degree weights: the ELLPACK fast path.
+//! Prepared weights: one storage per matrix, chosen once, and the
+//! products that run on it.
 //!
 //! A RadiX-Net layer matrix is a sum of cyclic-shift permutation matrices
-//! (paper eq. 2), so every row stores exactly the same number of entries —
-//! the layer's radix. For such matrices CSR's `indptr` array carries no
-//! information: row `i`'s entries are always `indices[i·d .. (i+1)·d]`.
-//! [`PreparedWeights`] detects this at construction and switches its
-//! kernels to an ELLPACK-style unit-stride walk (`degree × nrows`, no
-//! per-row pointer chasing); irregular matrices fall back to ordinary CSR
-//! row slicing transparently — same API, same results.
+//! (paper eq. 2), `W = Σ_{t<r} P^(t·ν)`. [`PreparedWeights`] checks every
+//! matrix for that structure when it is built, at every width, and when
+//! it holds stores **only** the `r` value diagonals — no column indices,
+//! no row pointers, 4 bytes per edge. Forward, transposed and
+//! weight-gradient products then run as unit-stride shift-adds over the
+//! diagonals (`kernel::tiled`'s `CyclicDiagonals`). Every other matrix —
+//! X-Nets, random nets, a RadiX layer under a column permutation — keeps
+//! its CSR: constant-degree ones switch the kernels to an ELLPACK-style
+//! unit-stride walk (`degree × nrows`, no per-row pointer chasing),
+//! irregular ones fall back to ordinary CSR row slicing, and
+//! [`PreparedWeights::tile`] can add a CSC copy for the cache-blocked
+//! forward gather. Same API, same results.
 //!
 //! There is one product per orientation — [`PreparedWeights::spmm`]
 //! (`X · W`) and [`PreparedWeights::spmm_transposed`] (`X · Wᵀ`) — plus
-//! the row-block building block [`PreparedWeights::spmm_rows_to`]. Each
-//! writes into a caller-provided buffer (resized in place, reusing its
-//! allocation) and takes an [`Epilogue`] fused into the loop, so a layer
-//! step is one pass over the output instead of "allocate, product, second
-//! pass for bias+activation". How a product runs — cache-tiled or not,
-//! which row-block grain, gather or scatter — follows from the
-//! [`KernelPlan`] the matrix carries and from what the code observes
-//! (tiles built; output no wider than one tile), never from which method
-//! was called.
+//! the row-block building block [`PreparedWeights::spmm_rows_to`] and the
+//! weight gradient [`PreparedWeights::weight_grads`]. Each writes into a
+//! caller-provided buffer (resized in place, reusing its allocation); the
+//! products take an [`Epilogue`] fused into the loop, so a layer step is
+//! one pass over the output instead of "allocate, product, second pass
+//! for bias+activation". How a product runs — cache-tiled or not, which
+//! row-block grain, gather or scatter — follows from the storage, from
+//! the [`KernelPlan`] the matrix carries and from what the code observes
+//! (output no wider than one tile), never from which method was called.
 //!
 //! Accumulation order is identical to the un-prepared kernels
 //! ([`crate::ops::dense_spmm`] and friends) on every path, so results are
 //! bitwise equal to the naive path — the property suite in
 //! `tests/prepared_kernels.rs` pins that down across the plan cross
-//! product.
+//! product and both storages.
+
+use std::borrow::Cow;
+
+use rayon::prelude::*;
 
 use crate::csr::CsrMatrix;
 use crate::dense::{AsDenseView, DenseMatrix, DenseView};
 use crate::error::SparseError;
 use crate::kernel::epilogue::Epilogue;
 use crate::kernel::heuristic::{KernelPlan, Par};
-use crate::kernel::tiled::{gather_t_block_csr, gather_t_block_ell, Tiles};
+use crate::kernel::tiled::{gather_t_block_csr, gather_t_block_ell, ColumnTiles, CyclicDiagonals};
 use crate::scalar::Scalar;
 
-/// A weight matrix prepared for repeated products: CSR storage plus a
-/// one-time constant-row-degree analysis that unlocks the ELL fast path,
-/// plus an optional one-time column-tiling pass ([`PreparedWeights::tile`])
-/// that unlocks the cache-blocked forward schedule for wide layers, plus
-/// the [`KernelPlan`] every product on it runs under.
+/// A weight matrix prepared for repeated products under a [`KernelPlan`].
 ///
-/// The CSR arrays of a constant-degree matrix *are* the ELLPACK layout
-/// (row `i` occupies `[i·d, (i+1)·d)` of `indices`/`values`, unit stride),
-/// so preparation costs one `O(nrows)` scan and zero extra memory, and
-/// [`PreparedWeights::values_mut`] keeps training updates in sync with the
-/// untiled kernels for free (tiles hold a reordered value copy, so mutating
-/// values drops them — see [`PreparedWeights::values_mut`]).
+/// A matrix that verifies as `Σ_{t<r} P^(t·ν)` is stored as its `r` value
+/// diagonals and nothing else ([`PreparedWeights::cyclic`] reports
+/// `(r, ν)`); its values, and every gradient and optimizer-state vector
+/// laid out like them, are in **storage order** `t·n + j`, and
+/// [`PreparedWeights::to_csr_order`] / [`PreparedWeights::from_csr_order`]
+/// translate. Any other matrix keeps its CSR, whose storage order is CSR
+/// order: the arrays of a constant-degree matrix *are* the ELLPACK layout
+/// (row `i` occupies `[i·d, (i+1)·d)`, unit stride), so that preparation
+/// costs one `O(nrows)` scan and zero extra memory, plus an optional
+/// column-tiling pass ([`PreparedWeights::tile`]) for the cache-blocked
+/// forward schedule of wide layers.
+///
+/// [`PreparedWeights::values_mut`] trains values on the frozen pattern;
+/// the diagonal storage survives every update.
 ///
 /// # Example: prepare → tile → forward → backward
 ///
 /// ```
 /// use radix_sparse::{CsrMatrix, DenseMatrix, Epilogue, KernelPlan, Par, PreparedWeights};
 ///
-/// // A 4×4 constant-degree matrix (every row stores exactly 2 entries).
+/// // A 4×4 constant-degree matrix (every row stores exactly 2 entries)
+/// // that is not a sum of cyclic shifts, so it keeps its CSR.
 /// let dense = DenseMatrix::from_rows(&[
 ///     &[1.0f32, 2.0, 0.0, 0.0],
-///     &[0.0, 1.0, 2.0, 0.0],
+///     &[0.0, 1.0, 0.0, 2.0],
 ///     &[0.0, 0.0, 1.0, 2.0],
-///     &[2.0, 0.0, 0.0, 1.0],
+///     &[2.0, 0.0, 1.0, 0.0],
 /// ]);
 /// // 2-column tiles; `from_csr` would take the process-wide plan instead.
 /// let plan = KernelPlan { tile_cols: 2, ..KernelPlan::default() };
 /// let mut w = PreparedWeights::with_plan(CsrMatrix::from_dense(&dense), plan);
 /// assert_eq!(w.degree(), Some(2)); // the ELL fast path is active
+/// assert_eq!(w.cyclic(), None);
 /// assert!(w.tile()); // cache-blocked forward schedule
 ///
 /// // Forward: y ← X · W into a reused buffer, no allocation in steady
@@ -78,21 +94,43 @@ use crate::scalar::Scalar;
 /// // zero-copy over the ELL layout, no tile() call required.
 /// let mut g = DenseMatrix::default();
 /// w.spmm_transposed(&x, &mut g, &Epilogue::identity(), Par::Serial)?;
-/// assert_eq!(g.row(0), &[1.0, 2.0, 1.0, 2.0]);
+/// assert_eq!(g.row(0), &[1.0, 0.0, 1.0, 3.0]);
+///
+/// // A sum of cyclic shifts (P⁰ + P¹ on 4 nodes) is stored as its two
+/// // diagonals, and its products need no tiling call at all.
+/// let shifts = DenseMatrix::from_rows(&[
+///     &[1.0f32, 2.0, 0.0, 0.0],
+///     &[0.0, 1.0, 2.0, 0.0],
+///     &[0.0, 0.0, 1.0, 2.0],
+///     &[2.0, 0.0, 0.0, 1.0],
+/// ]);
+/// let c = PreparedWeights::with_plan(CsrMatrix::from_dense(&shifts), plan);
+/// assert_eq!(c.cyclic(), Some((2, 1)));
+/// c.spmm(&x, &mut y, &Epilogue::identity(), Par::Serial)?;
+/// assert_eq!(y.row(0), &[1.0, 2.0, 1.0, 2.0]);
 /// # Ok::<(), radix_sparse::SparseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedWeights<T> {
-    csr: CsrMatrix<T>,
-    /// `Some(d)` when every row stores exactly `d` entries (the ELL fast
-    /// path is valid); `None` for irregular matrices (CSR fallback).
-    degree: Option<usize>,
-    /// Column-tiled layout (built on demand by [`PreparedWeights::tile`]):
-    /// value diagonals for a sum of cyclic shifts, a CSC entry list for
-    /// anything else; `None` means the forward product runs the untiled
-    /// row walk.
-    tiles: Option<Tiles<T>>,
+    storage: Storage<T>,
     plan: KernelPlan,
+}
+
+/// What a [`PreparedWeights`] keeps of its matrix.
+#[derive(Debug, Clone, PartialEq)]
+enum Storage<T> {
+    /// `Σ_{t<r} P^(t·ν)`: the value diagonals, nothing else.
+    Cyclic(CyclicDiagonals<T>),
+    /// Everything else.
+    Csr {
+        csr: CsrMatrix<T>,
+        /// `Some(d)` when every row stores exactly `d` entries (the ELL
+        /// fast path is valid); `None` for irregular matrices.
+        degree: Option<usize>,
+        /// The CSC entry list [`PreparedWeights::tile`] builds; `None`
+        /// means the forward product runs the untiled row walk.
+        tiles: Option<ColumnTiles<T>>,
+    },
 }
 
 /// Detects whether every row of `csr` has the same number of entries.
@@ -105,17 +143,26 @@ fn constant_degree<T: Scalar>(csr: &CsrMatrix<T>) -> Option<usize> {
     indptr.windows(2).all(|w| w[1] - w[0] == d).then_some(d)
 }
 
+/// Whether `w · 0 == 0` for every value — the law multiplying zero
+/// activations through relies on; it fails for ±∞ and NaN only.
+fn all_finite<T: Scalar>(values: &[T]) -> bool {
+    values.iter().all(|w| w.mul(T::ZERO).is_zero())
+}
+
 impl<T: Scalar> PreparedWeights<T> {
-    /// Prepares a CSR matrix for repeated products (one `O(nrows)` scan)
+    /// Prepares a CSR matrix for repeated products (one `O(nnz)` pass)
     /// under the process-wide plan ([`KernelPlan::process`]). No column
     /// tiles are built; call [`PreparedWeights::tile`] to enable the
-    /// cache-blocked forward schedule.
+    /// cache-blocked forward schedule of a CSR-stored matrix.
     #[must_use]
     pub fn from_csr(csr: CsrMatrix<T>) -> Self {
         PreparedWeights::with_plan(csr, KernelPlan::process())
     }
 
-    /// Like [`PreparedWeights::from_csr`] under an explicit plan.
+    /// Like [`PreparedWeights::from_csr`] under an explicit plan. A
+    /// matrix that verifies as `Σ_{t<r} P^(t·ν)` and stores only finite
+    /// values is kept as its diagonals and `csr` is dropped (see
+    /// [`PreparedWeights::cyclic`]); any other keeps `csr`.
     ///
     /// # Panics
     /// Panics if `plan.tile_cols` or `plan.block_rows` is zero.
@@ -123,13 +170,20 @@ impl<T: Scalar> PreparedWeights<T> {
     pub fn with_plan(csr: CsrMatrix<T>, plan: KernelPlan) -> Self {
         assert!(plan.tile_cols > 0, "tile width must be positive");
         assert!(plan.block_rows > 0, "block rows must be positive");
-        let degree = constant_degree(&csr);
-        PreparedWeights {
-            csr,
-            degree,
-            tiles: None,
-            plan,
-        }
+        // The diagonal kernels multiply zero activations through, so a
+        // non-finite weight keeps the CSR and its zero-skipping scatter.
+        let storage = match all_finite(csr.data())
+            .then(|| CyclicDiagonals::detect(&csr))
+            .flatten()
+        {
+            Some(diags) => Storage::Cyclic(diags),
+            None => Storage::Csr {
+                degree: constant_degree(&csr),
+                csr,
+                tiles: None,
+            },
+        };
+        PreparedWeights { storage, plan }
     }
 
     /// The plan every product on this matrix runs under.
@@ -138,40 +192,46 @@ impl<T: Scalar> PreparedWeights<T> {
         self.plan
     }
 
-    /// Builds the column-tiled layout at the plan's tile width. Returns
-    /// whether tiles were built; idempotent. Two kinds of matrix keep the
-    /// untiled schedule:
+    /// Readies the column-tiled forward schedule at the plan's tile width.
+    /// Returns whether the forward product now cuts more than one column
+    /// tile ([`PreparedWeights::is_tiled`]); idempotent. Two kinds of
+    /// matrix keep the untiled schedule:
     ///
     /// * one no wider than a tile (tiling it would only add overhead);
     /// * one storing a non-finite weight: the tiled gather multiplies zero
     ///   activations through where the scatter skips them, and `0 · ∞` is
     ///   `NaN`, not an additive identity.
     ///
-    /// A matrix that verifies as `Σ_{t<r} P^(t·ν)` — every layer paper
-    /// eq. (2) builds, see [`PreparedWeights::cyclic`] — gets the
-    /// index-free layout: `r` value diagonals and no column indices.
-    /// Everything else gets the CSC entry list. Results are bitwise equal
-    /// either way.
+    /// The diagonal storage needs no pass — its gather is tile-major at
+    /// every width. A CSR-stored matrix gets a CSC copy of its entries.
+    /// Results are bitwise equal either way.
     pub fn tile(&mut self) -> bool {
         if self.ncols() <= self.plan.tile_cols {
             return false;
         }
-        if self.tiles.is_none() {
-            // `w · 0 == 0` is exactly the law multiplying zeros through
-            // relies on; it fails for ±∞ and NaN only.
-            if !self.values().iter().all(|w| w.mul(T::ZERO).is_zero()) {
-                return false;
+        match &mut self.storage {
+            Storage::Cyclic(_) => true,
+            Storage::Csr { csr, tiles, .. } => {
+                if tiles.is_none() {
+                    if !all_finite(csr.data()) {
+                        return false;
+                    }
+                    *tiles = Some(ColumnTiles::build(csr, self.plan.tile_cols));
+                }
+                true
             }
-            self.tiles = Some(Tiles::build(&self.csr, self.plan.tile_cols));
         }
-        true
     }
 
-    /// Whether the column-tiled layout is built (the forward product runs
-    /// the cache-blocked schedule).
+    /// Whether the forward product cuts more than one column tile: the
+    /// diagonal storage wider than the plan's `tile_cols`, or a CSR whose
+    /// tiles [`PreparedWeights::tile`] built.
     #[must_use]
     pub fn is_tiled(&self) -> bool {
-        self.tiles.is_some()
+        match &self.storage {
+            Storage::Cyclic(d) => d.n() > self.plan.tile_cols,
+            Storage::Csr { tiles, .. } => tiles.is_some(),
+        }
     }
 
     /// The active tile width in output columns, if tiled.
@@ -180,84 +240,149 @@ impl<T: Scalar> PreparedWeights<T> {
         self.is_tiled().then_some(self.plan.tile_cols)
     }
 
-    /// `Some((radix, stride))` when the tiles are the index-free layout:
-    /// [`PreparedWeights::tile`] verified the matrix is exactly
-    /// `Σ_{t<radix} P^(t·stride)` (`P` the unit cyclic shift, `radix ≥ 2`,
-    /// `radix · stride ≤ n`) and the tiled gather runs as `radix`
-    /// unit-stride shift-adds. `None` when untiled or on the general CSC
-    /// tiles.
+    /// `Some((radix, stride))` when the storage is the value diagonals:
+    /// the matrix verified as exactly `Σ_{t<radix} P^(t·stride)` (`P` the
+    /// unit cyclic shift, `radix ≥ 2`, `radix · stride ≤ n`), and every
+    /// product runs as `radix` unit-stride shift-adds. `None` for CSR
+    /// storage.
     #[must_use]
     pub fn cyclic(&self) -> Option<(usize, usize)> {
-        self.tiles.as_ref().and_then(Tiles::cyclic)
+        match &self.storage {
+            Storage::Cyclic(d) => Some(d.radix_stride()),
+            Storage::Csr { .. } => None,
+        }
     }
 
-    /// The underlying CSR matrix (structure and values unchanged).
+    /// The matrix as CSR: a copy of the CSR storage, or rebuilt from the
+    /// diagonals (every entry stored, explicit zeros included). Products
+    /// never need it.
     #[must_use]
-    pub fn as_csr(&self) -> &CsrMatrix<T> {
-        &self.csr
+    pub fn to_csr(&self) -> CsrMatrix<T> {
+        match &self.storage {
+            Storage::Cyclic(d) => d.to_csr(),
+            Storage::Csr { csr, .. } => csr.clone(),
+        }
     }
 
-    /// Consumes `self`, returning the underlying CSR matrix.
+    /// Consumes `self`, returning the matrix as CSR (see
+    /// [`PreparedWeights::to_csr`]).
     #[must_use]
     pub fn into_csr(self) -> CsrMatrix<T> {
-        self.csr
+        match self.storage {
+            Storage::Cyclic(d) => d.to_csr(),
+            Storage::Csr { csr, .. } => csr,
+        }
     }
 
-    /// `Some(d)` when the ELL fast path is active (every row has exactly
-    /// `d` stored entries), `None` when kernels fall back to CSR.
+    /// `Some(d)` when every row stores exactly `d` entries — the ELL fast
+    /// path, or the diagonal storage (`d = r`) — `None` when kernels fall
+    /// back to CSR.
     #[must_use]
     pub fn degree(&self) -> Option<usize> {
-        self.degree
+        match &self.storage {
+            Storage::Cyclic(d) => Some(d.radix_stride().0),
+            Storage::Csr { degree, .. } => *degree,
+        }
     }
 
-    /// Whether the ELL fast path is active.
+    /// Whether every row stores the same number of entries.
     #[must_use]
     pub fn is_ell(&self) -> bool {
-        self.degree.is_some()
+        self.degree().is_some()
     }
 
     /// Number of rows (the kernel's input width).
     #[must_use]
     pub fn nrows(&self) -> usize {
-        self.csr.nrows()
+        self.shape().0
     }
 
     /// Number of columns (the kernel's output width).
     #[must_use]
     pub fn ncols(&self) -> usize {
-        self.csr.ncols()
+        self.shape().1
     }
 
     /// Shape as `(rows, cols)`.
     #[must_use]
     pub fn shape(&self) -> (usize, usize) {
-        self.csr.shape()
+        match &self.storage {
+            Storage::Cyclic(d) => (d.n(), d.n()),
+            Storage::Csr { csr, .. } => csr.shape(),
+        }
     }
 
     /// Number of stored entries.
     #[must_use]
     pub fn nnz(&self) -> usize {
-        self.csr.nnz()
+        self.values().len()
     }
 
-    /// The stored values, in CSR (= ELL, for constant degree) order.
+    /// The stored values in storage order: `diags[t·n + j] = W[(j − tν)
+    /// mod n, j]` for the diagonal storage, CSR (= ELL, for constant
+    /// degree) order otherwise.
     #[must_use]
     pub fn values(&self) -> &[T] {
-        self.csr.data()
+        match &self.storage {
+            Storage::Cyclic(d) => d.values(),
+            Storage::Csr { csr, .. } => csr.data(),
+        }
     }
 
-    /// Mutable access to the stored values; the pattern (and therefore the
-    /// prepared layout) stays fixed, which is exactly the "train values on
-    /// a frozen topology" regime of the paper.
-    ///
-    /// Tiles of either layout hold a reordered **copy** of the values, so
-    /// they are dropped here to keep the tiled kernels consistent; call
-    /// [`PreparedWeights::tile`] again after the update if tiled inference
-    /// is still wanted. (Training layers never tile, so in practice this
-    /// only guards against mixing the two regimes.)
+    /// Mutable access to the stored values, in storage order; the pattern
+    /// stays fixed, which is exactly the "train values on a frozen
+    /// topology" regime of the paper. The diagonal storage is unaffected.
+    /// CSC tiles of a CSR-stored matrix hold a reordered **copy** of the
+    /// values, so they are dropped here; call [`PreparedWeights::tile`]
+    /// again after the update if tiled inference is still wanted.
     pub fn values_mut(&mut self) -> &mut [T] {
-        self.tiles = None;
-        self.csr.data_mut()
+        match &mut self.storage {
+            Storage::Cyclic(d) => d.values_mut(),
+            Storage::Csr { csr, tiles, .. } => {
+                *tiles = None;
+                csr.data_mut()
+            }
+        }
+    }
+
+    /// `v`, one entry per stored value in storage order, permuted into
+    /// CSR order (borrowed when the two coincide).
+    ///
+    /// # Panics
+    /// Panics if `v.len() != self.nnz()`.
+    #[must_use]
+    pub fn to_csr_order<'a, U: Copy>(&self, v: &'a [U]) -> Cow<'a, [U]> {
+        assert_eq!(v.len(), self.nnz(), "one entry per stored value");
+        match &self.storage {
+            Storage::Cyclic(d) => {
+                let mut out = Vec::with_capacity(v.len());
+                d.for_each_csr_entry(|_, s| out.push(v[s]));
+                Cow::Owned(out)
+            }
+            Storage::Csr { .. } => Cow::Borrowed(v),
+        }
+    }
+
+    /// The inverse of [`PreparedWeights::to_csr_order`]: `v` in CSR order,
+    /// permuted into storage order.
+    ///
+    /// # Panics
+    /// Panics if `v.len() != self.nnz()`.
+    #[must_use]
+    pub fn from_csr_order<U: Copy>(&self, v: Vec<U>) -> Vec<U> {
+        assert_eq!(v.len(), self.nnz(), "one entry per stored value");
+        match &self.storage {
+            Storage::Cyclic(d) => {
+                let mut out = v.clone();
+                let mut k = 0;
+                d.for_each_csr_entry(|_, s| {
+                    out[s] = v[k];
+                    k += 1;
+                });
+                out
+            }
+            Storage::Csr { .. } => v,
+        }
     }
 
     /// The multiply-add work of one product against a `rows`-row batch,
@@ -304,13 +429,13 @@ impl<T: Scalar> PreparedWeights<T> {
     /// pool too, whose chunk dispatch materializes nothing. `x` may be an
     /// owned [`DenseMatrix`] or a zero-copy [`DenseView`] row range.
     ///
-    /// When tiles are built ([`PreparedWeights::tile`]) the batch is cut
-    /// into `block_rows`-row blocks, each running the cache-tiled gather
-    /// or — for a block whose activations are almost all zeros — the
-    /// zero-skipping scatter (see [`PreparedWeights::spmm_rows_to`]);
-    /// untiled matrices run the scatter row walk. Results are equal on
-    /// every path (see `kernel::tiled` for the zero-activation fine
-    /// print).
+    /// The diagonal storage and a tiled CSR ([`PreparedWeights::tile`])
+    /// cut the batch into `block_rows`-row blocks when wider than a tile,
+    /// each running the tile-major gather or — for a block whose
+    /// activations are almost all zeros — the zero-skipping scatter (see
+    /// [`PreparedWeights::spmm_rows_to`]); an untiled CSR runs the scatter
+    /// row walk. Results are equal on every path (see `kernel::tiled` for
+    /// the zero-activation fine print).
     ///
     /// # Errors
     /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.nrows()`.
@@ -348,11 +473,11 @@ impl<T: Scalar> PreparedWeights<T> {
     /// This is the building block of multi-layer fusion: a caller can chain
     /// several layers over one row block (keeping the block's activations
     /// cache-resident) and point the last layer's output straight into its
-    /// slice of a larger matrix. When tiles are built the block counts its
-    /// nonzero activations against the plan's `act_sparse_percent`: a
-    /// mostly-zero block scatters over its nonzeros instead of gathering
-    /// — which is how the fused Challenge schedule picks up the
-    /// sparse-activation switch layer by layer.
+    /// slice of a larger matrix. On the diagonal storage or a tiled CSR
+    /// the block counts its nonzero activations against the plan's
+    /// `act_sparse_percent`: a mostly-zero block scatters over its
+    /// nonzeros instead of gathering — which is how the fused Challenge
+    /// schedule picks up the sparse-activation switch layer by layer.
     ///
     /// # Errors
     /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() !=
@@ -378,8 +503,8 @@ impl<T: Scalar> PreparedWeights<T> {
     }
 
     /// One row block of the forward product: the tile-major gather when
-    /// tiles are built and the block's activations are dense, else the
-    /// zero-skipping scatter. The nonzero count is skipped where the
+    /// the storage has one and the block's activations are dense, else
+    /// the zero-skipping scatter. The nonzero count is skipped where the
     /// plan's `act_sparse_percent` decides alone (`0`: always gather,
     /// `≥ 100`: always scatter).
     fn forward_block<F: Fn(T) -> T + Sync>(
@@ -390,68 +515,43 @@ impl<T: Scalar> PreparedWeights<T> {
         out: &mut [T],
         epi: &Epilogue<'_, T, F>,
     ) {
-        if let Some(tiles) = &self.tiles {
-            let scatter = match self.plan.act_sparse_percent {
-                0 => false,
-                // `nnz > total·pct/100 (real)` ⟺ `nnz > ⌊total·pct/100⌋`
-                // for integer nnz, so the floored limit is exact.
-                pct @ 1..=99 => block_is_sparse(x, x_start, rows, rows * x.ncols() * pct / 100),
-                _ => true,
-            };
-            if !scatter {
-                tiles.gather_block(x, x_start, rows, out, epi);
-                return;
+        let scatter = || match self.plan.act_sparse_percent {
+            0 => false,
+            // `nnz > total·pct/100 (real)` ⟺ `nnz > ⌊total·pct/100⌋`
+            // for integer nnz, so the floored limit is exact.
+            pct @ 1..=99 => block_is_sparse(x, x_start, rows, rows * x.ncols() * pct / 100),
+            _ => true,
+        };
+        let tile_cols = self.plan.tile_cols;
+        match &self.storage {
+            Storage::Cyclic(d) if scatter() => d.scatter_rows(x, x_start, rows, out, epi),
+            Storage::Cyclic(d) => d.gather_block(tile_cols, x, x_start, rows, out, epi),
+            Storage::Csr {
+                tiles: Some(tiles), ..
+            } if !scatter() => tiles.gather_block(x, x_start, rows, out, epi),
+            Storage::Csr { csr, degree, .. } => {
+                scatter_rows(csr, *degree, x, x_start, rows, out, epi);
             }
-        }
-        self.scatter_rows(x, x_start, rows, out, epi);
-    }
-
-    /// One row block of `epi(X · W)` on the untiled scatter schedule:
-    /// zero-fill, then scatter each row's **nonzero** activations through
-    /// the ELL/CSR layout (the `x == 0` skip the tiled gather deliberately
-    /// gave up), epilogue per completed row.
-    fn scatter_rows<F: Fn(T) -> T + Sync>(
-        &self,
-        x: DenseView<'_, T>,
-        x_start: usize,
-        rows: usize,
-        out: &mut [T],
-        epi: &Epilogue<'_, T, F>,
-    ) {
-        out.fill(T::ZERO);
-        let ncols = self.ncols();
-        debug_assert_eq!(out.len(), rows * ncols, "output block size");
-        if ncols == 0 {
-            return;
-        }
-        for (b, orow) in out.chunks_mut(ncols).enumerate() {
-            let xrow = x.row(x_start + b);
-            match self.degree {
-                Some(d) => scatter_row_ell(xrow, self.csr.indices(), self.csr.data(), d, orow),
-                None => scatter_row_csr(xrow, &self.csr, orow),
-            }
-            epi.apply_row(orow);
         }
     }
 
     /// `out ← epi(X · Wᵀ)` without materializing the transpose:
     /// `out[b, i] = Σ_j X[b, j] · W[i, j]`, the backward-pass orientation.
     /// A gather — each output element is a dot product over row `i` of
-    /// `W` (fixed-length in the ELL layout), the epilogue applied at the
-    /// final store — with the same buffer-reuse and allocation guarantees
-    /// as [`PreparedWeights::spmm`].
+    /// `W` in ascending column order, the epilogue applied at the final
+    /// store — with the same buffer-reuse and allocation guarantees as
+    /// [`PreparedWeights::spmm`].
     ///
-    /// The transpose's output columns are `W`'s rows, whose entries are
-    /// already contiguous in the ELL/CSR arrays — the CSC layout of `Wᵀ`
-    /// *is* the CSR layout of `W` — so the tile-major schedule runs
-    /// zero-copy over the existing storage: no [`PreparedWeights::tile`]
-    /// call is required (training layers, whose weight updates drop the
-    /// forward tiles, stay tiled throughout). When `W` has more rows than
-    /// the plan's `tile_cols`, a tile's `tile_cols × degree` entry range
-    /// is re-read from cache across each `block_rows`-row block instead of
-    /// streaming the full `indices`/`values` arrays once per batch row.
-    /// Accumulation order per output element is the same either way, so
-    /// results are bitwise equal.
+    /// The transpose's output columns are `W`'s rows. The diagonal
+    /// storage reads row `i` as `diag[t][(i + tν) mod n]` — contiguous in
+    /// `i` — and shift-adds; a CSR's rows are already contiguous in its
+    /// ELL/CSR arrays (the CSC layout of `Wᵀ` *is* the CSR layout of `W`).
+    /// Either way the tile-major schedule runs zero-copy over the storage,
+    /// no [`PreparedWeights::tile`] call required: when `W` has more rows
+    /// than the plan's `tile_cols`, a tile's entries are re-read from
+    /// cache across each `block_rows`-row block instead of streaming the
+    /// whole storage once per batch row. Accumulation order per output
+    /// element is the same either way, so results are bitwise equal.
     ///
     /// # Errors
     /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.ncols()`.
@@ -491,9 +591,9 @@ impl<T: Scalar> PreparedWeights<T> {
         Ok(())
     }
 
-    /// One batch-row block of the tile-major transposed gather, ELL or
-    /// CSR layout, at the plan's tile width (a matrix no wider than that
-    /// is one tile: the plain per-row gather).
+    /// One batch-row block of the tile-major transposed gather at the
+    /// plan's tile width (a matrix no wider than that is one tile: the
+    /// plain per-row gather).
     fn gather_t_block<F: Fn(T) -> T + Sync>(
         &self,
         x: DenseView<'_, T>,
@@ -503,12 +603,17 @@ impl<T: Scalar> PreparedWeights<T> {
         epi: &Epilogue<'_, T, F>,
     ) {
         let width = self.plan.tile_cols;
-        match self.degree {
-            Some(d) => gather_t_block_ell(
-                self.csr.indices(),
-                self.csr.data(),
-                d,
-                self.nrows(),
+        match &self.storage {
+            Storage::Cyclic(d) => d.gather_t_block(width, x, x_start, rows, out, epi),
+            Storage::Csr {
+                csr,
+                degree: Some(d),
+                ..
+            } => gather_t_block_ell(
+                csr.indices(),
+                csr.data(),
+                *d,
+                csr.nrows(),
                 width,
                 x,
                 x_start,
@@ -516,8 +621,57 @@ impl<T: Scalar> PreparedWeights<T> {
                 out,
                 epi,
             ),
-            None => gather_t_block_csr(&self.csr, width, x, x_start, rows, out, epi),
+            Storage::Csr { csr, .. } => {
+                gather_t_block_csr(csr, width, x, x_start, rows, out, epi);
+            }
         }
+    }
+
+    /// `out += ∂/∂W` of `Σ X·W ⊙ Δ` on the stored pattern: every stored
+    /// entry `(i, j)` gains `Σ_b x[b, i] · δ[b, j]`, rows `b` ascending,
+    /// in storage order ([`PreparedWeights::values`]). The caller zeroes
+    /// `out` for a plain gradient.
+    ///
+    /// The diagonal storage runs one contiguous multiply-add per
+    /// `(b, t)`; a CSR walks each weight row's entries per batch row,
+    /// skipping zero activations (their terms are `±0`, which leave a sum
+    /// started at `+0` unchanged — so both agree with the per-edge loop
+    /// bit for bit whenever `Δ` is finite). On the pool the diagonal
+    /// terms or the weight rows are the tasks; no task list is
+    /// materialized except for irregular CSR rows.
+    ///
+    /// # Errors
+    /// Returns [`SparseError::ShapeMismatch`] unless `x` is `batch ×
+    /// nrows` and `delta` is `batch × ncols`.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != self.nnz()`.
+    pub fn weight_grads(
+        &self,
+        x: &impl AsDenseView<T>,
+        delta: &impl AsDenseView<T>,
+        out: &mut [T],
+        par: Par,
+    ) -> Result<(), SparseError> {
+        let (x, delta) = (x.as_view(), delta.as_view());
+        self.check_spmm(x, "prepared weight_grads")?;
+        if delta.shape() != (x.nrows(), self.ncols()) {
+            return Err(SparseError::ShapeMismatch {
+                op: "prepared weight_grads",
+                lhs: delta.shape(),
+                rhs: (x.nrows(), self.ncols()),
+            });
+        }
+        assert_eq!(out.len(), self.nnz(), "gradient buffer length");
+        if out.is_empty() {
+            return Ok(());
+        }
+        let pool = self.plan.pool(par, self.work(x.nrows()));
+        match &self.storage {
+            Storage::Cyclic(d) => d.weight_grads(x, delta, out, pool),
+            Storage::Csr { csr, degree, .. } => csr_weight_grads(csr, *degree, x, delta, out, pool),
+        }
+        Ok(())
     }
 }
 
@@ -579,6 +733,35 @@ impl<T: Scalar> From<CsrMatrix<T>> for PreparedWeights<T> {
     }
 }
 
+/// One row block of `epi(X · W)` on the CSR scatter schedule: zero-fill,
+/// then scatter each row's **nonzero** activations through the ELL/CSR
+/// layout (the `x == 0` skip the tiled gather deliberately gave up),
+/// epilogue per completed row.
+fn scatter_rows<T: Scalar, F: Fn(T) -> T + Sync>(
+    csr: &CsrMatrix<T>,
+    degree: Option<usize>,
+    x: DenseView<'_, T>,
+    x_start: usize,
+    rows: usize,
+    out: &mut [T],
+    epi: &Epilogue<'_, T, F>,
+) {
+    out.fill(T::ZERO);
+    let ncols = csr.ncols();
+    debug_assert_eq!(out.len(), rows * ncols, "output block size");
+    if ncols == 0 {
+        return;
+    }
+    for (b, orow) in out.chunks_mut(ncols).enumerate() {
+        let xrow = x.row(x_start + b);
+        match degree {
+            Some(d) => scatter_row_ell(xrow, csr.indices(), csr.data(), d, orow),
+            None => scatter_row_csr(xrow, csr, orow),
+        }
+        epi.apply_row(orow);
+    }
+}
+
 /// One output row of `X · W` in the ELL layout: for each nonzero `x[i]`,
 /// scatter `x[i] · W[i, :]` into `orow` through the unit-stride slices
 /// `[i·d, (i+1)·d)` — no `indptr` loads.
@@ -607,6 +790,57 @@ fn scatter_row_csr<T: Scalar>(xrow: &[T], w: &CsrMatrix<T>, orow: &mut [T]) {
         let (cols, ws) = w.row(i);
         for (&j, &wv) in cols.iter().zip(ws) {
             orow[j] = orow[j].add(xv.mul(wv));
+        }
+    }
+}
+
+/// [`PreparedWeights::weight_grads`] on CSR storage, in CSR value order.
+/// At constant degree the flat gradient vector partitions into
+/// `degree`-sized per-row segments, so the pool path runs on the
+/// allocation-free chunk dispatch (chunk index = weight row); irregular
+/// rows materialize a per-row segment list first.
+fn csr_weight_grads<T: Scalar>(
+    csr: &CsrMatrix<T>,
+    degree: Option<usize>,
+    x: DenseView<'_, T>,
+    delta: DenseView<'_, T>,
+    out: &mut [T],
+    pool: bool,
+) {
+    let row_grads = |i: usize, seg: &mut [T]| {
+        let (cols, _) = csr.row(i);
+        for b in 0..x.nrows() {
+            let xv = x.get(b, i);
+            if xv.is_zero() {
+                continue;
+            }
+            let drow = delta.row(b);
+            for (g, &j) in seg.iter_mut().zip(cols) {
+                *g = g.add(xv.mul(drow[j]));
+            }
+        }
+    };
+    match degree {
+        Some(d) if d > 0 && pool => rayon::for_each_chunk_mut(out, d, row_grads),
+        None if pool => {
+            // Irregular rows: split the flat vector into per-row segments
+            // (CSR rows partition the value array) and fan out.
+            let mut segments: Vec<(usize, &mut [T])> = Vec::with_capacity(csr.nrows());
+            let mut rest = out;
+            for i in 0..csr.nrows() {
+                let (seg, tail) = rest.split_at_mut(csr.row_nnz(i));
+                segments.push((i, seg));
+                rest = tail;
+            }
+            segments
+                .into_par_iter()
+                .for_each(|(i, seg)| row_grads(i, seg));
+        }
+        _ => {
+            let indptr = csr.indptr();
+            for i in 0..csr.nrows() {
+                row_grads(i, &mut out[indptr[i]..indptr[i + 1]]);
+            }
         }
     }
 }
@@ -899,28 +1133,53 @@ mod tests {
 
     #[test]
     fn values_mut_drops_tiles() {
-        let mut p = prepared(&regular(), tiled_plan());
+        // CSC tiles hold a reordered copy of a CSR's values: an update
+        // drops them.
+        let mut p = prepared(
+            &irregular(),
+            KernelPlan {
+                tile_cols: 1,
+                ..KernelPlan::default()
+            },
+        );
         assert!(p.is_tiled());
         p.values_mut()[0] *= 2.0;
         assert!(!p.is_tiled(), "stale tile values must not survive");
+        // The diagonals are the storage: nothing to drop, and the update
+        // is what the next product reads. Storage slot 0 and CSR slot 0
+        // are both entry (0, 0).
+        let mut c = prepared(&regular(), tiled_plan());
+        assert!(c.is_tiled());
+        c.values_mut()[0] *= 2.0;
+        assert!(c.is_tiled(), "the diagonal layout survives an update");
+        let mut w = regular();
+        w.data_mut()[0] *= 2.0;
+        assert_eq!(c.to_csr(), w);
+        let x = batch(5, 12);
+        let mut out = DenseMatrix::default();
+        c.spmm(&x, &mut out, &Epilogue::identity(), Par::Serial)
+            .unwrap();
+        assert_eq!(out, dense_spmm(&x, &w).unwrap());
     }
 
     #[test]
     fn cyclic_layout_accessors_stay_coherent() {
-        // `regular()` is Σ_{t<3} P^t on 12 nodes: the index-free layout.
+        // `regular()` is Σ_{t<3} P^t on 12 nodes: stored as its diagonals
+        // under every plan, tiled exactly when wider than a tile.
+        for plan in plans() {
+            let p = prepared(&regular(), plan);
+            assert_eq!(p.cyclic(), Some((3, 1)), "{plan:?}");
+            assert_eq!((p.degree(), p.nnz(), p.shape()), (Some(3), 36, (12, 12)));
+            assert_eq!(p.is_tiled(), 12 > plan.tile_cols, "{plan:?}");
+            assert_eq!(p.to_csr(), regular());
+        }
         let mut p = prepared(&regular(), tiled_plan());
-        assert_eq!(p.cyclic(), Some((3, 1)));
-        assert!(p.is_tiled());
-        assert_eq!(p.tile_width(), Some(4));
         assert!(p.tile(), "idempotent");
-        assert_eq!(p.cyclic(), Some((3, 1)));
-        // The diagonals are a value copy, dropped like any other tiles.
         p.values_mut()[0] *= 2.0;
-        assert_eq!(p.cyclic(), None);
-        assert!(!p.is_tiled());
-        assert_eq!(p.tile_width(), None);
-        // Untiled and CSC-tiled matrices report no structure.
-        assert_eq!(PreparedWeights::from_csr(regular()).cyclic(), None);
+        assert_eq!(p.cyclic(), Some((3, 1)));
+        assert_eq!(p.tile_width(), Some(4));
+        // CSR-stored matrices report no structure, tiled or not.
+        assert_eq!(PreparedWeights::from_csr(irregular()).cyclic(), None);
         let p = prepared(
             &irregular(),
             KernelPlan {

@@ -1,5 +1,5 @@
-//! Column tiling: cache-blocked, gather-formulated layout for the
-//! prepared product kernels.
+//! Column tiling and the diagonal storage: the cache-blocked,
+//! gather-formulated layouts behind the prepared product kernels.
 //!
 //! The untiled kernel computes `out ← X · W` as a **scatter**: for each
 //! batch row it walks the weight rows and read-modify-writes `degree`
@@ -29,12 +29,15 @@
 //! `x == ±0.0` are `±0.0`, an additive identity (up to the sign of an
 //! all-zero sum, which IEEE equality cannot distinguish), so results are
 //! equal everywhere it matters; a matrix storing a non-finite weight
-//! (`0 · ∞ = NaN`) is never tiled — `PreparedWeights::tile` refuses it.
+//! (`0 · ∞ = NaN`) is never tiled — `PreparedWeights::tile` refuses it —
+//! nor stored as diagonals.
 //!
 //! A matrix that is exactly a sum of cyclic shifts — every square
-//! RadiX-Net layer — gets a second, index-free tile layout,
-//! [`CyclicDiagonals`]: same tile-major loop, same order, no `src` or
-//! `col_ptr` arrays. [`Tiles`] is the choice between the two.
+//! RadiX-Net layer — is never tiled this way: [`CyclicDiagonals`] is its
+//! whole storage, at every width, and runs the same tile-major loop in
+//! the same order with no `src` or `col_ptr` arrays. It also carries the
+//! transposed product and the weight gradient, all three as unit-stride
+//! shift-adds over the diagonals.
 //!
 //! Multiplying zeros through is the right call for *dense* activations,
 //! but deep ReLU networks routinely produce blocks that are > 90% zeros,
@@ -54,7 +57,9 @@
 //! `Wᵀ`, whose CSC layout *is* `W`'s CSR (= ELL) layout — so the tiled
 //! transposed kernels in [`crate::kernel::PreparedWeights`] tile over
 //! blocks of `W` rows zero-copy, via `gather_t_block_ell` /
-//! `gather_t_block_csr` below, and need no prebuilt `ColumnTiles`.
+//! `gather_t_block_csr` below, and need no prebuilt `ColumnTiles`. The
+//! diagonal layout gets its own transposed shift-add
+//! ([`CyclicDiagonals::gather_t_block`]).
 
 use crate::csr::CsrMatrix;
 #[cfg(test)]
@@ -265,28 +270,44 @@ fn gather_tile_row<T: Scalar>(
 /// order.
 const CYCLIC_BLOCK: usize = 4 * lanes::LANE_WIDTH;
 
-/// The index-free tile layout of a RadiX-Net layer. Paper eq. (2) builds
-/// every layer as `W = Σ_{t<r} P^(t·ν)` (`P` the unit cyclic shift on `n`
-/// nodes, `r` the radix, `ν` the place value, `r·ν ≤ n`): row `i` holds
-/// columns `{(i + t·ν) mod n}`, so column `j` gathers from sources
-/// `{(j − t·ν) mod n}` and the sources are implied by `(n, r, ν)` — only
-/// the `r` value diagonals are stored, 8 bytes per edge and batch row
-/// (`x` and `w`) where [`ColumnTiles`] moves 12.
+/// The storage of a RadiX-Net layer. Paper eq. (2) builds every layer as
+/// `W = Σ_{t<r} P^(t·ν)` (`P` the unit cyclic shift on `n` nodes, `r` the
+/// radix, `ν` the place value, `r·ν ≤ n`): row `i` holds columns
+/// `{(i + t·ν) mod n}`, so column `j` gathers from sources
+/// `{(j − t·ν) mod n}` and every index is implied by `(n, r, ν)`. Only
+/// the `r` value diagonals are stored — 4 bytes per edge, where CSR/ELL
+/// keeps 12 (an 8-byte column index beside each value) — and all three
+/// training products run from them as unit-stride shift-adds:
 ///
-/// **Order.** Cut the columns into segments `[kν, (k+1)ν)` for
-/// `k < r − 1` and a last segment `[(r−1)ν, n)`. For a column `j` of
-/// segment `k`, terms `t ≤ k` read the unwrapped source `j − tν ≤ j` and
-/// terms `t > k` the wrapped source `j − tν + n > j`, so ascending source
-/// row — the order every other kernel accumulates in — is the fixed term
-/// order `t = k, k−1, …, 0, r−1, r−2, …, k+1`, the same for every column
-/// of the segment. A run of adjacent columns therefore accumulates
-/// lane-wise from contiguous unit-stride slices of `x` and of the
-/// diagonals, each lane bitwise equal to [`lanes::dot_src_u32`] over the
-/// column's CSC entries.
+/// * **forward** `X · W` ([`CyclicDiagonals::gather_block`]): cut the
+///   columns into segments `[kν, (k+1)ν)` for `k < r − 1` and a last
+///   segment `[(r−1)ν, n)`. For a column `j` of segment `k`, terms `t ≤ k`
+///   read the unwrapped source `j − tν ≤ j` and terms `t > k` the wrapped
+///   source `j − tν + n > j`, so ascending source row — the order every
+///   other kernel accumulates in — is the fixed term order
+///   `t = k, k−1, …, 0, r−1, r−2, …, k+1`, the same for every column of
+///   the segment. A run of adjacent columns therefore accumulates
+///   lane-wise from contiguous slices of `x` and of the diagonals, each
+///   lane bitwise equal to [`lanes::dot_src_u32`] over the column's CSC
+///   entries;
+/// * **transposed** `X · Wᵀ` ([`CyclicDiagonals::gather_t_block`]): row
+///   `i` of `W` reads `diag[t][(i + tν) mod n]`. Its first
+///   `u = min(⌈(n−i)/ν⌉, r)` terms land on `i + tν < n`, the rest wrap to
+///   `i + tν − n < i` and so come first in the row's ascending-column
+///   order: `t = u, …, r−1, 0, …, u−1`. `u` is constant over the row runs
+///   `[n − uν, n − (u−1)ν)` (and `[0, n − (r−1)ν)` for `u = r`), so a run
+///   of adjacent rows again accumulates lane-wise from contiguous slices,
+///   bitwise equal to the ELL row gather;
+/// * **weight gradient** `G = Xᵀ · Δ` on the pattern
+///   ([`CyclicDiagonals::weight_grads`]): `g[t·n + j] += x[b, (j − tν) mod
+///   n] · δ[b, j]` is, per `(b, t)`, one contiguous multiply-add split at
+///   the wrap `j = tν`. Every element still sums over `b` ascending, the
+///   order of the per-edge loop.
+///
+/// Storage order is `diags[t·n + j] = W[(j − t·ν) mod n, j]`;
+/// [`CyclicDiagonals::for_each_csr_entry`] maps it to CSR order.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CyclicDiagonals<T> {
-    /// Tile width in output columns.
-    tile_cols: usize,
     /// Nodes per side (the matrix is `n × n`).
     n: usize,
     /// Terms in the sum (`r`, every row's and column's degree).
@@ -302,10 +323,9 @@ impl<T: Scalar> CyclicDiagonals<T> {
     /// `Σ_{t<r} P^(t·ν)` for some `r ≥ 2`, `ν ≥ 1`, `r·ν ≤ n` — row 0
     /// fixes `r` and `ν`, and every row `i` must then hold the columns
     /// `{(i + t·ν) mod n}` in CSR's ascending order — filling the value
-    /// diagonals as it goes. Any mismatch returns `None` (the caller
-    /// builds [`ColumnTiles`] instead); nothing about the matrix's
-    /// provenance is assumed.
-    pub(crate) fn detect(csr: &CsrMatrix<T>, tile_cols: usize) -> Option<Self> {
+    /// diagonals as it goes. Any mismatch returns `None` (the caller keeps
+    /// the CSR); nothing about the matrix's provenance is assumed.
+    pub(crate) fn detect(csr: &CsrMatrix<T>) -> Option<Self> {
         let n = csr.nrows();
         if n != csr.ncols() || n == 0 {
             return None;
@@ -343,7 +363,6 @@ impl<T: Scalar> CyclicDiagonals<T> {
             }
         }
         Some(CyclicDiagonals {
-            tile_cols,
             n,
             radix,
             stride,
@@ -351,10 +370,69 @@ impl<T: Scalar> CyclicDiagonals<T> {
         })
     }
 
-    /// [`ColumnTiles::gather_block`] on this layout: the same tile-major
-    /// loop, each (tile, row) pass a shift-add over the diagonals.
+    /// Nodes per side.
+    pub(crate) fn n(&self) -> usize {
+        self.n
+    }
+
+    /// `(radix, stride)`: the `r` and `ν` of `Σ_{t<r} P^(t·ν)`.
+    pub(crate) fn radix_stride(&self) -> (usize, usize) {
+        (self.radix, self.stride)
+    }
+
+    /// The diagonals, in storage order `t·n + j`.
+    pub(crate) fn values(&self) -> &[T] {
+        &self.diags
+    }
+
+    /// Mutable diagonals: the pattern is implied, so any values are valid.
+    pub(crate) fn values_mut(&mut self) -> &mut [T] {
+        &mut self.diags
+    }
+
+    /// How many of row `i`'s terms land on `i + tν < n` without wrapping
+    /// (the `u` of the transposed order).
+    #[inline]
+    fn unwrapped(&self, i: usize) -> usize {
+        (self.n - i).div_ceil(self.stride).min(self.radix)
+    }
+
+    /// Visits every entry in CSR order — rows ascending, columns ascending
+    /// within a row — as `f(column, storage index)`.
+    pub(crate) fn for_each_csr_entry(&self, mut f: impl FnMut(usize, usize)) {
+        let (n, nu) = (self.n, self.stride);
+        for i in 0..n {
+            let u = self.unwrapped(i);
+            for t in u..self.radix {
+                let j = i + t * nu - n;
+                f(j, t * n + j);
+            }
+            for t in 0..u {
+                let j = i + t * nu;
+                f(j, t * n + j);
+            }
+        }
+    }
+
+    /// The matrix as CSR: every entry stored, explicit zeros included.
+    pub(crate) fn to_csr(&self) -> CsrMatrix<T> {
+        let (n, nnz) = (self.n, self.diags.len());
+        let indptr = (0..=n).map(|i| i * self.radix).collect();
+        let mut indices = Vec::with_capacity(nnz);
+        let mut data = Vec::with_capacity(nnz);
+        self.for_each_csr_entry(|j, s| {
+            indices.push(j);
+            data.push(self.diags[s]);
+        });
+        CsrMatrix::from_parts_unchecked(n, n, indptr, indices, data)
+    }
+
+    /// One row block of `epi(X · W)` on the tile-major schedule
+    /// ([`ColumnTiles::gather_block`]'s loop), each (tile, row) pass a
+    /// shift-add over the diagonals.
     pub(crate) fn gather_block<F: Fn(T) -> T + Sync>(
         &self,
+        tile_cols: usize,
         x: DenseView<'_, T>,
         x_start: usize,
         rows: usize,
@@ -362,7 +440,7 @@ impl<T: Scalar> CyclicDiagonals<T> {
         epi: &Epilogue<'_, T, F>,
     ) {
         gather_block_tiles(
-            self.tile_cols,
+            tile_cols,
             self.n,
             x,
             x_start,
@@ -417,6 +495,154 @@ impl<T: Scalar> CyclicDiagonals<T> {
         }
         j - lo
     }
+
+    /// One row block of `epi(X · W)` as a zero-skipping scatter — the
+    /// schedule for mostly-zero activation blocks. Zero-fill, then each
+    /// row's **nonzero** sources, ascending, add `x[i] · diag[t][(i + tν)
+    /// mod n]` into their `r` columns: every output element receives its
+    /// terms in ascending source row, as from the ELL scatter.
+    pub(crate) fn scatter_rows<F: Fn(T) -> T + Sync>(
+        &self,
+        x: DenseView<'_, T>,
+        x_start: usize,
+        rows: usize,
+        out: &mut [T],
+        epi: &Epilogue<'_, T, F>,
+    ) {
+        let (n, nu) = (self.n, self.stride);
+        debug_assert_eq!(out.len(), rows * n, "output block size");
+        out.fill(T::ZERO);
+        for (b, orow) in out.chunks_mut(n).enumerate() {
+            for (i, &xv) in x.row(x_start + b).iter().enumerate() {
+                if xv.is_zero() {
+                    continue;
+                }
+                let u = self.unwrapped(i);
+                for t in 0..self.radix {
+                    let j = if t < u { i + t * nu } else { i + t * nu - n };
+                    orow[j] = orow[j].add(xv.mul(self.diags[t * n + j]));
+                }
+            }
+            epi.apply_row(orow);
+        }
+    }
+
+    /// Rows `[x_start, x_start + rows)` of `epi(X · Wᵀ)` into `out`
+    /// (`rows × n`), on the forward product's tile-major loop over
+    /// `tile_cols`-wide blocks of `W` rows.
+    pub(crate) fn gather_t_block<F: Fn(T) -> T + Sync>(
+        &self,
+        tile_cols: usize,
+        x: DenseView<'_, T>,
+        x_start: usize,
+        rows: usize,
+        out: &mut [T],
+        epi: &Epilogue<'_, T, F>,
+    ) {
+        gather_block_tiles(
+            tile_cols,
+            self.n,
+            x,
+            x_start,
+            rows,
+            out,
+            epi,
+            |base, xrow, oseg| self.gather_t_tile_row(base, xrow, oseg),
+        );
+    }
+
+    /// One (tile, batch row) pass of the transposed product: `oseg` is
+    /// `W` rows `[base, base + oseg.len())`, cut where `u` changes.
+    #[inline(never)]
+    fn gather_t_tile_row(&self, base: usize, xrow: &[T], oseg: &mut [T]) {
+        debug_assert_eq!(xrow.len(), self.n, "gradient row width");
+        let end = base + oseg.len();
+        let mut lo = base;
+        while lo < end {
+            // `u ≥ 1` (row `lo < n` always has its `t = 0` term), and the
+            // rows sharing it end at `n − (u−1)ν`.
+            let u = self.unwrapped(lo);
+            let hi = end.min(self.n - (u - 1) * self.stride);
+            let piece = &mut oseg[lo - base..hi - base];
+            let mut done = self.t_blocks::<CYCLIC_BLOCK>(u, lo, xrow, piece);
+            done += self.t_blocks::<{ lanes::LANE_WIDTH }>(u, lo + done, xrow, &mut piece[done..]);
+            self.t_blocks::<1>(u, lo + done, xrow, &mut piece[done..]);
+            lo = hi;
+        }
+    }
+
+    /// [`CyclicDiagonals::blocks`] for the transposed product: whole
+    /// `W`-row blocks of `out` (rows `[lo, lo + out.len())`, all with `u`
+    /// unwrapped terms), each adding its `r` terms in the rows'
+    /// ascending-column order `t = u, …, r−1, 0, …, u−1`.
+    #[inline(always)]
+    fn t_blocks<const W: usize>(&self, u: usize, lo: usize, xrow: &[T], out: &mut [T]) -> usize {
+        let (n, nu) = (self.n, self.stride);
+        let mut i = lo;
+        for o in out.chunks_exact_mut(W) {
+            let mut acc = [T::ZERO; W];
+            for t in u..self.radix {
+                let c = i + t * nu - n;
+                add_term(&mut acc, &xrow[c..], &self.diags[t * n + c..]);
+            }
+            for t in 0..u {
+                let c = i + t * nu;
+                add_term(&mut acc, &xrow[c..], &self.diags[t * n + c..]);
+            }
+            o.copy_from_slice(&acc);
+            i += W;
+        }
+        i - lo
+    }
+
+    /// Accumulates the weight gradient `Σ_b x[b, src] · δ[b, j]` of every
+    /// edge into `out` (storage order, `nnz` long): term `t` owns the
+    /// contiguous slice `out[t·n .. (t+1)·n]`, which takes one
+    /// multiply-add per batch row, rows ascending. On the pool, terms are
+    /// the tasks; every element's sum order is the same either way.
+    pub(crate) fn weight_grads(
+        &self,
+        x: DenseView<'_, T>,
+        delta: DenseView<'_, T>,
+        out: &mut [T],
+        pool: bool,
+    ) {
+        let (n, nu) = (self.n, self.stride);
+        debug_assert_eq!(out.len(), self.diags.len(), "gradient buffer length");
+        let term = |t: usize, g: &mut [T]| {
+            // `tν < n`: columns `j < tν` read the wrapped source `j − tν + n`.
+            let s = t * nu;
+            let (g_wrapped, g_rest) = g.split_at_mut(s);
+            // Four rows per sweep quarter the passes over `g`; each element
+            // still adds row `b`'s term before row `b + 1`'s.
+            let rows = x.nrows();
+            let mut b = 0;
+            while b + 4 <= rows {
+                let xr = [x.row(b), x.row(b + 1), x.row(b + 2), x.row(b + 3)];
+                let dr = [
+                    delta.row(b),
+                    delta.row(b + 1),
+                    delta.row(b + 2),
+                    delta.row(b + 3),
+                ];
+                multiply_add_rows(g_wrapped, xr.map(|r| &r[n - s..]), dr.map(|r| &r[..s]));
+                multiply_add_rows(g_rest, xr.map(|r| &r[..n - s]), dr.map(|r| &r[s..]));
+                b += 4;
+            }
+            for b in b..rows {
+                let (xrow, drow) = (x.row(b), delta.row(b));
+                multiply_add_rows(g_wrapped, [&xrow[n - s..]], [&drow[..s]]);
+                multiply_add_rows(g_rest, [&xrow[..n - s]], [&drow[s..]]);
+            }
+        };
+        if pool {
+            rayon::for_each_chunk_mut(out, n, term);
+        } else {
+            for (t, g) in out.chunks_mut(n).enumerate() {
+                term(t, g);
+            }
+        }
+    }
 }
 
 /// `acc[l] += xs[l] · ds[l]` over the first `W` elements of each slice.
@@ -427,46 +653,19 @@ fn add_term<T: Scalar, const W: usize>(acc: &mut [T; W], xs: &[T], ds: &[T]) {
     }
 }
 
-/// The tile layout [`crate::kernel::PreparedWeights::tile`] built: the
-/// index-free diagonals when the matrix verifies as a sum of cyclic
-/// shifts, the general CSC entry list otherwise.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Tiles<T> {
-    Columns(ColumnTiles<T>),
-    Cyclic(CyclicDiagonals<T>),
-}
-
-impl<T: Scalar> Tiles<T> {
-    /// Builds the layout for `csr` at `tile_cols`-wide tiles.
-    pub(crate) fn build(csr: &CsrMatrix<T>, tile_cols: usize) -> Self {
-        match CyclicDiagonals::detect(csr, tile_cols) {
-            Some(diags) => Tiles::Cyclic(diags),
-            None => Tiles::Columns(ColumnTiles::build(csr, tile_cols)),
+/// `g[j] += Σ_k xs[k][j] · ds[k][j]`, the `R` terms added to each element
+/// in ascending `k`.
+#[inline(always)]
+fn multiply_add_rows<T: Scalar, const R: usize>(g: &mut [T], xs: [&[T]; R], ds: [&[T]; R]) {
+    let n = g.len();
+    let xs = xs.map(|r| &r[..n]);
+    let ds = ds.map(|r| &r[..n]);
+    for (j, g) in g.iter_mut().enumerate() {
+        let mut acc = *g;
+        for k in 0..R {
+            acc = acc.add(xs[k][j].mul(ds[k][j]));
         }
-    }
-
-    /// `Some((radix, stride))` under the index-free layout.
-    pub(crate) fn cyclic(&self) -> Option<(usize, usize)> {
-        match self {
-            Tiles::Columns(_) => None,
-            Tiles::Cyclic(diags) => Some((diags.radix, diags.stride)),
-        }
-    }
-
-    /// One row block of `epi(X · W)`, tile-major, on whichever layout was
-    /// built (see [`ColumnTiles::gather_block`]).
-    pub(crate) fn gather_block<F: Fn(T) -> T + Sync>(
-        &self,
-        x: DenseView<'_, T>,
-        x_start: usize,
-        rows: usize,
-        out: &mut [T],
-        epi: &Epilogue<'_, T, F>,
-    ) {
-        match self {
-            Tiles::Columns(tiles) => tiles.gather_block(x, x_start, rows, out, epi),
-            Tiles::Cyclic(diags) => diags.gather_block(x, x_start, rows, out, epi),
-        }
+        *g = acc;
     }
 }
 
@@ -709,7 +908,7 @@ mod tests {
         // r·ν = n, r·ν < n (the divisor-last-system case), ν = 1.
         for (n, r, nu) in [(12, 3, 4), (12, 3, 2), (9, 4, 1), (5, 2, 2)] {
             let w = cyclic(n, r, nu);
-            let d = CyclicDiagonals::detect(&w, 4).expect("a sum of shifts");
+            let d = CyclicDiagonals::detect(&w).expect("a sum of shifts");
             assert_eq!((d.radix, d.stride), (r, nu));
             assert_eq!(d.diags.len(), w.nnz());
             for t in 0..r {
@@ -723,7 +922,7 @@ mod tests {
 
     #[test]
     fn detect_rejects_everything_else() {
-        let none = |w: &CsrMatrix<f64>| CyclicDiagonals::detect(w, 4).is_none();
+        let none = |w: &CsrMatrix<f64>| CyclicDiagonals::detect(w).is_none();
         // Degree 1 (row 0 cannot fix ν), a pure shift, the empty matrix.
         assert!(none(&CsrMatrix::identity(6)));
         assert!(none(&CyclicShift::new(6, 2).to_csr()));
@@ -750,9 +949,9 @@ mod tests {
             let x = batch(5, n);
             let expect = dense_spmm(&x, &w).unwrap();
             for tile_cols in [1, 7, 40, 64, 1000] {
-                let d = CyclicDiagonals::detect(&w, tile_cols).expect("a sum of shifts");
+                let d = CyclicDiagonals::detect(&w).expect("a sum of shifts");
                 let mut out = vec![9.0f64; 5 * n]; // stale contents must not matter
-                d.gather_block(x.view(), 0, 5, &mut out, &Epilogue::identity());
+                d.gather_block(tile_cols, x.view(), 0, 5, &mut out, &Epilogue::identity());
                 assert_eq!(out, expect.as_slice(), "({n},{r},{nu}) tile {tile_cols}");
                 let mut cols = vec![7.0f64; 5 * n];
                 ColumnTiles::build(&w, tile_cols).gather_block(
@@ -790,7 +989,7 @@ mod tests {
             }
             let w: CsrMatrix<f64> = coo.to_csr();
             let r = r.min(n);
-            let Some(d) = CyclicDiagonals::detect(&w, 8) else {
+            let Some(d) = CyclicDiagonals::detect(&w) else {
                 proptest::prop_assert!(
                     break_it == 1 || r < 2 || nu == 0 || r * nu > n,
                     "({}, {}, {}) must be accepted", n, r, nu
@@ -806,10 +1005,13 @@ mod tests {
                 }
             }
             let rebuilt: CsrMatrix<f64> = rebuilt.to_csr();
-            proptest::prop_assert_eq!(rebuilt.indptr(), w.indptr());
-            proptest::prop_assert_eq!(rebuilt.indices(), w.indices());
             let bits = |m: &CsrMatrix<f64>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            proptest::prop_assert_eq!(bits(&rebuilt), bits(&w));
+            // Both the COO rebuild and the storage's own CSR walk.
+            for rebuilt in [rebuilt, d.to_csr()] {
+                proptest::prop_assert_eq!(rebuilt.indptr(), w.indptr());
+                proptest::prop_assert_eq!(rebuilt.indices(), w.indices());
+                proptest::prop_assert_eq!(bits(&rebuilt), bits(&w));
+            }
         }
     }
 

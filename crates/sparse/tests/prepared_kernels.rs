@@ -1,18 +1,20 @@
 //! Property-based equivalence suite for the prepared-kernel engine
 //! (`radix_sparse::kernel`): on random inputs, the three prepared products
-//! — `spmm`, `spmm_transposed`, `spmm_rows_to`; ELL fast path and CSR
-//! fallback; serial and on the pool; with and without an epilogue — must
-//! produce **bitwise-identical** output to the naive path (`dense_spmm` /
+//! — `spmm`, `spmm_transposed`, `spmm_rows_to` — and the weight gradient
+//! `weight_grads`; diagonal storage, ELL fast path and CSR fallback;
+//! serial and on the pool; with and without an epilogue — must produce
+//! **bitwise-identical** output to the naive path (`dense_spmm` /
 //! `dense_spmm_transposed` followed by separate bias and activation
-//! passes) under **every** `KernelPlan` of a cross product of tile
-//! widths, block grains and activation-dispatch thresholds. Bitwise, not
-//! approximate: the prepared kernels accumulate in the same order as the
-//! naive ones on every path, so even floating-point results must match
-//! exactly. One oracle, [`check_plans`], carries every property — for
-//! both tile layouts: it also pins which matrices `tile()` gives the
-//! index-free cyclic layout ([`expected_cyclic`]), and a deterministic
-//! structure axis at the bottom runs it over `Σ P^(t·ν)` layers and their
-//! near misses in `f32` and `f64`.
+//! passes, and the per-edge gradient loop) under **every** `KernelPlan`
+//! of a cross product of tile widths, block grains and
+//! activation-dispatch thresholds. Bitwise, not approximate: the prepared
+//! kernels accumulate in the same order as the naive ones on every path,
+//! so even floating-point results must match exactly. One oracle,
+//! [`check_plans`], carries every property — for both storages: it also
+//! pins which matrices are stored as the index-free cyclic diagonals
+//! ([`expected_cyclic`]), and a deterministic structure axis at the
+//! bottom runs it over `Σ P^(t·ν)` layers and their near misses in `f32`
+//! and `f64`.
 
 use proptest::prelude::*;
 use proptest::Just;
@@ -113,6 +115,9 @@ enum Op {
     Forward,
     /// `X · Wᵀ`: `spmm_transposed`.
     Transposed,
+    /// `Σ_b x[b, i] · δ[b, j]` per stored entry: `weight_grads`, with `δ`
+    /// from [`delta_for`].
+    WeightGrads,
 }
 
 /// The naive reference: allocate-and-return product, then a separate
@@ -126,6 +131,7 @@ fn naive<T: Float>(
     let mut out = match op {
         Op::Forward => dense_spmm(x, w),
         Op::Transposed => dense_spmm_transposed(x, w),
+        Op::WeightGrads => unreachable!("the gradient has its own oracle"),
     }
     .unwrap();
     if let Some(bs) = bias {
@@ -138,6 +144,41 @@ fn naive<T: Float>(
         out.map_inplace(relu);
     }
     out
+}
+
+/// The per-edge weight-gradient loop, as a `1 × nnz` row in CSR order:
+/// entry `k = (i, j)` gets `Σ_b x[b, i] · δ[b, j]`, rows `b` ascending,
+/// from `+0`, no term skipped.
+fn naive_weight_grads<T: Float>(
+    x: &DenseMatrix<T>,
+    delta: &DenseMatrix<T>,
+    w: &CsrMatrix<T>,
+) -> DenseMatrix<T> {
+    let g = w
+        .iter()
+        .map(|(i, j, _)| {
+            (0..x.nrows()).fold(T::ZERO, |g, b| g.add(x.get(b, i).mul(delta.get(b, j))))
+        })
+        .collect();
+    DenseMatrix::from_vec(1, w.nnz(), g).unwrap()
+}
+
+/// The `δ` [`Op::WeightGrads`] pairs with `x`: `x.nrows() × ncols`,
+/// deterministic, a mix of `+0.0`, `-0.0` and nonzero values.
+fn delta_for<T: Float>(x: &DenseMatrix<T>, ncols: usize) -> DenseMatrix<T> {
+    let mut d = DenseMatrix::zeros(x.nrows(), ncols);
+    for b in 0..x.nrows() {
+        for j in 0..ncols {
+            let v = match (b * 5 + j * 3) % 7 {
+                0 => -0.0,
+                1 => 0.0,
+                // Not dyadic: products round, so term order shows.
+                k => (k as f64 - 2.5) / 3.0 + (j % 11) as f64 / 7.0,
+            };
+            d.set(b, j, T::of(v));
+        }
+    }
+    d
 }
 
 /// Element-by-element equality on `to_bits`, with the one exemption the
@@ -165,18 +206,20 @@ fn assert_bits_eq<T: Float>(
 }
 
 /// The one oracle. Computes `op` on `(x, w)` — bare, or with a fused
-/// per-output bias (scaled by `bias_scale`) + ReLU epilogue — under every
-/// plan of
+/// per-output bias (scaled by `bias_scale`) + ReLU epilogue; the gradient
+/// takes neither — under every plan of
 ///
 /// * `tile_cols` ∈ {1, 3, 8, one tile spanning everything} ∪ `extra_tile`,
 /// * `block_rows` ∈ {1, 5, 32},
 /// * `act_sparse_percent` ∈ {0 (always gather), 10 (count), 100 (always
 ///   scatter)},
 ///
-/// serially and on the pool, tiles built wherever the plan's width allows
-/// — as the index-free cyclic layout exactly where [`expected_cyclic`]
-/// says, as CSC tiles otherwise — and compares each result on `to_bits`
-/// against the naive two-pass reference. `Op::Forward` also assembles the product from uneven
+/// serially and on the pool, on the storage [`expected_cyclic`] says —
+/// the index-free cyclic diagonals at every width, or the CSR with CSC
+/// tiles built wherever the plan's width allows — and compares each
+/// result on `to_bits` against the naive two-pass reference (the
+/// gradient, in CSR order, against [`naive_weight_grads`] with no zero
+/// exemption). `Op::Forward` also assembles the product from uneven
 /// `spmm_rows_to` blocks, walked in order (`Par::Serial`) or handed to
 /// the pool (`Par::Pool`) the way the fused Challenge schedule does.
 fn check_plans<T: Float>(
@@ -188,14 +231,18 @@ fn check_plans<T: Float>(
 ) -> Result<(), TestCaseError> {
     let nout = match op {
         Op::Forward => w.ncols(),
-        Op::Transposed => w.nrows(),
+        Op::Transposed | Op::WeightGrads => w.nrows(),
     };
     let bias: Option<Vec<T>> = bias_scale.map(|s| {
         (0..nout)
             .map(|j| T::of(s * (j as f64 * 0.3 - 1.0)))
             .collect()
     });
-    let expect = naive(op, x, w, bias.as_deref());
+    let delta = delta_for(x, w.ncols());
+    let expect = match op {
+        Op::WeightGrads => naive_weight_grads(x, &delta, w),
+        _ => naive(op, x, w, bias.as_deref()),
+    };
     let cyclic = expected_cyclic(w);
     let epi: Epilogue<'_, T, fn(T) -> T> = match &bias {
         Some(bs) => Epilogue::new(Bias::PerOutput(bs), relu),
@@ -214,8 +261,7 @@ fn check_plans<T: Float>(
                 };
                 let mut p = PreparedWeights::with_plan(w.clone(), plan);
                 prop_assert_eq!(p.tile(), w.ncols() > tile_cols, "tile() under {:?}", plan);
-                let layout = if p.is_tiled() { cyclic } else { None };
-                prop_assert_eq!(p.cyclic(), layout, "cyclic() under {:?}", plan);
+                prop_assert_eq!(p.cyclic(), cyclic, "cyclic() under {:?}", plan);
                 for par in [Par::Serial, Par::Pool] {
                     let what = |call: &str| format!("{call} {par:?} under {plan:?}");
                     match op {
@@ -228,6 +274,22 @@ fn check_plans<T: Float>(
                         Op::Transposed => {
                             p.spmm_transposed(x, &mut out, &epi, par).unwrap();
                             assert_bits_eq(&out, &expect, &|| what("spmm_transposed"))?;
+                        }
+                        Op::WeightGrads => {
+                            let mut g = vec![T::ZERO; p.nnz()];
+                            p.weight_grads(x, &delta, &mut g, par).unwrap();
+                            for (k, (a, b)) in
+                                p.to_csr_order(&g).iter().zip(expect.as_slice()).enumerate()
+                            {
+                                prop_assert!(
+                                    a.bits() == b.bits(),
+                                    "{}: gradient {} differs ({} vs {})",
+                                    what("weight_grads"),
+                                    k,
+                                    a,
+                                    b
+                                );
+                            }
                         }
                     }
                 }
@@ -287,7 +349,7 @@ fn expected_cyclic<T: Float>(w: &CsrMatrix<T>) -> Option<(usize, usize)> {
 fn irregular_case(op: Op) -> impl Strategy<Value = (CsrMatrix<f64>, DenseMatrix<f64>)> {
     irregular_matrix(8).prop_flat_map(move |w| {
         let width = match op {
-            Op::Forward => w.nrows(),
+            Op::Forward | Op::WeightGrads => w.nrows(),
             Op::Transposed => w.ncols(),
         };
         (Just(w), batch_for(width))
@@ -410,6 +472,35 @@ proptest! {
         check_plans(Op::Transposed, &w, &x, Some(bias_scale), Some(tile_width))?;
     }
 
+    /// Weight gradient on constant-degree matrices (the diagonal storage
+    /// whenever the pattern is `Σ P^(t·ν)`, ELL otherwise) vs the
+    /// per-edge loop.
+    #[test]
+    fn ell_weight_grads_match_per_edge_loop(w in regular_matrix(), seed in 0u64..1000) {
+        let x = batch_deterministic(w.nrows(), seed);
+        check_plans(Op::WeightGrads, &w, &x, None, None)?;
+    }
+
+    /// Weight gradient on the CSR fallback vs the per-edge loop.
+    #[test]
+    fn irregular_weight_grads_match_per_edge_loop((w, x) in irregular_case(Op::WeightGrads)) {
+        check_plans(Op::WeightGrads, &w, &x, None, None)?;
+    }
+
+    /// `to_csr` / `into_csr` give back exactly the matrix prepared —
+    /// indices and value bits — whichever storage it took, and the
+    /// storage-order permutation round-trips.
+    #[test]
+    fn to_csr_reproduces_regular_matrices(w in regular_matrix()) {
+        check_to_csr(&w)?;
+    }
+
+    /// [`to_csr_reproduces_regular_matrices`] on the CSR fallback.
+    #[test]
+    fn to_csr_reproduces_irregular_matrices(w in irregular_matrix(8)) {
+        check_to_csr(&w)?;
+    }
+
     /// The activation-sparsity dispatch: forced gather, forced scatter,
     /// and the per-block count all produce the naive result, on dense-ish
     /// batches.
@@ -435,6 +526,27 @@ proptest! {
         let x = batch_deterministic_sparse(w.nrows(), seed);
         check_plans(Op::Forward, &w, &x, Some(0.0), Some(tile_width))?;
     }
+}
+
+/// `to_csr(with_plan(w))` and `into_csr` reproduce `w`'s structure and
+/// value bits; `to_csr_order` maps `values()` onto CSR order and
+/// `from_csr_order` inverts it.
+fn check_to_csr(w: &CsrMatrix<f64>) -> Result<(), TestCaseError> {
+    let bits = |m: &CsrMatrix<f64>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let p = PreparedWeights::with_plan(w.clone(), KernelPlan::default());
+    prop_assert_eq!(p.cyclic(), expected_cyclic(w));
+    for got in [p.to_csr(), p.clone().into_csr()] {
+        prop_assert_eq!(got.shape(), w.shape());
+        prop_assert_eq!(got.indptr(), w.indptr());
+        prop_assert_eq!(got.indices(), w.indices());
+        prop_assert_eq!(bits(&got), bits(w));
+    }
+    let in_csr_order = p.to_csr_order(p.values()).into_owned();
+    prop_assert_eq!(in_csr_order.as_slice(), w.data());
+    let positions: Vec<usize> = (0..p.nnz()).collect();
+    let back = p.from_csr_order(p.to_csr_order(&positions).into_owned());
+    prop_assert_eq!(back, positions);
+    Ok(())
 }
 
 /// A deterministic pseudo-random batch (keeps `regular_matrix` cases fast
@@ -558,6 +670,56 @@ fn cyclic_layers_match_naive<T: Float>() {
         assert_eq!(expected_cyclic(&w), Some((r, nu)), "({n}, {r}, {nu})");
         check_forward(&w, extra_tile, &format!("({n}, {r}, {nu})"));
     }
+}
+
+/// The diagonal storage at every width: all four products — forward,
+/// row blocks, transposed, weight gradient — ± the fused epilogue, at
+/// tile widths below and above `n` (`check_plans` sweeps 1, 3, 8 and one
+/// spanning everything, plus a width that straddles segments), on a
+/// batch holding `+0.0`, `-0.0` and nonzero values (and so does `δ`). The sizes run the
+/// 32-, 8- and 1-lane blocks and every wrap segment of both orders.
+fn cyclic_storage_runs_every_product<T: Float>() {
+    for (n, r, nu) in [
+        (100, 3, 33),
+        (100, 4, 9),
+        (67, 2, 20),
+        (96, 4, 8),
+        (40, 5, 8),
+    ] {
+        let w: CsrMatrix<T> = weigh(&CyclicShift::radix_submatrix(n, r, nu));
+        assert_eq!(expected_cyclic(&w), Some((r, nu)), "({n}, {r}, {nu})");
+        // Seven rows: whole four-row gradient sweeps plus a remainder. The
+        // values are not dyadic, so every sum rounds and a term added out
+        // of order changes bits.
+        let mut x = DenseMatrix::zeros(7, n);
+        for b in 0..7 {
+            for j in 0..n {
+                let v = match (b * 3 + j) % 7 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    k => ((b * n + j) % 17) as f64 / 7.0 - k as f64 / 3.0,
+                };
+                x.set(b, j, T::of(v));
+            }
+        }
+        // Square: one batch is conformable for every op.
+        for op in [Op::Forward, Op::Transposed, Op::WeightGrads] {
+            for bias_scale in [None, Some(0.5)] {
+                check_plans(op, &w, &x, bias_scale, Some(n / 2 + 1))
+                    .unwrap_or_else(|e| panic!("({n}, {r}, {nu}) {op:?}: {e:?}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn cyclic_storage_runs_every_product_f64() {
+    cyclic_storage_runs_every_product::<f64>();
+}
+
+#[test]
+fn cyclic_storage_runs_every_product_f32() {
+    cyclic_storage_runs_every_product::<f32>();
 }
 
 #[test]
