@@ -5,8 +5,7 @@
 //! number of connections per neuron, stacked for `L` layers, constant
 //! weights and a per-layer negative bias. The official sizes (1024–65536
 //! neurons × 120–1920 layers) are reproduced here in shape and scaled down
-//! in magnitude so a single machine regenerates every series in seconds
-//! (DESIGN.md §4).
+//! in magnitude so a single machine regenerates every series in seconds.
 //!
 //! Construction: a radix-`r`, depth-`k` uniform system gives `N' = r^k`
 //! neurons at `r` connections per neuron per layer; concatenating

@@ -37,6 +37,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use radix_nn::fault::positive_var;
+
 /// Message prefix of every injected engine panic — chaos tests match on it
 /// to distinguish injected faults from genuine bugs.
 pub const INJECTED_PANIC_MSG: &str = "injected engine fault";
@@ -117,15 +119,20 @@ impl FaultInjector {
     /// inactive). See the module docs for the variable table.
     #[must_use]
     pub fn from_env() -> Self {
-        let parse = |name: &str| -> Option<u64> {
-            std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok())
-        };
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`FaultInjector::from_env`] over any variable lookup (tests pass a
+    /// closure instead of mutating the process environment). A value that
+    /// is `0` or does not parse counts as unset.
+    fn from_vars(vars: impl Fn(&str) -> Option<String>) -> Self {
+        let var = |name| positive_var(&vars, name);
         Self::new(FaultPlan {
-            panic_at_batch: parse("RADIX_FAULT_PANIC_BATCH").filter(|&n| n > 0),
-            panic_budget: parse("RADIX_FAULT_PANIC_BUDGET")
+            panic_at_batch: var("RADIX_FAULT_PANIC_BATCH"),
+            panic_budget: var("RADIX_FAULT_PANIC_BUDGET")
                 .map_or(1, |n| n.min(u64::from(u32::MAX)) as u32),
-            compute_delay_us: parse("RADIX_FAULT_COMPUTE_DELAY_US").unwrap_or(0),
-            release_stall_us: parse("RADIX_FAULT_RELEASE_STALL_US").unwrap_or(0),
+            compute_delay_us: var("RADIX_FAULT_COMPUTE_DELAY_US").unwrap_or(0),
+            release_stall_us: var("RADIX_FAULT_RELEASE_STALL_US").unwrap_or(0),
         })
     }
 
@@ -242,5 +249,65 @@ mod tests {
         // yield an inactive injector (this is what production start() sees).
         let f = FaultInjector::from_env();
         assert!(!f.plan().is_active());
+    }
+
+    const BATCH: &str = "RADIX_FAULT_PANIC_BATCH";
+    const BUDGET: &str = "RADIX_FAULT_PANIC_BUDGET";
+    const DELAY: &str = "RADIX_FAULT_COMPUTE_DELAY_US";
+    const STALL: &str = "RADIX_FAULT_RELEASE_STALL_US";
+
+    fn plan_of(vars: &[(&str, &str)]) -> FaultPlan {
+        FaultInjector::from_vars(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| (*v).to_string())
+        })
+        .plan()
+    }
+
+    #[test]
+    fn from_vars_reads_every_variable() {
+        let plan = plan_of(&[(BATCH, "7"), (BUDGET, "3"), (DELAY, "250"), (STALL, "40")]);
+        assert_eq!(
+            plan,
+            FaultPlan {
+                panic_at_batch: Some(7),
+                panic_budget: 3,
+                compute_delay_us: 250,
+                release_stall_us: 40,
+            }
+        );
+        assert!(plan.is_active());
+    }
+
+    #[test]
+    fn from_vars_unset_zero_or_unparseable_is_inactive() {
+        let inactive = FaultPlan {
+            panic_budget: 1,
+            ..FaultPlan::default()
+        };
+        assert_eq!(plan_of(&[]), inactive);
+        for name in [BATCH, DELAY, STALL] {
+            for value in ["0", "x", "-1", "", "1.5"] {
+                assert_eq!(plan_of(&[(name, value)]), inactive, "{name}={value:?}");
+            }
+        }
+        assert_eq!(plan_of(&[(DELAY, "5")]).compute_delay_us, 5);
+        assert_eq!(plan_of(&[(STALL, "6")]).release_stall_us, 6);
+    }
+
+    #[test]
+    fn from_vars_budget_alone_is_inactive_and_defaults_to_one() {
+        // A budget without a batch schedules nothing.
+        let plan = plan_of(&[(BUDGET, "5")]);
+        assert_eq!(plan.panic_budget, 5);
+        assert!(!plan.is_active());
+        // Unset, `0` or unparseable: one panic.
+        assert_eq!(plan_of(&[(BATCH, "2")]).panic_budget, 1);
+        assert_eq!(plan_of(&[(BATCH, "2"), (BUDGET, "0")]).panic_budget, 1);
+        assert_eq!(plan_of(&[(BATCH, "2"), (BUDGET, "x")]).panic_budget, 1);
+        // Out of u32 range: clamped.
+        let huge = u64::MAX.to_string();
+        assert_eq!(plan_of(&[(BUDGET, &huge)]).panic_budget, u32::MAX);
     }
 }

@@ -5,13 +5,13 @@
 //! reported metric is the edge-processing rate: `batch · Σ nnz(W_l)`
 //! divided by wall time ("input-edges per second").
 //!
-//! The layers are held as [`PreparedWeights`]: RadiX-Net layer matrices
-//! have constant row degree, so every product runs on the ELL fast path —
-//! column-tiled for wide layers so the gather's working set stays
-//! cache-resident — with the bias + ReLU + `YMAX` clamp fused into the
-//! kernel as an [`Epilogue`]. Tiled products run the activation-sparsity
-//! dispatch: deep Challenge layers whose post-ReLU activations fall below
-//! the plan's `act_sparse_percent` nonzero fraction switch from the
+//! The layers are held as [`PreparedWeights`]: every Challenge layer is a
+//! square RadiX-Net layer, a sum of cyclic shifts, so it is stored as its
+//! value diagonals and every product runs as index-free shift-adds over
+//! them, with the bias + ReLU + `YMAX` clamp fused into the kernel as an
+//! [`Epilogue`]. Each row block runs the activation-sparsity dispatch:
+//! deep Challenge layers whose post-ReLU activations fall below the
+//! plan's `act_sparse_percent` nonzero fraction switch from the
 //! branch-free gather to a zero-skipping scatter, block by block, with
 //! identical results.
 //!
@@ -289,10 +289,13 @@ impl ChallengeNetwork {
         ws.take_output()
     }
 
-    /// Forward pass through ping-pong workspace buffers: each layer's
-    /// product + fused nonlinearity writes the buffer the previous layer
-    /// read from, so a warmed-up pass performs no heap allocation.
-    /// Returns the final output, which lives inside the workspace.
+    /// Forward pass through ping-pong workspace buffers, so a warmed-up
+    /// pass performs no heap allocation: the layers are cut into groups
+    /// of `plan.fuse_layers` consecutive layers, group outputs ping-pong
+    /// through the two main workspace buffers, and within a group each
+    /// row block is chained through every layer while its activations
+    /// stay cache-hot (see `forward_group`). Returns the final output,
+    /// which lives inside the workspace.
     ///
     /// # Panics
     /// Panics if `x.ncols() != n_in()`.
@@ -303,36 +306,6 @@ impl ChallengeNetwork {
         ws: &'w mut InferWorkspace,
     ) -> &'w DenseMatrix<f32> {
         let par = if parallel { Par::Pool } else { Par::Serial };
-        self.forward_schedule(x, par, ws)
-    }
-
-    /// Forward pass that picks serial vs pool **per layer group** with
-    /// the plan's work threshold ([`Par::Auto`], `RADIX_PAR_THRESHOLD`) —
-    /// the same switch the `radix-nn` layers use — instead of a
-    /// caller-supplied flag.
-    ///
-    /// # Panics
-    /// Panics if `x.ncols() != n_in()`.
-    pub fn forward_auto_with<'w>(
-        &self,
-        x: &DenseMatrix<f32>,
-        ws: &'w mut InferWorkspace,
-    ) -> &'w DenseMatrix<f32> {
-        self.forward_schedule(x, Par::Auto, ws)
-    }
-
-    /// Shared driver behind [`ChallengeNetwork::forward_with`] and
-    /// [`ChallengeNetwork::forward_auto_with`]: the layers are cut into
-    /// groups of `plan.fuse_layers` consecutive layers, group outputs
-    /// ping-pong through the two main workspace buffers, and within a
-    /// group each row block is chained through every layer while its
-    /// activations stay cache-hot (see [`forward_group`]).
-    fn forward_schedule<'w>(
-        &self,
-        x: &DenseMatrix<f32>,
-        par: Par,
-        ws: &'w mut InferWorkspace,
-    ) -> &'w DenseMatrix<f32> {
         let depth = self.plan.fuse_layers;
         let nlayers = self.layers.len();
         // Non-empty layers are a construction invariant, so groups >= 1.
@@ -353,8 +326,9 @@ impl ChallengeNetwork {
     /// Timed forward pass with Challenge-style statistics.
     ///
     /// The workspace is sized before the clock starts, so the timed
-    /// region is the pure compute kernel: prepared ELL products with the
-    /// fused nonlinearity, zero heap allocation.
+    /// region is the pure compute kernel: shift-add products over the
+    /// prepared diagonals with the fused nonlinearity, zero heap
+    /// allocation.
     ///
     /// # Panics
     /// Panics if `x.ncols() != n_in()`.
@@ -637,15 +611,6 @@ mod tests {
     fn fuse_layers_is_stable_and_positive() {
         assert!(fuse_layers() >= 1);
         assert_eq!(fuse_layers(), fuse_layers());
-    }
-
-    #[test]
-    fn auto_matches_explicit() {
-        let net = small_net();
-        let x = sparse_binary_batch(8, net.n_in(), 0.3, 3);
-        let reference = net.forward(&x, false);
-        let mut ws = InferWorkspace::new();
-        assert_eq!(net.forward_auto_with(&x, &mut ws), &reference);
     }
 
     #[test]

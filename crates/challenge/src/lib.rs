@@ -11,16 +11,14 @@
 //! * [`ChallengeNetwork`] — the timed inference kernel
 //!   `Y ← clamp(ReLU(Y·W + b), 0, YMAX)` with Rayon row parallelism and
 //!   edges/second reporting (the Challenge metric). Layers are prepared
-//!   ELL-layout weights (`radix_sparse::kernel`), column-tiled for cache
-//!   residency, with the nonlinearity fused in; the forward pass fuses
+//!   weights (`radix_sparse::kernel`) stored as their cyclic-shift value
+//!   diagonals, with the nonlinearity fused in; the forward pass fuses
 //!   the `fuse_layers` of its `radix_sparse::KernelPlan` (the
 //!   process-wide one unless [`ChallengeNetwork::from_layers_with_plan`]
 //!   is given another) consecutive layers per row block so intermediate
 //!   activations stay cache-hot, and group outputs ping-pong through an
 //!   [`InferWorkspace`] so the timed region performs zero heap allocation
 //!   after warm-up (serial and pool-parallel),
-//! * [`forward_pipelined`] — a crossbeam-channel depth-pipelined schedule,
-//!   bit-identical results, different parallel structure (ablation bench),
 //! * [`ServeEngine`] — an async serving front-end: concurrent clients
 //!   submit single rows, the engine executes whatever is queued at once
 //!   (a [`MicroBatcher`] block of at most one tile block; rows coalesce
@@ -46,9 +44,7 @@ pub mod config;
 pub mod fault;
 pub mod infer;
 pub mod online;
-pub mod pipeline;
 pub mod serve;
-pub mod stream;
 pub mod supervise;
 
 pub use catalog::{challenge_ladder, CatalogEntry};
@@ -56,10 +52,8 @@ pub use config::ChallengeConfig;
 pub use fault::{FaultInjector, FaultPlan};
 pub use infer::{fuse_layers, ChallengeNetwork, InferWorkspace, InferenceStats};
 pub use online::{OnlineConfig, OnlineError, OnlineReport, OnlineSession, PublishStats};
-pub use pipeline::forward_pipelined;
 pub use serve::{
     MicroBatcher, ReloadError, ServeClient, ServeConfig, ServeEngine, ServeError, ServeHandle,
     ServeStats,
 };
-pub use stream::{run_stream, LayerActivationStats, StreamResult};
 pub use supervise::{RestartPolicy, ServeSupervisor, SupervisorClient, SupervisorHandle};

@@ -51,9 +51,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use radix_nn::{
-    train_classifier_checkpointed, train_regressor_checkpointed, CheckpointError, Checkpointer,
-    History, Network, Optimizer, TrainConfig, TrainRestartPolicy, TrainSuperviseError,
-    TrainSupervisor,
+    train_regressor_checkpointed, CheckpointError, Checkpointer, History, Network, Optimizer,
+    TrainConfig, TrainRestartPolicy, TrainSuperviseError, TrainSupervisor,
 };
 use radix_sparse::{DenseMatrix, KernelPlan, PreparedWeights};
 
@@ -335,48 +334,8 @@ impl OnlineSession {
         opt: &mut Optimizer,
         config: &OnlineConfig,
     ) -> Result<OnlineReport, OnlineError> {
-        self.fine_tune(net, opt, config, |net, opt, ck| {
-            train_regressor_checkpointed(net, x, y, opt, &config.train, ck)
-        })
-    }
-
-    /// [`OnlineSession::fine_tune_regressor`] for a classification
-    /// problem.
-    ///
-    /// # Errors
-    /// As [`OnlineSession::fine_tune_regressor`].
-    ///
-    /// # Panics
-    /// As [`OnlineSession::fine_tune_regressor`].
-    pub fn fine_tune_classifier(
-        &mut self,
-        net: &mut Network,
-        x: &DenseMatrix<f32>,
-        labels: &[usize],
-        opt: &mut Optimizer,
-        config: &OnlineConfig,
-    ) -> Result<OnlineReport, OnlineError> {
-        self.fine_tune(net, opt, config, |net, opt, ck| {
-            train_classifier_checkpointed(net, x, labels, opt, &config.train, ck)
-        })
-    }
-
-    /// The shared core: supervised training on the calling thread (the
-    /// pool submitter), the publisher poller alongside it.
-    fn fine_tune<F>(
-        &mut self,
-        net: &mut Network,
-        opt: &mut Optimizer,
-        config: &OnlineConfig,
-        attempt: F,
-    ) -> Result<OnlineReport, OnlineError>
-    where
-        F: FnMut(
-            &mut Network,
-            &mut Optimizer,
-            &mut Checkpointer,
-        ) -> Result<History, CheckpointError>,
-    {
+        // Supervised training on the calling thread (the pool submitter),
+        // the publisher poller alongside it.
         let stop = AtomicBool::new(false);
         let handle = &self.handle;
         let dir = self.ckpt.dir().to_path_buf();
@@ -388,7 +347,10 @@ impl OnlineSession {
                 let dir = dir.clone();
                 move || publisher_loop(handle, &dir, stop, poll)
             });
-            let result = TrainSupervisor::new(config.restarts).run(net, opt, ckpt, attempt);
+            let result =
+                TrainSupervisor::new(config.restarts).run(net, opt, ckpt, |net, opt, ck| {
+                    train_regressor_checkpointed(net, x, y, opt, &config.train, ck)
+                });
             stop.store(true, Ordering::Release);
             let publish = publisher
                 .join()

@@ -3,8 +3,7 @@
 //! The real Sparse DNN Graph Challenge feeds MNIST images thresholded to
 //! sparse binary feature vectors into RadiX-Net-generated networks. We
 //! generate the same *statistical* object directly: batches of binary
-//! feature vectors with a controlled fraction of active features
-//! (DESIGN.md §4).
+//! feature vectors with a controlled fraction of active features.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

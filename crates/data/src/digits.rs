@@ -1,4 +1,4 @@
-//! Procedural digit-raster dataset — the MNIST stand-in (DESIGN.md §4).
+//! Procedural digit-raster dataset — the MNIST stand-in.
 //!
 //! Each sample is an 8×8 grayscale raster of one of the glyphs 0–9, drawn
 //! from a fixed seven-segment-style bitmap font and perturbed by a random

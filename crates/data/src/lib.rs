@@ -3,7 +3,7 @@
 //! Synthetic datasets for the RadiX-Net reproduction. The companion
 //! training study and the Graph Challenge use MNIST-derived data we cannot
 //! ship; these generators produce statistically equivalent laptop-scale
-//! substitutes (the substitution table lives in DESIGN.md §4):
+//! substitutes:
 //!
 //! * [`gaussian_blobs`], [`two_spirals`], [`checkerboard`] — classification
 //!   tasks of graded difficulty,

@@ -1,7 +1,7 @@
 //! Synthetic classification datasets.
 //!
 //! These stand in for the image benchmarks (MNIST/CIFAR) of the companion
-//! training study — see DESIGN.md §4: the claim under test is *relative*
+//! training study. The claim under test is *relative*
 //! (sparse-topology nets reach dense-net accuracy on the same data), so any
 //! non-trivial classification task exercises the same code path.
 

@@ -40,6 +40,16 @@ use std::sync::Arc;
 /// match on it to distinguish injected faults from genuine bugs.
 pub const INJECTED_TRAIN_PANIC_MSG: &str = "injected train fault";
 
+/// Reads fault variable `name` through the lookup `vars` as a positive
+/// `u64`: `None` when it is unset, `0` or does not parse. The one parse
+/// behind [`TrainFaultInjector::from_env`] and the serving stack's fault
+/// injector.
+#[doc(hidden)]
+#[must_use]
+pub fn positive_var(vars: &impl Fn(&str) -> Option<String>, name: &str) -> Option<u64> {
+    vars(name).and_then(|v| v.parse().ok()).filter(|&n| n > 0)
+}
+
 /// What the checkpoint writer must do with the bytes it was about to
 /// commit, as decided by [`TrainFaultInjector::checkpoint_fault`]. Bit
 /// flips are applied to the byte buffer directly (the write then commits
@@ -142,15 +152,20 @@ impl TrainFaultInjector {
     /// variable table.
     #[must_use]
     pub fn from_env() -> Self {
-        let parse = |name: &str| -> Option<u64> {
-            std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok())
-        };
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`TrainFaultInjector::from_env`] over any variable lookup (tests
+    /// pass a closure instead of mutating the process environment). A
+    /// value that is `0` or does not parse counts as unset.
+    fn from_vars(vars: impl Fn(&str) -> Option<String>) -> Self {
+        let var = |name| positive_var(&vars, name);
         Self::new(TrainFaultPlan {
-            panic_at_batch: parse("RADIX_FAULT_TRAIN_PANIC_BATCH").filter(|&n| n > 0),
-            panic_budget: parse("RADIX_FAULT_TRAIN_PANIC_BUDGET")
+            panic_at_batch: var("RADIX_FAULT_TRAIN_PANIC_BATCH"),
+            panic_budget: var("RADIX_FAULT_TRAIN_PANIC_BUDGET")
                 .map_or(1, |n| n.min(u64::from(u32::MAX)) as u32),
-            torn_write_gen: parse("RADIX_FAULT_CKPT_TORN_WRITE").filter(|&n| n > 0),
-            bit_flip_gen: parse("RADIX_FAULT_CKPT_BIT_FLIP").filter(|&n| n > 0),
+            torn_write_gen: var("RADIX_FAULT_CKPT_TORN_WRITE"),
+            bit_flip_gen: var("RADIX_FAULT_CKPT_BIT_FLIP"),
         })
     }
 
@@ -312,5 +327,65 @@ mod tests {
     fn env_parsing_defaults_to_inactive() {
         let f = TrainFaultInjector::from_env();
         assert!(!f.plan().is_active());
+    }
+
+    const BATCH: &str = "RADIX_FAULT_TRAIN_PANIC_BATCH";
+    const BUDGET: &str = "RADIX_FAULT_TRAIN_PANIC_BUDGET";
+    const TORN: &str = "RADIX_FAULT_CKPT_TORN_WRITE";
+    const FLIP: &str = "RADIX_FAULT_CKPT_BIT_FLIP";
+
+    fn plan_of(vars: &[(&str, &str)]) -> TrainFaultPlan {
+        TrainFaultInjector::from_vars(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| (*v).to_string())
+        })
+        .plan()
+    }
+
+    #[test]
+    fn from_vars_reads_every_variable() {
+        let plan = plan_of(&[(BATCH, "7"), (BUDGET, "3"), (TORN, "2"), (FLIP, "4")]);
+        assert_eq!(
+            plan,
+            TrainFaultPlan {
+                panic_at_batch: Some(7),
+                panic_budget: 3,
+                torn_write_gen: Some(2),
+                bit_flip_gen: Some(4),
+            }
+        );
+        assert!(plan.is_active());
+    }
+
+    #[test]
+    fn from_vars_unset_zero_or_unparseable_is_inactive() {
+        let inactive = TrainFaultPlan {
+            panic_budget: 1,
+            ..TrainFaultPlan::default()
+        };
+        assert_eq!(plan_of(&[]), inactive);
+        for name in [BATCH, TORN, FLIP] {
+            for value in ["0", "x", "-1", "", "1.5"] {
+                assert_eq!(plan_of(&[(name, value)]), inactive, "{name}={value:?}");
+            }
+        }
+        assert_eq!(plan_of(&[(TORN, "5")]).torn_write_gen, Some(5));
+        assert_eq!(plan_of(&[(FLIP, "6")]).bit_flip_gen, Some(6));
+    }
+
+    #[test]
+    fn from_vars_budget_alone_is_inactive_and_defaults_to_one() {
+        // A budget without a batch schedules nothing.
+        let plan = plan_of(&[(BUDGET, "5")]);
+        assert_eq!(plan.panic_budget, 5);
+        assert!(!plan.is_active());
+        // Unset, `0` or unparseable: one panic.
+        assert_eq!(plan_of(&[(BATCH, "2")]).panic_budget, 1);
+        assert_eq!(plan_of(&[(BATCH, "2"), (BUDGET, "0")]).panic_budget, 1);
+        assert_eq!(plan_of(&[(BATCH, "2"), (BUDGET, "x")]).panic_budget, 1);
+        // Out of u32 range: clamped.
+        let huge = u64::MAX.to_string();
+        assert_eq!(plan_of(&[(BUDGET, &huge)]).panic_budget, u32::MAX);
     }
 }

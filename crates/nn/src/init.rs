@@ -8,7 +8,7 @@
 
 use rand::Rng;
 
-use radix_sparse::{CscMatrix, CsrMatrix, Scalar};
+use radix_sparse::CsrMatrix;
 
 /// Initialization scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,13 +90,6 @@ pub fn init_dense<R: Rng>(
         }
     }
     m
-}
-
-/// Builds the CSC mirror of a CSR weight matrix (used by layers that
-/// iterate columns on the backward pass).
-#[must_use]
-pub fn csc_mirror<T: Scalar>(w: &CsrMatrix<T>) -> CscMatrix<T> {
-    w.to_csc()
 }
 
 #[cfg(test)]

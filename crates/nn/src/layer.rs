@@ -31,17 +31,6 @@ impl LayerGrads {
         }
     }
 
-    /// Accumulates `other · scale` into `self` (used to combine per-chunk
-    /// gradients in data-parallel training).
-    pub fn add_scaled(&mut self, other: &LayerGrads, scale: f32) {
-        for (a, &o) in self.w.iter_mut().zip(&other.w) {
-            *a += o * scale;
-        }
-        for (a, &o) in self.b.iter_mut().zip(&other.b) {
-            *a += o * scale;
-        }
-    }
-
     /// Resizes to the given lengths and zero-fills, reusing allocations —
     /// the gradient analogue of `DenseMatrix::resize_zeroed`.
     pub fn resize_zeroed(&mut self, w_len: usize, b_len: usize) {
@@ -700,18 +689,6 @@ mod tests {
             }
             Layer::Dense(_) => unreachable!(),
         }
-    }
-
-    #[test]
-    fn grads_add_scaled() {
-        let mut a = LayerGrads::zeros(3, 2);
-        let b = LayerGrads {
-            w: vec![1.0, 2.0, 3.0],
-            b: vec![4.0, 5.0],
-        };
-        a.add_scaled(&b, 0.5);
-        assert_eq!(a.w, vec![0.5, 1.0, 1.5]);
-        assert_eq!(a.b, vec![2.0, 2.5]);
     }
 
     #[test]

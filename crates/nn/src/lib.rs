@@ -20,8 +20,9 @@
 //! * [`ForwardWorkspace`] / [`GradWorkspace`] — reusable activation and
 //!   gradient buffers: forward passes ping-pong two buffers, training
 //!   reuses its trace/delta/gradient storage across mini-batches, and the
-//!   sparse layers run `radix_sparse::kernel`'s prepared ELL kernels with
-//!   the bias + activation epilogue fused in.
+//!   sparse layers run `radix_sparse::kernel`'s prepared kernels (index-free
+//!   shift-adds over the diagonals of a RadiX layer, CSR/ELL walks for any
+//!   other pattern) with the bias + activation epilogue fused in.
 //!
 //! ## Quick example
 //!
@@ -44,7 +45,6 @@
 
 pub mod activation;
 pub mod checkpoint;
-pub mod eval;
 pub mod fault;
 pub mod init;
 pub mod layer;
@@ -57,7 +57,6 @@ pub mod workspace;
 
 pub use activation::Activation;
 pub use checkpoint::{Checkpoint, CheckpointError, Checkpointer, TrainProgress};
-pub use eval::ConfusionMatrix;
 pub use fault::{TrainFaultInjector, TrainFaultPlan, WriteFault, INJECTED_TRAIN_PANIC_MSG};
 pub use init::{init_dense, init_sparse, Init};
 pub use layer::{DenseLinear, Layer, LayerGrads, SparseLinear};

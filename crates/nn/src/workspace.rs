@@ -192,12 +192,6 @@ impl GradWorkspace {
     pub fn grads_mut(&mut self) -> &mut [LayerGrads] {
         &mut self.grads
     }
-
-    /// Replaces the stored gradients (used when a data-parallel path
-    /// computed them out-of-workspace).
-    pub fn set_grads(&mut self, grads: Vec<LayerGrads>) {
-        self.grads = grads;
-    }
 }
 
 /// One data-parallel chunk's results: the per-layer gradients of that row

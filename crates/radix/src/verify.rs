@@ -24,8 +24,8 @@
 //! which reduces to the paper's formula when `s = N'`. Symmetry itself
 //! still holds in all cases. [`predicted_path_count`] implements the exact
 //! generalized form; the test suite and `tests/theorem1.rs` verify it
-//! against actual chain products, and EXPERIMENTS.md records the
-//! discrepancy.
+//! against actual chain products, and [`paper_path_count`] keeps the
+//! paper's literal formula so the two can be compared.
 
 use radix_sparse::PathCount;
 

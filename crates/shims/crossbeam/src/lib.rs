@@ -3,8 +3,8 @@
 //! scoped threads ([`scope`]).
 //!
 //! Channels are backed by [`std::sync::mpsc::sync_channel`] (bounded,
-//! blocking, disconnect-on-drop — the same semantics the pipelined
-//! inference schedule relies on), and scoped threads by
+//! blocking, disconnect-on-drop — the same semantics the serving engine's
+//! wake channel relies on), and scoped threads by
 //! [`std::thread::scope`]. The one semantic difference from real crossbeam:
 //! if a spawned thread panics, [`scope`] propagates the panic instead of
 //! returning `Err`, which is strictly stricter than the `.expect(…)` the

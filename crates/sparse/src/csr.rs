@@ -5,7 +5,6 @@
 //! SpMM kernels, the Kronecker product, and the layer-by-layer path-count
 //! chain all iterate over.
 
-use crate::csc::CscMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
@@ -329,13 +328,6 @@ impl<T: Scalar> CsrMatrix<T> {
             }
         }
         CsrMatrix::from_parts_unchecked(self.ncols, self.nrows, indptr, indices, data)
-    }
-
-    /// View in compressed-sparse-column form (copying).
-    #[must_use]
-    pub fn to_csc(&self) -> CscMatrix<T> {
-        let t = self.transpose();
-        CscMatrix::from_parts_unchecked(self.nrows, self.ncols, t.indptr, t.indices, t.data)
     }
 
     /// Expands to a dense matrix.

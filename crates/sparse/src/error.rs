@@ -23,7 +23,7 @@ pub enum SparseError {
         /// Which axis the index addressed.
         axis: &'static str,
     },
-    /// A CSR/CSC structure invariant is violated (e.g. non-monotone indptr).
+    /// A CSR structure invariant is violated (e.g. non-monotone indptr).
     InvalidStructure(String),
     /// A parse error while reading an external matrix representation.
     Parse {

@@ -22,11 +22,13 @@
 //!   `tests/lane_chunks.rs`);
 //! * a scalar remainder loop covers the `len % LANE_WIDTH` tail.
 //!
-//! The constant-degree ELL layout gets one step further: a RadiX layer's
-//! degree is fixed per matrix (8 and 16 on the committed bench shapes — 1
-//! and 2 whole chunks, no remainder), so [`gather_rows_ell`] dispatches
-//! those degrees to monomorphized whole-row loops
-//! ([`rows_fixed_chunks`]) whose trip counts are compile-time constants.
+//! The constant-degree ELL layout gets one step further: the degree of a
+//! CSR-stored matrix with constant row degree (an X-Net, a random net, a
+//! RadiX layer under a column permutation) is fixed per matrix, so
+//! [`gather_rows_ell`] dispatches degrees 8 and 16 (1 and 2 whole chunks,
+//! no remainder) to monomorphized whole-row loops ([`rows_fixed_chunks`])
+//! whose trip counts are compile-time constants. RadiX layers stored as
+//! diagonals never reach this path.
 
 use crate::scalar::Scalar;
 

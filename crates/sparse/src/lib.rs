@@ -14,17 +14,20 @@
 //!
 //! * [`CooMatrix`] — triplet builder format,
 //! * [`CsrMatrix`] — compressed sparse row, the workhorse format,
-//! * [`CscMatrix`] — compressed sparse column (for column-major access),
 //! * [`DenseMatrix`] — row-major dense matrices (activations, small checks),
 //! * [`CyclicShift`] — the permutation matrix `P` of eq. (2) and its powers,
 //! * [`mod@kron`] — Kronecker products, including the all-ones ⊗ sparse fast
 //!   path used by the RadiX-Net builder,
-//! * [`ops`] — SpMV, SpMM (serial and Rayon-parallel), chained products,
-//!   matrix powers over an abstract [`Scalar`] semiring,
-//! * [`kernel`] — the prepared-kernel engine: [`PreparedWeights`] with an
-//!   ELLPACK fast path for the constant-row-degree matrices RadiX-Net
-//!   produces, allocation-free products into reusable buffers configured
-//!   by a [`KernelPlan`] value, and fused bias/activation [`Epilogue`]s,
+//! * [`ops`] — the serial reference products (CSR × dense, dense × CSR,
+//!   CSR × CSR), CSR addition, chained products and matrix powers over an
+//!   abstract [`Scalar`] semiring,
+//! * [`kernel`] — the prepared-kernel engine: [`PreparedWeights`] stores a
+//!   sum of cyclic shifts (every square RadiX-Net layer) as its value
+//!   diagonals and runs every product on them as index-free shift-adds;
+//!   any other matrix keeps its CSR, with an ELLPACK walk when its row
+//!   degree is constant. Products are allocation-free into reusable
+//!   buffers, configured by a [`KernelPlan`] value, with fused
+//!   bias/activation [`Epilogue`]s,
 //! * [`PathCount`] — a saturating `u128` scalar so Theorem-1 verification
 //!   cannot silently overflow,
 //! * [`io`] — Graph-Challenge-style TSV reading/writing.
@@ -36,7 +39,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use radix_sparse::{CooMatrix, CsrMatrix, ops};
+//! use radix_sparse::{CooMatrix, CsrMatrix, DenseMatrix, ops};
 //!
 //! // The adjacency submatrix W of a 2-radix layer on 4 nodes:
 //! // W = P^0 + P^2  (two offset "decision tree" edges per node).
@@ -47,16 +50,15 @@
 //! }
 //! let w: CsrMatrix<f64> = coo.to_csr();
 //! assert_eq!(w.nnz(), 8);
-//! let x = vec![1.0; 4];
-//! let y = ops::spmv(&w, &x);
-//! assert_eq!(y, vec![2.0; 4]); // row sums: every node has out-degree 2
+//! let ones = DenseMatrix::from_rows(&[&[1.0; 4]]);
+//! let y = ops::dense_spmm(&ones, &w).unwrap();
+//! assert_eq!(y.row(0), &[2.0; 4]); // column sums: every node has in-degree 2
 //! ```
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod error;
@@ -68,7 +70,6 @@ pub mod perm;
 pub mod scalar;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::{AsDenseView, DenseMatrix, DenseView};
 pub use error::SparseError;

@@ -1,4 +1,4 @@
-//! Element-wise CSR addition and scaling.
+//! Element-wise CSR addition.
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
@@ -57,12 +57,6 @@ pub fn add<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result<CsrMatrix<T>
     ))
 }
 
-/// Computes `s · A`. If `s` is zero the result is the empty matrix.
-#[must_use]
-pub fn scale<T: Scalar>(a: &CsrMatrix<T>, s: T) -> CsrMatrix<T> {
-    a.map(|v| v.mul(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,19 +106,5 @@ mod tests {
         let a = CsrMatrix::<f64>::zeros(2, 2);
         let b = CsrMatrix::<f64>::zeros(2, 3);
         assert!(add(&a, &b).is_err());
-    }
-
-    #[test]
-    fn scale_multiplies_values() {
-        let a = csr(&[&[1.0, 2.0]]);
-        let s = scale(&a, 3.0);
-        assert_eq!(s.get(0, 0), 3.0);
-        assert_eq!(s.get(0, 1), 6.0);
-    }
-
-    #[test]
-    fn scale_by_zero_empties() {
-        let a = csr(&[&[1.0, 2.0]]);
-        assert_eq!(scale(&a, 0.0).nnz(), 0);
     }
 }

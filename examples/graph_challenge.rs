@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example graph_challenge`
 
-use radixnet::challenge::{forward_pipelined, ChallengeConfig, ChallengeNetwork};
+use radixnet::challenge::{ChallengeConfig, ChallengeNetwork};
 use radixnet::data::sparse_binary_batch;
 
 fn main() {
@@ -25,8 +25,6 @@ fn main() {
     let (y_serial, stats_serial) = net.run(&x, false);
     let (y_parallel, stats_parallel) = net.run(&x, true);
     assert_eq!(y_serial, y_parallel, "schedules must agree bitwise");
-    let y_piped = forward_pipelined(&net, &x, batch / 8);
-    assert_eq!(y_serial, y_piped, "pipelined schedule must agree bitwise");
 
     println!("batch        : {batch}");
     println!(

@@ -86,5 +86,5 @@ fn main() {
 
     println!("\nExpected shape (paper/companion): all three reach comparable *training*");
     println!("accuracy; the sparse nets use ~1/16 of the dense parameter count. Held-out");
-    println!("accuracy shows a gap at this toy sample size (see EXPERIMENTS.md).");
+    println!("accuracy shows a generalization gap at this toy sample size.");
 }

@@ -1,12 +1,10 @@
 //! Runs the Graph-Challenge-style inference benchmark across a ladder of
 //! RadiX-Net network sizes and prints the Challenge metric (edges/second)
-//! for the serial, Rayon-parallel, and crossbeam-pipelined schedules.
+//! for the serial and Rayon-parallel schedules.
 //!
 //! Usage: `cargo run --release --bin challenge_inference [batch]`
 
-use std::time::Instant;
-
-use radix_challenge::{forward_pipelined, ChallengeConfig, ChallengeNetwork};
+use radix_challenge::{ChallengeConfig, ChallengeNetwork};
 use radix_data::sparse_binary_batch;
 
 fn main() {
@@ -27,8 +25,8 @@ fn main() {
 
     println!("# Graph-Challenge-style inference, batch = {batch}");
     println!(
-        "{:>8} {:>7} {:>5} {:>12} {:>14} {:>14} {:>14}",
-        "neurons", "layers", "deg", "edges", "serial_e/s", "rayon_e/s", "pipeline_e/s"
+        "{:>8} {:>7} {:>5} {:>12} {:>14} {:>14}",
+        "neurons", "layers", "deg", "edges", "serial_e/s", "rayon_e/s"
     );
     for (radix, k, s) in ladder {
         let config = ChallengeConfig::preset(radix, k, s);
@@ -37,20 +35,15 @@ fn main() {
 
         let (_, serial) = net.run(&x, false);
         let (_, parallel) = net.run(&x, true);
-        let start = Instant::now();
-        let _ = forward_pipelined(&net, &x, (batch / 8).max(1));
-        let pipe_secs = start.elapsed().as_secs_f64().max(1e-12);
-        let pipe_rate = serial.edges_processed as f64 / pipe_secs;
 
         println!(
-            "{:>8} {:>7} {:>5} {:>12} {:>14.3e} {:>14.3e} {:>14.3e}",
+            "{:>8} {:>7} {:>5} {:>12} {:>14.3e} {:>14.3e}",
             config.neurons(),
             config.num_layers(),
             radix,
             serial.edges_processed,
             serial.rate,
-            parallel.rate,
-            pipe_rate
+            parallel.rate
         );
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`sparse`] | `radix-sparse` | CSR/CSC/COO matrices, Kronecker products, parallel SpMM, path-count semirings, TSV I/O |
+//! | [`sparse`] | `radix-sparse` | COO/CSR/dense matrices, Kronecker products, the prepared-kernel engine, path-count semirings, TSV I/O |
 //! | [`net`] | `radix-net` | Mixed-radix systems & topologies, the Figure-6 RadiX-Net builder, density formulas, Theorem-1 verification |
 //! | [`xnet`] | `radix-xnet` | Random and Cayley X-Linear baseline layers |
 //! | [`nn`] | `radix-nn` | Sparse/dense layers, backprop, optimizers, training loops |

@@ -70,11 +70,13 @@ fn challenge_inference_prints_ladder() {
     let (stdout, _, ok) = run(env!("CARGO_BIN_EXE_challenge_inference"), &["8"]);
     assert!(ok);
     assert!(stdout.contains("edges"));
-    // Five ladder rows.
+    // Five ladder rows: the lines that start with a neuron count.
     let rows = stdout
         .lines()
         .filter(|l| {
-            !l.starts_with('#') && l.split_whitespace().count() == 7 && !l.contains("neurons")
+            l.split_whitespace()
+                .next()
+                .is_some_and(|f| f.parse::<usize>().is_ok())
         })
         .count();
     assert_eq!(rows, 5);

@@ -1,6 +1,6 @@
 //! Integration test: Theorem 1 (and Lemmas 1–2) verified end-to-end across
 //! a systematic family of RadiX-Net specifications, including the
-//! divisor-last-system cases where the generalized count (DESIGN.md /
+//! divisor-last-system cases where the generalized count (see the
 //! `radix_net::verify` module docs) differs from the paper's literal
 //! formula.
 

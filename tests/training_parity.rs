@@ -33,7 +33,8 @@ fn radixnet_matches_dense_on_digits() {
     // keeps 1/16 of the weights (degree 4 of 64) but trains to the same
     // *training* precision — the paper's "train to the same arbitrary
     // degree of precision" claim. (Held-out accuracy at this toy sample
-    // size shows a generalization gap; see EXPERIMENTS.md.)
+    // size shows a generalization gap, so only training accuracy is
+    // compared.)
     let data = digits(40, 0.2, 1);
     let spec = RadixNetSpec::new(
         vec![MixedRadixSystem::new([4, 4, 4]).unwrap()],
