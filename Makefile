@@ -18,13 +18,16 @@ verify:
 ## plan × all four products), which otherwise only sees the default
 ## width; `radix-challenge --lib infer` for the fused schedule's pool leg,
 ## which runs RadiX layers on the diagonal storage at every width,
-## narrower than a tile included.
+## narrower than a tile included; `radix-challenge --test properties`
+## for the live-row compaction oracle, whose pool blocks hold other rows
+## at each pool width than on one thread.
 POOL_THREADS ?= 4
 verify-mt:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p rayon
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-sparse
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-nn
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --lib infer
+	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test properties
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test zero_alloc
 
 ## The serving-engine suites under a forced multi-thread worker pool —

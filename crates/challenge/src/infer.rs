@@ -32,6 +32,22 @@
 //! arithmetic is unchanged, so results stay bitwise identical to the
 //! layer-by-layer schedule.
 //!
+//! The forward pass also keeps a **live-row set**. The Challenge answer
+//! is the set of rows still nonzero after the last layer, and many rows
+//! die within a layer or two. A row whose activations all compare `== 0.0`
+//! (a `-0.0` element included) is a fixed point of every later layer when
+//! each weight is finite and the epilogue maps a `+0.0` accumulator to
+//! `+0.0` bits: the gather starts each sum at `+0` and adds `±0` terms,
+//! the scatter skips zero activations and keeps its `+0` fill, and the
+//! epilogue then writes `+0.0` again. That holds for every bias `≤ 0`
+//! (`-0.0` included) and fails for a positive one; the network checks it
+//! once at construction. Under the check, after each fused group but the
+//! last, such rows leave the batch: the live rows move, in ascending
+//! order, to the front of the group output, and the next group runs on
+//! them alone. After the last group the dead rows are written back as
+//! `+0.0`, so every output bit equals the uncompacted schedule's. A NaN
+//! or ±∞ element never compares equal to zero, so its row always stays.
+//!
 //! After the workspace warm-up the timed region performs **zero heap
 //! allocation**, for the serial *and* the pool-parallel schedule
 //! (`tests/zero_alloc.rs` pins both down with a counting allocator).
@@ -39,7 +55,9 @@
 use std::time::Instant;
 
 use radix_sparse::kernel::PingPong;
-use radix_sparse::{Bias, CsrMatrix, DenseMatrix, Epilogue, KernelPlan, Par, PreparedWeights};
+use radix_sparse::{
+    Bias, CsrMatrix, DenseMatrix, Epilogue, KernelPlan, Par, PreparedWeights, Scalar,
+};
 
 use crate::config::ChallengeConfig;
 
@@ -60,6 +78,9 @@ pub struct ChallengeNetwork {
     /// The plan every layer was prepared under; the forward schedule
     /// reads its `fuse_layers`, `block_rows` and `par_threshold`.
     plan: KernelPlan,
+    /// Whether an all-zero row stays all `+0.0` through every layer, so
+    /// the forward pass may drop it (see the module docs).
+    drops_dead_rows: bool,
 }
 
 /// Ping-pong activation buffers for allocation-free Challenge inference.
@@ -68,11 +89,13 @@ pub struct ChallengeNetwork {
 /// alternation is `radix_sparse::kernel`'s [`PingPong`] driver, shared
 /// with the `radix-nn` forward workspace; `scratch` holds one small
 /// per-worker ping-pong for the within-group intermediates of the fused
-/// schedule (index = pool worker slot, so parallel blocks never share).
+/// schedule (index = pool worker slot, so parallel blocks never share);
+/// `live` holds the batch index of each row still computed.
 #[derive(Debug, Clone, Default)]
 pub struct InferWorkspace {
     buffers: PingPong<f32>,
     scratch: Vec<PingPong<f32>>,
+    live: Vec<usize>,
 }
 
 impl InferWorkspace {
@@ -100,7 +123,17 @@ impl InferWorkspace {
         InferWorkspace {
             buffers: PingPong::with_capacity(batch, widest),
             scratch,
+            live: Vec::with_capacity(batch),
         }
+    }
+
+    /// How many rows of the most recent forward pass entered its last
+    /// layer group: the batch minus the rows dropped as all-zero after an
+    /// earlier group. The output is the same either way, so this count is
+    /// the only trace of the compaction.
+    #[must_use]
+    pub fn live_rows(&self) -> usize {
+        self.live.len()
     }
 
     /// The output of the most recent forward pass.
@@ -122,7 +155,9 @@ impl InferWorkspace {
 pub struct InferenceStats {
     /// Wall-clock seconds for the full forward pass.
     pub seconds: f64,
-    /// Total input edges processed (`batch · Σ nnz(W_l)`).
+    /// Total input edges processed (`batch · Σ nnz(W_l)`), the Challenge
+    /// count: every row is charged every layer, including the layers a
+    /// dead row skipped.
     pub edges_processed: u64,
     /// Edge-processing rate (edges / second), the Challenge metric.
     pub rate: f64,
@@ -224,11 +259,20 @@ impl ChallengeNetwork {
         for pair in layers.windows(2) {
             assert_eq!(pair[0].ncols(), pair[1].nrows(), "layers must chain");
         }
+        // The kernels' own arithmetic on a `+0` accumulator, `v + bias`
+        // then the clamp, must give `+0.0` bits. (The clamp panics below
+        // a `YMAX` of 0, as the kernels would.)
+        let zero_stays_zero = ymax >= 0.0 && clamp_to(ymax)(Scalar::add(0.0, bias)).to_bits() == 0;
+        let drops_dead_rows = zero_stays_zero
+            && layers
+                .iter()
+                .all(|w| w.values().iter().all(|v| v.is_finite()));
         ChallengeNetwork {
             layers,
             bias,
             ymax,
             plan,
+            drops_dead_rows,
         }
     }
 
@@ -271,8 +315,7 @@ impl ChallengeNetwork {
     /// The Challenge nonlinearity `v ↦ clamp(v + bias, 0, YMAX)` as a
     /// fused epilogue (the ReLU is the lower clamp bound).
     pub(crate) fn epilogue(&self) -> Epilogue<'static, f32, impl Fn(f32) -> f32 + Sync + Copy> {
-        let ymax = self.ymax;
-        Epilogue::new(Bias::Uniform(self.bias), move |v: f32| v.clamp(0.0, ymax))
+        Epilogue::new(Bias::Uniform(self.bias), clamp_to(self.ymax))
     }
 
     /// Runs the full forward pass, returning final activations.
@@ -297,6 +340,16 @@ impl ChallengeNetwork {
     /// stay cache-hot (see `forward_group`). Returns the final output,
     /// which lives inside the workspace.
     ///
+    /// When the network's bias maps a zero accumulator to `+0.0` and every
+    /// weight is finite (checked once at construction), rows that are all
+    /// zero after a group leave the batch: the survivors are compacted, in
+    /// ascending order, to the front of the group output, their batch
+    /// indices kept in the workspace, and the next group (with its pool
+    /// threshold) sees only them. The last group's output is expanded back
+    /// to the full batch with the dropped rows `+0.0`, so the result is
+    /// bitwise the uncompacted one. [`InferWorkspace::live_rows`] reports
+    /// how many rows reached the last group.
+    ///
     /// # Panics
     /// Panics if `x.ncols() != n_in()`.
     pub fn forward_with<'w>(
@@ -310,16 +363,33 @@ impl ChallengeNetwork {
         let nlayers = self.layers.len();
         // Non-empty layers are a construction invariant, so groups >= 1.
         let groups = nlayers.div_ceil(depth);
-        let InferWorkspace { buffers, scratch } = ws;
+        let batch = x.nrows();
+        let InferWorkspace {
+            buffers,
+            scratch,
+            live,
+        } = ws;
         // One fused-block scratch pair per pool worker slot; reaches its
         // high-water mark on the first (warm-up) pass.
         scratch.resize_with(rayon::current_num_threads(), PingPong::new);
+        live.clear();
+        live.extend(0..batch);
         let epi = self.epilogue();
         buffers.run(x, groups, |g, src, dst| {
             let lo = g * depth;
             let hi = (lo + depth).min(nlayers);
             let group = &self.layers[lo..hi];
             forward_group(group, src, dst, &epi, par, self.plan, scratch);
+            if !self.drops_dead_rows {
+                return;
+            }
+            // After the last group there is nothing left to skip: the
+            // output goes back to the full batch.
+            if g + 1 < groups {
+                drop_dead_rows(dst, live);
+            } else {
+                restore_dead_rows(dst, live, batch);
+            }
         })
     }
 
@@ -353,6 +423,64 @@ impl ChallengeNetwork {
     }
 }
 
+/// The Challenge clamp `v ↦ clamp(v, 0, YMAX)`, the epilogue's map.
+fn clamp_to(ymax: f32) -> impl Fn(f32) -> f32 + Sync + Copy {
+    move |v: f32| v.clamp(0.0, ymax)
+}
+
+/// Whether every element of `row` compares `== 0.0` (`±0.0`; never NaN
+/// or ±∞): `v == 0.0` ⟺ the bits without the sign are zero, OR-reduced a
+/// chunk at a time so the scan vectorizes and a live row exits early.
+fn row_is_zero(row: &[f32]) -> bool {
+    row.chunks(64)
+        .all(|c| c.iter().fold(0, |acc, v| acc | (v.to_bits() << 1)) == 0)
+}
+
+/// Drops the all-zero rows of a group output whose row `k` is batch row
+/// `live[k]`: the survivors move, in order, to the front of `m`, `live`
+/// keeps their batch indices, and `m` shrinks to them (capacity kept).
+fn drop_dead_rows(m: &mut DenseMatrix<f32>, live: &mut Vec<usize>) {
+    let cols = m.ncols();
+    let mut kept = 0;
+    for k in 0..live.len() {
+        if row_is_zero(m.row(k)) {
+            continue;
+        }
+        if kept != k {
+            m.as_mut_slice()
+                .copy_within(k * cols..(k + 1) * cols, kept * cols);
+            live[kept] = live[k];
+        }
+        kept += 1;
+    }
+    live.truncate(kept);
+    m.resize_for_overwrite(kept, cols);
+}
+
+/// Expands a compacted last-group output (row `k` is batch row
+/// `live[k]`) back to all `batch` rows, the dropped ones `+0.0`. Growing
+/// within capacity zero-fills the new tail; rows then move back to their
+/// batch index last-first (`live[k] ≥ k`, so no row is overwritten
+/// before it moves), zeroing each gap below the old length on the way.
+fn restore_dead_rows(m: &mut DenseMatrix<f32>, live: &[usize], batch: usize) {
+    let n = live.len();
+    if n == batch {
+        return;
+    }
+    let cols = m.ncols();
+    m.resize_for_overwrite(batch, cols);
+    let data = m.as_mut_slice();
+    let mut end = batch;
+    for (k, &to) in live.iter().enumerate().rev() {
+        data[(to + 1).min(n) * cols..end.min(n) * cols].fill(0.0);
+        if to != k {
+            data.copy_within(k * cols..(k + 1) * cols, to * cols);
+        }
+        end = to;
+    }
+    data[..end.min(n) * cols].fill(0.0);
+}
+
 /// Applies one fused layer group to the whole batch, `src → dst`.
 ///
 /// A single-layer group is one tiled product straight into `dst`. A deeper
@@ -360,7 +488,8 @@ impl ChallengeNetwork {
 /// block through every layer of the group (intermediates in the worker's
 /// scratch ping-pong, final layer writing its slice of `dst` directly), so
 /// a block's activations never leave cache between layers. Pool
-/// execution ([`Par::Auto`] thresholds on the whole group's work) hands
+/// execution ([`Par::Auto`] thresholds on the group's work over the rows
+/// of `src`, which after a compaction are the live rows only) hands
 /// blocks to the persistent pool via the allocation-free chunk dispatch,
 /// one scratch pair per worker slot; serial execution is the same
 /// dispatch with one slot.
@@ -469,11 +598,11 @@ mod tests {
     }
 
     #[test]
-    fn layers_run_on_the_ell_fast_path() {
-        // RadiX-Net layers have constant row degree by construction, so
-        // the prepared kernels must all take the ELL path.
+    fn layers_are_stored_as_cyclic_diagonals() {
+        // Every Challenge layer is a square RadiX-Net layer, a sum of
+        // cyclic shifts, so each is stored as its value diagonals.
         let net = small_net();
-        assert!(net.layers().iter().all(PreparedWeights::is_ell));
+        assert!(net.layers().iter().all(|w| w.cyclic().is_some()));
     }
 
     #[test]

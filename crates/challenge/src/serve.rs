@@ -1102,18 +1102,7 @@ impl ServeEngine {
         let n_in = net.n_in();
         let n_out = net.layers().last().expect("non-empty network").ncols();
 
-        // Warm-up block: drives the workspace to its high-water mark and
-        // measures what a full block costs.
-        let mut ws = InferWorkspace::for_network(&net, config.max_batch);
-        let warm = DenseMatrix::zeros(config.max_batch, n_in);
-        let t = Instant::now();
-        let _ = net.forward_with(&warm, config.parallel, &mut ws);
-        // An injected compute delay slows every engine-loop block, so the
-        // measurement must pay it too — otherwise the admission predictor
-        // would plan around a block cost the engine never achieves, and
-        // "admitted" requests would be served late.
-        fault.compute_delay();
-        let compute_us = t.elapsed().as_micros() as u64;
+        let (ws, compute_us) = warm_up(&net, config, &fault);
 
         let shared = Arc::new(Shared {
             slots: (0..config.slots)
@@ -1187,6 +1176,31 @@ impl ServeEngine {
             thread,
         }
     }
+}
+
+/// The warm-up block: drives a fresh workspace to its high-water mark and
+/// measures what a full block costs, in microseconds.
+///
+/// The block is all-ones rows, which stay live through every layer on the
+/// Challenge presets (gain 2 against a −0.30 bias saturates them at
+/// `YMAX`). An all-zero block would leave the forward pass after its first
+/// layer group and time near zero, and the admission predictor would then
+/// admit requests that are served late.
+fn warm_up(
+    net: &ChallengeNetwork,
+    config: &ServeConfig,
+    fault: &FaultInjector,
+) -> (InferWorkspace, u64) {
+    let mut ws = InferWorkspace::for_network(net, config.max_batch);
+    let warm = DenseMatrix::ones(config.max_batch, net.n_in());
+    let t = Instant::now();
+    let _ = net.forward_with(&warm, config.parallel, &mut ws);
+    // An injected compute delay slows every engine-loop block, so the
+    // measurement must pay it too — otherwise the admission predictor
+    // would plan around a block cost the engine never achieves, and
+    // "admitted" requests would be served late.
+    fault.compute_delay();
+    (ws, t.elapsed().as_micros() as u64)
 }
 
 /// Everything the engine thread owns.
@@ -1356,6 +1370,20 @@ mod tests {
             slots: 8,
             queue: 8,
             parallel: false,
+        }
+    }
+
+    #[test]
+    fn warm_up_block_stays_live() {
+        // The measured block must compute every layer on every row, or
+        // `compute_us` undercounts a real block.
+        let config = quick_config();
+        for net in [
+            small_net(),
+            ChallengeNetwork::from_config(&ChallengeConfig::preset(3, 3, 2)).unwrap(),
+        ] {
+            let (ws, _) = warm_up(&net, &config, &FaultInjector::inactive());
+            assert_eq!(ws.live_rows(), config.max_batch);
         }
     }
 

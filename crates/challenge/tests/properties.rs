@@ -1,12 +1,13 @@
 //! Property tests for the Graph-Challenge harness: schedule equivalence,
+//! live-row compaction against an uncompacted reference,
 //! conservation/monotonicity of the kernel, and configuration arithmetic
 //! on random parameters.
 
 use proptest::prelude::*;
 
-use radix_challenge::{ChallengeConfig, ChallengeNetwork};
+use radix_challenge::{ChallengeConfig, ChallengeNetwork, InferWorkspace};
 use radix_data::sparse_binary_batch;
-use radix_sparse::DenseMatrix;
+use radix_sparse::{Bias, CsrMatrix, DenseMatrix, Epilogue, KernelPlan, Par};
 
 fn small_config() -> impl Strategy<Value = ChallengeConfig> {
     (2usize..5, 2usize..4, 1usize..4)
@@ -16,8 +17,190 @@ fn small_config() -> impl Strategy<Value = ChallengeConfig> {
         .prop_map(|(r, k, s)| ChallengeConfig::preset(r, k, s))
 }
 
+/// Every element's bit pattern (stricter than `==`, which cannot tell
+/// `-0.0` from `0.0`), with the shape.
+fn bits(m: &DenseMatrix<f32>) -> (usize, usize, Vec<u32>) {
+    (
+        m.nrows(),
+        m.ncols(),
+        m.as_slice().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// Rows holding at least one element `!= 0.0` (NaN included).
+fn nonzero_rows(m: &DenseMatrix<f32>) -> usize {
+    (0..m.nrows())
+        .filter(|&i| m.row(i).iter().any(|&v| v != 0.0))
+        .count()
+}
+
+/// A `-0.0` row and a negative row, then a row holding one NaN and a
+/// row holding one +∞. The first compares equal to zero everywhere; the
+/// first layer clamps the second to zero, which a positive bias then
+/// lifts off zero again; the last two never compare equal to zero.
+fn special_rows(n: usize) -> Vec<Vec<f32>> {
+    let mut nan = vec![0.0; n];
+    nan[n / 2] = f32::NAN;
+    let mut inf = vec![0.0; n];
+    inf[n - 1] = f32::INFINITY;
+    vec![vec![-0.0; n], vec![-1.0; n], nan, inf]
+}
+
+/// One row per `(saturating, level)`: a saturating row holds `0.5 +
+/// level / 2` everywhere (gain 2 drives it to `YMAX` under a −0.30 bias);
+/// a dying row holds `0.3 · level` on two columns in three, below the
+/// −0.30 fixed point, so it dies after a level-dependent number of
+/// layers. In order, saturating rows come first, then dying rows, then
+/// `extra`; `shuffle` permutes all of them (Fisher–Yates on a seeded LCG).
+fn mixed_rows(
+    n: usize,
+    rows: &[(bool, f32)],
+    extra: Vec<Vec<f32>>,
+    shuffle: Option<u64>,
+) -> DenseMatrix<f32> {
+    let row = |k: usize, &(saturating, level): &(bool, f32)| -> Vec<f32> {
+        (0..n)
+            .map(|i| match (saturating, (i + k) % 3) {
+                (true, _) => 0.5 + level / 2.0,
+                (false, 0) => 0.0,
+                (false, _) => 0.3 * level,
+            })
+            .collect()
+    };
+    let mut all: Vec<Vec<f32>> = rows
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.0)
+        .chain(rows.iter().enumerate().filter(|(_, r)| !r.0))
+        .map(|(k, r)| row(k, r))
+        .chain(extra)
+        .collect();
+    if let Some(mut state) = shuffle {
+        for i in (1..all.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            all.swap(i, (state >> 33) as usize % (i + 1));
+        }
+    }
+    let batch = all.len();
+    DenseMatrix::from_vec(batch, n, all.concat()).unwrap()
+}
+
+/// Runs `x` through `config`'s layers at every fuse depth × block grain ×
+/// bias (negative, `-0.0`, `+0.0`, positive), serial and on the pool, and
+/// checks each against a layer-by-layer reference that never drops a
+/// row: the output bit for bit, and `live_rows()` against the rows the
+/// reference still holds nonzero when the last group starts (the whole
+/// batch when there is one group or the bias is positive). Returns the
+/// `(fuse_layers, bias, live_rows)` triples seen.
+fn assert_compaction_exact(
+    config: &ChallengeConfig,
+    x: &DenseMatrix<f32>,
+) -> Vec<(usize, f32, usize)> {
+    let base = ChallengeNetwork::from_config(config).unwrap();
+    let csrs: Vec<CsrMatrix<f32>> = base.layers().iter().map(|l| l.to_csr()).collect();
+    let ymax = config.ymax;
+    let mut seen = Vec::new();
+    for bias in [-0.30f32, -0.0, 0.0, 0.1] {
+        let epi = Epilogue::new(Bias::Uniform(bias), move |v: f32| v.clamp(0.0, ymax));
+        let mut acts = vec![x.clone()];
+        for w in base.layers() {
+            let mut next = DenseMatrix::default();
+            w.spmm(acts.last().unwrap(), &mut next, &epi, Par::Serial)
+                .unwrap();
+            acts.push(next);
+        }
+        let expect = bits(acts.last().unwrap());
+        for fuse_layers in [1usize, 2, 3, 4] {
+            let groups = csrs.len().div_ceil(fuse_layers);
+            let live = if groups > 1 && bias <= 0.0 {
+                nonzero_rows(&acts[(groups - 1) * fuse_layers])
+            } else {
+                x.nrows()
+            };
+            for block_rows in [1usize, 7, 32] {
+                let plan = KernelPlan {
+                    fuse_layers,
+                    block_rows,
+                    tile_cols: 8,
+                    ..KernelPlan::default()
+                };
+                let net = ChallengeNetwork::from_layers_with_plan(csrs.clone(), bias, ymax, plan);
+                for parallel in [false, true] {
+                    let mut ws = InferWorkspace::new();
+                    let y = net.forward_with(x, parallel, &mut ws);
+                    assert_eq!(
+                        bits(y),
+                        expect,
+                        "bias {bias}, parallel {parallel}, {plan:?}"
+                    );
+                    assert_eq!(
+                        ws.live_rows(),
+                        live,
+                        "bias {bias}, parallel {parallel}, {plan:?}"
+                    );
+                }
+            }
+            seen.push((fuse_layers, bias, live));
+        }
+    }
+    seen
+}
+
+#[test]
+fn compaction_edge_batches_match_reference() {
+    // 16 neurons, 8 layers: at fuse depth 2 the last group starts after
+    // layer 6.
+    let config = ChallengeConfig::preset(2, 4, 2);
+    let n = config.neurons();
+    let live_at = |seen: &[(usize, f32, usize)], fuse: usize, bias: f32| {
+        seen.iter()
+            .find(|&&(f, b, _)| f == fuse && b.to_bits() == bias.to_bits())
+            .map(|&(_, _, live)| live)
+            .unwrap()
+    };
+
+    // No rows at all.
+    let seen = assert_compaction_exact(&config, &DenseMatrix::zeros(0, n));
+    assert!(seen.iter().all(|&(_, _, live)| live == 0));
+
+    // Every row dies in the first layer under the −0.30 bias; the
+    // zero, `-0.0` and negative rows under every bias that allows
+    // dropping.
+    let dying = [(false, 0.0), (false, 0.05), (false, 0.1)];
+    let mut specials = special_rows(n);
+    let never_zero = specials.split_off(2);
+    let x = mixed_rows(n, &dying, specials, Some(7));
+    let seen = assert_compaction_exact(&config, &x);
+    assert_eq!(live_at(&seen, 2, -0.30), 0);
+    assert_eq!(live_at(&seen, 2, 0.0), 2);
+    assert_eq!(live_at(&seen, 2, 0.1), 5);
+
+    // No row dies: saturating rows, a NaN row and a +∞ row.
+    let x = mixed_rows(n, &[(true, 0.0), (true, 1.0)], never_zero, Some(3));
+    let seen = assert_compaction_exact(&config, &x);
+    assert!(seen.iter().all(|&(_, _, live)| live == 4));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn compaction_matches_uncompacted_reference(
+        config in small_config(),
+        rows in proptest::collection::vec((any::<bool>(), 0.0f32..1.0), 0..12),
+        specials in any::<bool>(),
+        shuffle in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let n = config.neurons();
+        let extra = if specials { special_rows(n) } else { Vec::new() };
+        let x = mixed_rows(n, &rows, extra, shuffle.then_some(seed));
+        let seen = assert_compaction_exact(&config, &x);
+        // A positive bias never drops a row.
+        prop_assert!(seen.iter().filter(|s| s.1 > 0.0).all(|s| s.2 == x.nrows()));
+    }
 
     #[test]
     fn serial_and_pool_schedules_agree(config in small_config(), batch in 1usize..12, seed in any::<u64>()) {

@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use radix_challenge::{ChallengeConfig, ChallengeNetwork, InferWorkspace};
 use radix_data::sparse_binary_batch;
+use radix_sparse::DenseMatrix;
 
 /// Counts every allocation (alloc + realloc) made through the global
 /// allocator, delegating the actual memory management to [`System`].
@@ -156,4 +157,56 @@ fn inference_timed_region_is_allocation_free() {
         "warmed-up pool-parallel tiled inference must be allocation-free"
     );
     assert_eq!(net.forward_with(&x3, true, &mut ws3), &par_reference);
+
+    // Part 4: live-row compaction. Three batches of one size through one
+    // warmed workspace: half the rows die in the first group, every row
+    // dies, no row dies. Dropping rows shrinks the buffers and expanding
+    // back only refills capacity they already have, so no pass — serial
+    // or pool, in any order of the three — may allocate.
+    let n = net.n_in();
+    let saturating = vec![1.0f32; n];
+    // Gain 2 on 0.01 stays far below the −0.30 bias: dead after layer 0.
+    let dying = vec![0.01f32; n];
+    let batch_of = |alive: usize| {
+        let data: Vec<f32> = (0..batch3)
+            .flat_map(|i| {
+                if i % 2 == 0 && i / 2 < alive {
+                    saturating.clone()
+                } else {
+                    dying.clone()
+                }
+            })
+            .collect();
+        DenseMatrix::from_vec(batch3, n, data).unwrap()
+    };
+    let batches = [
+        (batch_of(batch3 / 2), batch3 / 2),
+        (batch_of(0), 0),
+        (
+            DenseMatrix::from_vec(batch3, n, saturating.repeat(batch3)).unwrap(),
+            batch3,
+        ),
+    ];
+    let mut ws4 = InferWorkspace::for_network(&net, batch3);
+    for parallel in [false, true] {
+        for (x, _) in &batches {
+            let _ = net.forward_with(x, parallel, &mut ws4);
+        }
+    }
+    let before = allocations();
+    for _ in 0..3 {
+        for parallel in [false, true] {
+            for (x, live) in &batches {
+                let y = net.forward_with(x, parallel, &mut ws4);
+                assert_eq!(y.shape(), (batch3, n));
+                assert_eq!(ws4.live_rows(), *live);
+            }
+        }
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "warmed-up inference that drops dead rows must be allocation-free"
+    );
 }
