@@ -16,15 +16,19 @@ verify:
 ## `radix-sparse` is here for `check_plans`' `Par::Pool` leg (both storage
 ## layouts — cyclic diagonals and CSR/ELL with its CSC tiles — × every
 ## plan × all four products), which otherwise only sees the default
-## width; `radix-challenge --lib infer` for the fused schedule's pool leg,
-## which runs RadiX layers on the diagonal storage at every width,
-## narrower than a tile included; `radix-challenge --test properties`
+## width, and runs a second time in release: a debug build vectorizes
+## neither copy of the diagonal kernels (baseline and AVX2, picked from
+## the CPU at run time), so only there does their same-bits test compare
+## two different codegens; `radix-challenge --lib infer` for the fused
+## schedule's pool leg, which runs RadiX layers on the diagonal storage at
+## every width, narrower than a tile included; `radix-challenge --test properties`
 ## for the live-row compaction oracle, whose pool blocks hold other rows
 ## at each pool width than on one thread.
 POOL_THREADS ?= 4
 verify-mt:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p rayon
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-sparse
+	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q --release -p radix-sparse
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-nn
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --lib infer
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test properties

@@ -48,8 +48,10 @@
 //! across threads (leaf indices are executed exactly once; scratch state
 //! slots are never held by two threads at once, and a thread never
 //! re-enters a job it is already executing). Each unsafe block carries its
-//! own safety argument; everything outside this crate remains
-//! `#![forbid(unsafe_code)]`.
+//! own safety argument. Outside this crate, only `radix-sparse` holds
+//! `unsafe`: under the same `#![deny(unsafe_code)]` pattern, it allows it
+//! at the call into each diagonal kernel's AVX2 copy, made after the run-time
+//! CPU check. Every other crate is `#![forbid(unsafe_code)]`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

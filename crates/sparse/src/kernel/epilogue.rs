@@ -109,7 +109,7 @@ impl<'a, T: Scalar, F: Fn(T) -> T + Sync> Epilogue<'a, T, F> {
     /// row starting at `col_offset` — the tiled kernels' per-tile finish.
     /// Elementwise, so segment-at-a-time application is bitwise identical
     /// to a whole-row [`Epilogue::apply_row`].
-    #[inline]
+    #[inline(always)]
     pub(crate) fn apply_cols(&self, seg: &mut [T], col_offset: usize) {
         match (&self.map, self.bias) {
             (None, Bias::None) => {}

@@ -335,6 +335,16 @@ impl<T: Scalar> PreparedWeights<T> {
     /// CSC tiles of a CSR-stored matrix hold a reordered **copy** of the
     /// values, so they are dropped here; call [`PreparedWeights::tile`]
     /// again after the update if tiled inference is still wanted.
+    ///
+    /// **Non-finite values.** [`PreparedWeights::with_plan`] keeps a
+    /// matrix that holds a `NaN` or `±∞` in CSR, but a value written here
+    /// stays in the storage it is written to. The diagonal storage's
+    /// gathers multiply zero activations through, and `0 · NaN` and
+    /// `0 · ±∞` are `NaN`. So a non-finite `W[i, j]` makes column `j` of
+    /// `X · W` and column `i` of `X · Wᵀ` `NaN` in every batch row, all-zero
+    /// rows included. The exception is a forward block that the plan's
+    /// `act_sparse_percent` sends to the zero-skipping scatter: there an
+    /// all-zero row's output stays finite.
     pub fn values_mut(&mut self) -> &mut [T] {
         match &mut self.storage {
             Storage::Cyclic(d) => d.values_mut(),

@@ -37,7 +37,8 @@
 //! whole storage, at every width, and runs the same tile-major loop in
 //! the same order with no `src` or `col_ptr` arrays. It also carries the
 //! transposed product and the weight gradient, all three as unit-stride
-//! shift-adds over the diagonals.
+//! shift-adds over the diagonals, each compiled twice — baseline x86-64
+//! and AVX2 — and picked from the CPU at run time ([`avx2_available`]).
 //!
 //! Multiplying zeros through is the right call for *dense* activations,
 //! but deep ReLU networks routinely produce blocks that are > 90% zeros,
@@ -208,7 +209,7 @@ impl<T: Scalar> ColumnTiles<T> {
 /// `out` contents don't matter), then the epilogue runs on that cache-hot
 /// segment.
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(always)]
 fn gather_block_tiles<T: Scalar, F: Fn(T) -> T + Sync>(
     tile_cols: usize,
     ncols: usize,
@@ -258,17 +259,31 @@ fn gather_tile_row<T: Scalar>(
     }
 }
 
-/// Output columns per register block of the shift-add gather. The lanes
-/// of a block are independent accumulation chains, so a wider block hides
-/// the add latency one [`lanes::LANE_WIDTH`]-wide block exposes: on the
-/// 4096×16 `f32` layers, alternating runs read 4.3–5.0 / 5.6–6.6 /
-/// 6.3–7.0 / 7.1–7.8 Gedge/s at 8 / 16 / 32 / 64 columns. 32 `f32`
-/// accumulators are the most the 16 SSE registers hold; 64 live on the
-/// stack, and its lead does not reach `infer_batch` (within 2 % over four
-/// alternating pairs). Pieces shorter than this fall through to
-/// `LANE_WIDTH` and then single-column blocks, all in the same term
-/// order.
-const CYCLIC_BLOCK: usize = 4 * lanes::LANE_WIDTH;
+/// Output columns per register block of the shift-add gather and its
+/// transpose. The lanes of a block are independent accumulation chains,
+/// so a wider block hides the add latency a narrow one exposes. Each
+/// segment runs down the cascade 64 → 32 → [`lanes::LANE_WIDTH`] → 1
+/// columns, all in the same term order: under AVX2 the 64 `f32` columns
+/// are 8 `ymm` accumulators, and the 32-wide step keeps a `ν = 32`
+/// segment (the `train_sparse` net) off 8-wide blocks, which cost 3 %
+/// there. Baseline x86-64 (SSE2) and the AVX2 copy ([`avx2_available`])
+/// share the cascade; 64 columns measured no worse than 32 on SSE2. With
+/// the AVX2 copy, on a 2-vCPU AVX2 box, `infer_batch` rose from
+/// 38–41 G to 53–54 G edges/s and `train_sparse` from 9.0–9.2 G to
+/// 10.5–10.8 G (four alternating pairs).
+const CYCLIC_BLOCK: usize = 8 * lanes::LANE_WIDTH;
+
+/// Whether the diagonal kernels run their AVX2 copy: decided from the
+/// CPU at run time (the detection is cached by `std`), so one binary
+/// uses the whole vector width where it exists and baseline x86-64
+/// elsewhere. Both copies compile the same `#[inline(always)]` bodies,
+/// which add the same products in the same order — Rust never contracts
+/// `mul` + `add` into an FMA — so their results are the same bits.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
 
 /// The storage of a RadiX-Net layer. Paper eq. (2) builds every layer as
 /// `W = Σ_{t<r} P^(t·ν)` (`P` the unit cyclic shift on `n` nodes, `r` the
@@ -386,6 +401,8 @@ impl<T: Scalar> CyclicDiagonals<T> {
     }
 
     /// Mutable diagonals: the pattern is implied, so any values are valid.
+    /// A non-finite value reaches every row of the gathers, zero rows
+    /// included ([`crate::PreparedWeights::values_mut`]).
     pub(crate) fn values_mut(&mut self) -> &mut [T] {
         &mut self.diags
     }
@@ -429,8 +446,49 @@ impl<T: Scalar> CyclicDiagonals<T> {
 
     /// One row block of `epi(X · W)` on the tile-major schedule
     /// ([`ColumnTiles::gather_block`]'s loop), each (tile, row) pass a
-    /// shift-add over the diagonals.
+    /// shift-add over the diagonals; the AVX2 copy where the CPU has it
+    /// ([`avx2_available`]).
     pub(crate) fn gather_block<F: Fn(T) -> T + Sync>(
+        &self,
+        tile_cols: usize,
+        x: DenseView<'_, T>,
+        x_start: usize,
+        rows: usize,
+        out: &mut [T],
+        epi: &Epilogue<'_, T, F>,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            // SAFETY: `is_x86_feature_detected!("avx2")` (`avx2_available`)
+            // found AVX2 on this CPU.
+            #[allow(unsafe_code)]
+            unsafe {
+                self.gather_block_avx2(tile_cols, x, x_start, rows, out, epi);
+            }
+            return;
+        }
+        self.gather_block_body(tile_cols, x, x_start, rows, out, epi);
+    }
+
+    /// [`CyclicDiagonals::gather_block_body`] compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn gather_block_avx2<F: Fn(T) -> T + Sync>(
+        &self,
+        tile_cols: usize,
+        x: DenseView<'_, T>,
+        x_start: usize,
+        rows: usize,
+        out: &mut [T],
+        epi: &Epilogue<'_, T, F>,
+    ) {
+        self.gather_block_body(tile_cols, x, x_start, rows, out, epi);
+    }
+
+    /// The forward tile loop with its fused epilogue, inlined whole into
+    /// each copy.
+    #[inline(always)]
+    fn gather_block_body<F: Fn(T) -> T + Sync>(
         &self,
         tile_cols: usize,
         x: DenseView<'_, T>,
@@ -447,14 +505,15 @@ impl<T: Scalar> CyclicDiagonals<T> {
             rows,
             out,
             epi,
+            #[inline(always)]
             |base, xrow, oseg| self.gather_tile_row(base, xrow, oseg),
         );
     }
 
     /// One (tile, batch row) pass: `oseg` is output columns `[base, base
-    /// + oseg.len())`, cut at the segment boundaries it spans. Standalone
-    /// symbol for the same code-placement reason as [`gather_tile_row`].
-    #[inline(never)]
+    /// + oseg.len())`, cut at the segment boundaries it spans, each piece
+    /// down the [`CYCLIC_BLOCK`] cascade.
+    #[inline(always)]
     fn gather_tile_row(&self, base: usize, xrow: &[T], oseg: &mut [T]) {
         debug_assert_eq!(xrow.len(), self.n, "activation row width");
         let end = base + oseg.len();
@@ -468,6 +527,7 @@ impl<T: Scalar> CyclicDiagonals<T> {
             };
             let piece = &mut oseg[lo - base..hi - base];
             let mut done = self.blocks::<CYCLIC_BLOCK>(k, lo, xrow, piece);
+            done += self.blocks::<{ CYCLIC_BLOCK / 2 }>(k, lo + done, xrow, &mut piece[done..]);
             done += self.blocks::<{ lanes::LANE_WIDTH }>(k, lo + done, xrow, &mut piece[done..]);
             self.blocks::<1>(k, lo + done, xrow, &mut piece[done..]);
             lo = hi;
@@ -529,8 +589,49 @@ impl<T: Scalar> CyclicDiagonals<T> {
 
     /// Rows `[x_start, x_start + rows)` of `epi(X · Wᵀ)` into `out`
     /// (`rows × n`), on the forward product's tile-major loop over
-    /// `tile_cols`-wide blocks of `W` rows.
+    /// `tile_cols`-wide blocks of `W` rows; the AVX2 copy where the CPU
+    /// has it ([`avx2_available`]).
     pub(crate) fn gather_t_block<F: Fn(T) -> T + Sync>(
+        &self,
+        tile_cols: usize,
+        x: DenseView<'_, T>,
+        x_start: usize,
+        rows: usize,
+        out: &mut [T],
+        epi: &Epilogue<'_, T, F>,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            // SAFETY: `is_x86_feature_detected!("avx2")` (`avx2_available`)
+            // found AVX2 on this CPU.
+            #[allow(unsafe_code)]
+            unsafe {
+                self.gather_t_block_avx2(tile_cols, x, x_start, rows, out, epi);
+            }
+            return;
+        }
+        self.gather_t_block_body(tile_cols, x, x_start, rows, out, epi);
+    }
+
+    /// [`CyclicDiagonals::gather_t_block_body`] compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn gather_t_block_avx2<F: Fn(T) -> T + Sync>(
+        &self,
+        tile_cols: usize,
+        x: DenseView<'_, T>,
+        x_start: usize,
+        rows: usize,
+        out: &mut [T],
+        epi: &Epilogue<'_, T, F>,
+    ) {
+        self.gather_t_block_body(tile_cols, x, x_start, rows, out, epi);
+    }
+
+    /// The transposed tile loop with its fused epilogue, inlined whole
+    /// into each copy.
+    #[inline(always)]
+    fn gather_t_block_body<F: Fn(T) -> T + Sync>(
         &self,
         tile_cols: usize,
         x: DenseView<'_, T>,
@@ -547,13 +648,14 @@ impl<T: Scalar> CyclicDiagonals<T> {
             rows,
             out,
             epi,
+            #[inline(always)]
             |base, xrow, oseg| self.gather_t_tile_row(base, xrow, oseg),
         );
     }
 
     /// One (tile, batch row) pass of the transposed product: `oseg` is
     /// `W` rows `[base, base + oseg.len())`, cut where `u` changes.
-    #[inline(never)]
+    #[inline(always)]
     fn gather_t_tile_row(&self, base: usize, xrow: &[T], oseg: &mut [T]) {
         debug_assert_eq!(xrow.len(), self.n, "gradient row width");
         let end = base + oseg.len();
@@ -565,6 +667,7 @@ impl<T: Scalar> CyclicDiagonals<T> {
             let hi = end.min(self.n - (u - 1) * self.stride);
             let piece = &mut oseg[lo - base..hi - base];
             let mut done = self.t_blocks::<CYCLIC_BLOCK>(u, lo, xrow, piece);
+            done += self.t_blocks::<{ CYCLIC_BLOCK / 2 }>(u, lo + done, xrow, &mut piece[done..]);
             done += self.t_blocks::<{ lanes::LANE_WIDTH }>(u, lo + done, xrow, &mut piece[done..]);
             self.t_blocks::<1>(u, lo + done, xrow, &mut piece[done..]);
             lo = hi;
@@ -599,7 +702,8 @@ impl<T: Scalar> CyclicDiagonals<T> {
     /// edge into `out` (storage order, `nnz` long): term `t` owns the
     /// contiguous slice `out[t·n .. (t+1)·n]`, which takes one
     /// multiply-add per batch row, rows ascending. On the pool, terms are
-    /// the tasks; every element's sum order is the same either way.
+    /// the tasks; every element's sum order is the same either way. Each
+    /// term runs the AVX2 copy where the CPU has it ([`avx2_available`]).
     pub(crate) fn weight_grads(
         &self,
         x: DenseView<'_, T>,
@@ -607,40 +711,66 @@ impl<T: Scalar> CyclicDiagonals<T> {
         out: &mut [T],
         pool: bool,
     ) {
-        let (n, nu) = (self.n, self.stride);
         debug_assert_eq!(out.len(), self.diags.len(), "gradient buffer length");
+        #[cfg(target_arch = "x86_64")]
+        let wide = avx2_available();
         let term = |t: usize, g: &mut [T]| {
-            // `tν < n`: columns `j < tν` read the wrapped source `j − tν + n`.
-            let s = t * nu;
-            let (g_wrapped, g_rest) = g.split_at_mut(s);
-            // Four rows per sweep quarter the passes over `g`; each element
-            // still adds row `b`'s term before row `b + 1`'s.
-            let rows = x.nrows();
-            let mut b = 0;
-            while b + 4 <= rows {
-                let xr = [x.row(b), x.row(b + 1), x.row(b + 2), x.row(b + 3)];
-                let dr = [
-                    delta.row(b),
-                    delta.row(b + 1),
-                    delta.row(b + 2),
-                    delta.row(b + 3),
-                ];
-                multiply_add_rows(g_wrapped, xr.map(|r| &r[n - s..]), dr.map(|r| &r[..s]));
-                multiply_add_rows(g_rest, xr.map(|r| &r[..n - s]), dr.map(|r| &r[s..]));
-                b += 4;
+            #[cfg(target_arch = "x86_64")]
+            if wide {
+                // SAFETY: `is_x86_feature_detected!("avx2")`
+                // (`avx2_available`) found AVX2 on this CPU.
+                #[allow(unsafe_code)]
+                unsafe {
+                    self.grad_term_avx2(x, delta, t, g);
+                }
+                return;
             }
-            for b in b..rows {
-                let (xrow, drow) = (x.row(b), delta.row(b));
-                multiply_add_rows(g_wrapped, [&xrow[n - s..]], [&drow[..s]]);
-                multiply_add_rows(g_rest, [&xrow[..n - s]], [&drow[s..]]);
-            }
+            self.grad_term(x, delta, t, g);
         };
         if pool {
-            rayon::for_each_chunk_mut(out, n, term);
+            rayon::for_each_chunk_mut(out, self.n, term);
         } else {
-            for (t, g) in out.chunks_mut(n).enumerate() {
+            for (t, g) in out.chunks_mut(self.n).enumerate() {
                 term(t, g);
             }
+        }
+    }
+
+    /// [`CyclicDiagonals::grad_term`] compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn grad_term_avx2(&self, x: DenseView<'_, T>, delta: DenseView<'_, T>, t: usize, g: &mut [T]) {
+        self.grad_term(x, delta, t, g);
+    }
+
+    /// Term `t`'s slice `g` of [`CyclicDiagonals::weight_grads`], inlined
+    /// whole into each copy.
+    #[inline(always)]
+    fn grad_term(&self, x: DenseView<'_, T>, delta: DenseView<'_, T>, t: usize, g: &mut [T]) {
+        let n = self.n;
+        // `tν < n`: columns `j < tν` read the wrapped source `j − tν + n`.
+        let s = t * self.stride;
+        let (g_wrapped, g_rest) = g.split_at_mut(s);
+        // Four rows per sweep quarter the passes over `g`; each element
+        // still adds row `b`'s term before row `b + 1`'s.
+        let rows = x.nrows();
+        let mut b = 0;
+        while b + 4 <= rows {
+            let xr = [x.row(b), x.row(b + 1), x.row(b + 2), x.row(b + 3)];
+            let dr = [
+                delta.row(b),
+                delta.row(b + 1),
+                delta.row(b + 2),
+                delta.row(b + 3),
+            ];
+            multiply_add_rows(g_wrapped, xr.map(|r| &r[n - s..]), dr.map(|r| &r[..s]));
+            multiply_add_rows(g_rest, xr.map(|r| &r[..n - s]), dr.map(|r| &r[s..]));
+            b += 4;
+        }
+        for b in b..rows {
+            let (xrow, drow) = (x.row(b), delta.row(b));
+            multiply_add_rows(g_wrapped, [&xrow[n - s..]], [&drow[..s]]);
+            multiply_add_rows(g_rest, [&xrow[..n - s]], [&drow[s..]]);
         }
     }
 }
@@ -1011,6 +1141,176 @@ mod tests {
                 proptest::prop_assert_eq!(rebuilt.indptr(), w.indptr());
                 proptest::prop_assert_eq!(rebuilt.indices(), w.indices());
                 proptest::prop_assert_eq!(bits(&rebuilt), bits(&w));
+            }
+        }
+    }
+
+    /// A float the copy tests run on: made from an `f64`, compared by its
+    /// bits.
+    trait Float: Scalar + PartialOrd {
+        fn of(v: f64) -> Self;
+        fn bits(self) -> u64;
+    }
+
+    impl Float for f32 {
+        fn of(v: f64) -> Self {
+            v as f32
+        }
+        fn bits(self) -> u64 {
+            u64::from(self.to_bits())
+        }
+    }
+
+    impl Float for f64 {
+        fn of(v: f64) -> Self {
+            v
+        }
+        fn bits(self) -> u64 {
+            self.to_bits()
+        }
+    }
+
+    /// `len` values in `±[1/16, 32)` with full mantissas, so that adding the
+    /// same terms in another order changes the rounded bits.
+    fn mixed<T: Float>(len: usize, seed: u64) -> Vec<T> {
+        let mut h = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                h ^= h << 13;
+                h ^= h >> 7;
+                h ^= h << 17;
+                let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+                let sign = if h & 1 == 0 { 1.0 } else { -1.0 };
+                T::of(sign * (1.0 + unit) * f64::from(1u32 << ((h >> 4) % 10)) / 16.0)
+            })
+            .collect()
+    }
+
+    fn diagonals<T: Float>(n: usize, radix: usize, stride: usize) -> CyclicDiagonals<T> {
+        CyclicDiagonals {
+            n,
+            radix,
+            stride,
+            diags: mixed(radix * n, (n * 31 + radix * 7 + stride) as u64),
+        }
+    }
+
+    fn bits<T: Float>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|&x| x.bits()).collect()
+    }
+
+    /// Each diagonal kernel, run through its `#[inline(always)]` body from
+    /// this (baseline-compiled) test and through the dispatched entry
+    /// point, gives the same bits: on an AVX2 CPU that compares the AVX2
+    /// copy with the baseline one, on any other CPU the baseline with
+    /// itself. The shapes put segments under every step of the block
+    /// cascade and across the wrap; the tile widths divide no `n`. A debug
+    /// build vectorizes neither copy, so this test has teeth in release
+    /// (`make verify-mt` runs this crate's suite there).
+    fn copies_agree<T: Float>() {
+        // The Graph Challenge's `clamp(·, 0, 32)`.
+        let clamp = |v: T| {
+            let top = T::of(32.0);
+            if v < T::ZERO {
+                T::ZERO
+            } else if v > top {
+                top
+            } else {
+                v
+            }
+        };
+        for (n, radix, strides) in [
+            (4096, 16, &[1, 16, 256][..]),
+            (1024, 32, &[1, 32]),
+            (100, 3, &[7]),
+        ] {
+            for &stride in strides {
+                let d = diagonals::<T>(n, radix, stride);
+                let bias = mixed::<T>(n, 5);
+                let per_output = Epilogue::bias(Bias::PerOutput(&bias));
+                let challenge = Epilogue::new(Bias::Uniform(T::of(-0.3)), clamp);
+                for (rows, tile_cols) in [(1, 1000), (3, 37), (33, 1000), (33, 4099)] {
+                    let case = format!("n={n} r={radix} nu={stride} rows={rows} tile={tile_cols}");
+                    let x = DenseMatrix::from_vec(rows + 1, n, mixed(n * (rows + 1), 11)).unwrap();
+                    let delta = DenseMatrix::from_vec(rows, n, mixed(n * rows, 13)).unwrap();
+                    let (x, xs) = (x.view(), 1);
+                    let fresh = || vec![T::of(9.0); rows * n];
+                    let (mut body, mut dispatched) = (fresh(), fresh());
+                    d.gather_block_body(tile_cols, x, xs, rows, &mut body, &challenge);
+                    d.gather_block(tile_cols, x, xs, rows, &mut dispatched, &challenge);
+                    assert_eq!(bits(&body), bits(&dispatched), "forward clamp {case}");
+                    d.gather_block_body(tile_cols, x, xs, rows, &mut body, &per_output);
+                    d.gather_block(tile_cols, x, xs, rows, &mut dispatched, &per_output);
+                    assert_eq!(bits(&body), bits(&dispatched), "forward bias {case}");
+                    d.gather_t_block_body(tile_cols, x, xs, rows, &mut body, &per_output);
+                    d.gather_t_block(tile_cols, x, xs, rows, &mut dispatched, &per_output);
+                    assert_eq!(bits(&body), bits(&dispatched), "transposed {case}");
+                    let x = x.rows_view(xs..rows + 1);
+                    let start = mixed::<T>(radix * n, 17);
+                    let mut body = start.clone();
+                    for (t, g) in body.chunks_mut(n).enumerate() {
+                        d.grad_term(x, delta.view(), t, g);
+                    }
+                    for pool in [false, true] {
+                        let mut dispatched = start.clone();
+                        d.weight_grads(x, delta.view(), &mut dispatched, pool);
+                        assert_eq!(
+                            bits(&body),
+                            bits(&dispatched),
+                            "gradient pool={pool} {case}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_copy_matches_baseline_bitwise_f32() {
+        copies_agree::<f32>();
+    }
+
+    #[test]
+    fn wide_copy_matches_baseline_bitwise_f64() {
+        copies_agree::<f64>();
+    }
+
+    /// The diagonals multiply zero activations through: a non-finite value
+    /// written through `values_mut` turns an all-zero activation row's
+    /// output `NaN` (`0 · NaN`, `0 · ±∞`) in exactly that weight's column
+    /// (`X · W`) and row (`X · Wᵀ`), on both copies.
+    #[test]
+    fn non_finite_weight_poisons_exactly_its_column() {
+        let (n, radix, stride) = (256, 4, 8);
+        let (t, j) = (2, 70);
+        let i = (j + n - t * stride) % n; // W[i, j] is diag[t][j]
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut d = diagonals::<f32>(n, radix, stride);
+            d.values_mut()[t * n + j] = bad;
+            let zero = DenseMatrix::<f32>::zeros(1, n);
+            let epi = Epilogue::identity();
+            let mut body = vec![1.0f32; n];
+            let mut dispatched = vec![1.0f32; n];
+            for (col, transposed) in [(j, false), (i, true)] {
+                if transposed {
+                    d.gather_t_block_body(100, zero.view(), 0, 1, &mut body, &epi);
+                    d.gather_t_block(100, zero.view(), 0, 1, &mut dispatched, &epi);
+                } else {
+                    d.gather_block_body(100, zero.view(), 0, 1, &mut body, &epi);
+                    d.gather_block(100, zero.view(), 0, 1, &mut dispatched, &epi);
+                }
+                for out in [&body, &dispatched] {
+                    for (c, &v) in out.iter().enumerate() {
+                        if c == col {
+                            assert!(
+                                v.is_nan(),
+                                "{bad} transposed={transposed}: column {c} is {v}"
+                            );
+                        } else {
+                            assert_eq!(v, 0.0, "{bad} transposed={transposed}: column {c}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -56,7 +56,10 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+// The only `unsafe` is the call into the AVX2 copy of each diagonal
+// kernel (`kernel/tiled.rs`), allowed site by site after the CPU check.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod coo;
 pub mod csr;
