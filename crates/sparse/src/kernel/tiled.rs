@@ -263,14 +263,15 @@ fn gather_tile_row<T: Scalar>(
 /// transpose. The lanes of a block are independent accumulation chains,
 /// so a wider block hides the add latency a narrow one exposes. Each
 /// segment runs down the cascade 64 → 32 → [`lanes::LANE_WIDTH`] → 1
-/// columns, all in the same term order: under AVX2 the 64 `f32` columns
-/// are 8 `ymm` accumulators, and the 32-wide step keeps a `ν = 32`
-/// segment (the `train_sparse` net) off 8-wide blocks, which cost 3 %
-/// there. Baseline x86-64 (SSE2) and the AVX2 copy ([`avx2_available`])
-/// share the cascade; 64 columns measured no worse than 32 on SSE2. With
-/// the AVX2 copy, on a 2-vCPU AVX2 box, `infer_batch` rose from
-/// 38–41 G to 53–54 G edges/s and `train_sparse` from 9.0–9.2 G to
-/// 10.5–10.8 G (four alternating pairs).
+/// columns, all in the same term order, in both compiled copies
+/// ([`avx2_available`]). In the AVX2 copy 64 `f32` columns are 8 `ymm`
+/// accumulators; the 32-wide step runs a `ν = 32` segment (the
+/// `train_sparse` net) as one 32-wide block, not four 8-wide ones.
+/// Measured on a 2-vCPU AVX2 box against the single 32-wide SSE2 copy
+/// this replaced, ten alternating 25 s pairs: `infer_batch` 39.0 → 53.0 G
+/// edges/s and `train_sparse` 9.10 → 10.03 G. The SSE2 copy alone, with
+/// this cascade, read 41–44 G against 37–38 G on `infer_batch` (three
+/// 6 s pairs).
 const CYCLIC_BLOCK: usize = 8 * lanes::LANE_WIDTH;
 
 /// Whether the diagonal kernels run their AVX2 copy: decided from the
