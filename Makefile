@@ -21,7 +21,10 @@ verify:
 ## the CPU at run time), so only there does their same-bits test compare
 ## two different codegens; `radix-challenge --lib infer` for the fused
 ## schedule's pool leg, which runs RadiX layers on the diagonal storage at
-## every width, narrower than a tile included; `radix-challenge --test properties`
+## every width, narrower than a tile included, and again in release, where
+## its parameter-built-vs-CSR-built oracle runs uniform layers' broadcast
+## forward product against the per-edge one in their real (vectorized)
+## codegen; `radix-challenge --test properties`
 ## for the live-row compaction oracle, whose pool blocks hold other rows
 ## at each pool width than on one thread.
 POOL_THREADS ?= 4
@@ -31,6 +34,7 @@ verify-mt:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q --release -p radix-sparse
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-nn
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --lib infer
+	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q --release -p radix-challenge --lib infer
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test properties
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test zero_alloc
 

@@ -56,7 +56,7 @@ use std::time::Instant;
 
 use radix_sparse::kernel::PingPong;
 use radix_sparse::{
-    Bias, CsrMatrix, DenseMatrix, Epilogue, KernelPlan, Par, PreparedWeights, Scalar,
+    Bias, CsrMatrix, CyclicShift, DenseMatrix, Epilogue, KernelPlan, Par, PreparedWeights, Scalar,
 };
 
 use crate::config::ChallengeConfig;
@@ -166,20 +166,39 @@ pub struct InferenceStats {
 }
 
 impl ChallengeNetwork {
-    /// Builds the network from a configuration: topology from the
-    /// RadiX-Net spec, every edge weighted `config.weight`, under the
-    /// process-wide plan.
+    /// Builds the network from a configuration, every edge weighted
+    /// `config.weight`, under the process-wide plan.
+    ///
+    /// The spec is validated as [`ChallengeConfig::spec`] does, and then
+    /// not built: paper eq. (2) makes the layer of radix `r` and place
+    /// value `ν` on `N'` nodes `Σ_{t<r} P^(t·ν)`, so each layer's diagonal
+    /// storage is filled straight from `(N', r, ν)` and the weight
+    /// ([`PreparedWeights::from_diagonals`]) — no topology, no CSR, no
+    /// structure detection. The result equals
+    /// [`ChallengeNetwork::from_layers`] over the built spec's layers
+    /// mapped to the weight, storage and value bits included. A weight of
+    /// zero (the mapped layer stores no entries) or a non-finite one (kept
+    /// in CSR) takes that CSR route, one layer at a time.
     ///
     /// # Errors
-    /// Propagates topology construction errors.
+    /// Propagates the spec's validation errors.
     pub fn from_config(config: &ChallengeConfig) -> Result<Self, radix_net::RadixError> {
-        let net = config.spec()?.build();
-        let (weight, plan) = (config.weight, KernelPlan::process());
-        let layers = net
-            .fnnt()
-            .submatrices()
+        let spec = config.spec()?;
+        let (n, weight, plan) = (spec.n_prime(), config.weight, KernelPlan::process());
+        let layers = spec
+            .systems()
             .iter()
-            .map(|w| PreparedWeights::with_plan(w.map(|_| weight), plan));
+            .flat_map(|s| s.radices().iter().zip(s.place_values()))
+            .map(move |(&radix, &stride)| {
+                if weight != 0.0 && weight.is_finite() {
+                    let values = vec![weight; radix * n];
+                    PreparedWeights::from_diagonals(n, radix, stride, values, plan)
+                        .expect("a valid spec's layers have r ≥ 2 and r·ν ≤ N'")
+                } else {
+                    let csr = CyclicShift::radix_submatrix::<f32>(n, radix, stride);
+                    PreparedWeights::with_plan(csr.map(|_| weight), plan)
+                }
+            });
         Ok(Self::prepare(layers, config.bias, config.ymax, plan))
     }
 
@@ -733,6 +752,91 @@ mod tests {
             for parallel in [false, true] {
                 assert_eq!(bits(&net.forward(&x, parallel)), expect, "{structure:?}");
             }
+        }
+    }
+
+    /// `from_config`'s network by the CSR route: the built topology as
+    /// CSR, every edge mapped to the weight, each layer's structure
+    /// detected. Taking each
+    /// layer's values mutably (and writing none) makes its forward product
+    /// read the stored diagonals instead of the broadcast weight.
+    fn csr_built(config: &ChallengeConfig) -> ChallengeNetwork {
+        let net = config.spec().unwrap().build();
+        let layers = net
+            .fnnt()
+            .submatrices()
+            .iter()
+            .map(|w| w.map(|_| config.weight))
+            .collect();
+        let mut net = ChallengeNetwork::from_layers_with_plan(
+            layers,
+            config.bias,
+            config.ymax,
+            KernelPlan::process(),
+        );
+        for w in &mut net.layers {
+            let _ = w.values_mut();
+        }
+        net
+    }
+
+    #[test]
+    fn from_config_equals_the_csr_built_network() {
+        let mut configs: Vec<ChallengeConfig> = [(2, 4, 2), (3, 3, 2), (2, 5, 3), (4, 3, 2)]
+            .into_iter()
+            .map(|(r, k, s)| ChallengeConfig::preset(r, k, s))
+            .collect();
+        // 4096 wide: the benchmark's `infer_batch` layers.
+        configs.push(ChallengeConfig::preset(16, 3, 1));
+        // A full-mantissa weight; weights that take the CSR route (zero
+        // stores no entries, a non-finite one stays CSR).
+        for weight in [0.3, 0.0, -0.0, f32::INFINITY, f32::NAN] {
+            configs.push(ChallengeConfig {
+                weight,
+                ..ChallengeConfig::preset(3, 3, 2)
+            });
+        }
+        let mut dropped = false;
+        for config in &configs {
+            let case = format!("{config:?}");
+            let net = ChallengeNetwork::from_config(config).unwrap();
+            let oracle = csr_built(config);
+            // `NaN != NaN`: value bits below.
+            if !config.weight.is_nan() {
+                assert_eq!(net, oracle, "{case}");
+            }
+            assert_eq!(net.drops_dead_rows, oracle.drops_dead_rows, "{case}");
+            for (a, b) in net.layers().iter().zip(oracle.layers()) {
+                assert_eq!(a.cyclic(), b.cyclic(), "{case}");
+                let value_bits = |w: &PreparedWeights<f32>| -> Vec<u32> {
+                    w.values().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(value_bits(a), value_bits(b), "{case}");
+            }
+            let finite = config.weight.is_finite() && config.weight != 0.0;
+            assert_eq!(net.layers()[0].cyclic().is_some(), finite, "{case}");
+            assert_eq!(net.drops_dead_rows, config.weight.is_finite(), "{case}");
+            // Saturating and dying rows, so compaction drops some.
+            let x = sparse_binary_batch(40, net.n_in(), 0.4, 7);
+            for parallel in [false, true] {
+                let mut ws = InferWorkspace::new();
+                let got = bits(net.forward_with(&x, parallel, &mut ws));
+                let live = ws.live_rows();
+                let want = bits(oracle.forward_with(&x, parallel, &mut ws));
+                assert_eq!(got, want, "{case} parallel {parallel}");
+                assert_eq!(live, ws.live_rows(), "{case} parallel {parallel}");
+                dropped |= live < x.nrows();
+            }
+        }
+        assert!(dropped, "some batch must lose rows to compaction");
+    }
+
+    #[test]
+    fn invalid_configs_fail_as_their_spec_does() {
+        for (radix, depth) in [(1, 3), (0, 2), (4, 0), (usize::MAX, 2)] {
+            let config = ChallengeConfig::preset(radix, depth, 2);
+            let want = config.spec().unwrap_err();
+            assert_eq!(ChallengeNetwork::from_config(&config).unwrap_err(), want);
         }
     }
 

@@ -42,7 +42,9 @@ use crate::dense::{AsDenseView, DenseMatrix, DenseView};
 use crate::error::SparseError;
 use crate::kernel::epilogue::Epilogue;
 use crate::kernel::heuristic::{KernelPlan, Par};
-use crate::kernel::tiled::{gather_t_block_csr, gather_t_block_ell, ColumnTiles, CyclicDiagonals};
+use crate::kernel::tiled::{
+    all_finite, gather_t_block_csr, gather_t_block_ell, ColumnTiles, CyclicDiagonals,
+};
 use crate::scalar::Scalar;
 
 /// A weight matrix prepared for repeated products under a [`KernelPlan`].
@@ -133,6 +135,12 @@ enum Storage<T> {
     },
 }
 
+/// The plan fields every product divides by.
+fn check_plan(plan: KernelPlan) {
+    assert!(plan.tile_cols > 0, "tile width must be positive");
+    assert!(plan.block_rows > 0, "block rows must be positive");
+}
+
 /// Detects whether every row of `csr` has the same number of entries.
 fn constant_degree<T: Scalar>(csr: &CsrMatrix<T>) -> Option<usize> {
     if csr.nrows() == 0 {
@@ -141,12 +149,6 @@ fn constant_degree<T: Scalar>(csr: &CsrMatrix<T>) -> Option<usize> {
     let d = csr.row_nnz(0);
     let indptr = csr.indptr();
     indptr.windows(2).all(|w| w[1] - w[0] == d).then_some(d)
-}
-
-/// Whether `w · 0 == 0` for every value — the law multiplying zero
-/// activations through relies on; it fails for ±∞ and NaN only.
-fn all_finite<T: Scalar>(values: &[T]) -> bool {
-    values.iter().all(|w| w.mul(T::ZERO).is_zero())
 }
 
 impl<T: Scalar> PreparedWeights<T> {
@@ -168,8 +170,7 @@ impl<T: Scalar> PreparedWeights<T> {
     /// Panics if `plan.tile_cols` or `plan.block_rows` is zero.
     #[must_use]
     pub fn with_plan(csr: CsrMatrix<T>, plan: KernelPlan) -> Self {
-        assert!(plan.tile_cols > 0, "tile width must be positive");
-        assert!(plan.block_rows > 0, "block rows must be positive");
+        check_plan(plan);
         // The diagonal kernels multiply zero activations through, so a
         // non-finite weight keeps the CSR and its zero-skipping scatter.
         let storage = match all_finite(csr.data())
@@ -184,6 +185,36 @@ impl<T: Scalar> PreparedWeights<T> {
             },
         };
         PreparedWeights { storage, plan }
+    }
+
+    /// The diagonal storage of `W = Σ_{t<radix} P^(t·stride)` on `n`
+    /// nodes (paper eq. (2)) built from those parameters, with no CSR and
+    /// no detection pass: `values` holds the `radix` diagonals in storage
+    /// order, `values[t·n + j] = W[(j − t·stride) mod n, j]`
+    /// ([`PreparedWeights::values`]). It is the storage
+    /// [`PreparedWeights::with_plan`] keeps for that matrix in CSR form.
+    ///
+    /// # Errors
+    /// Returns [`SparseError::InvalidStructure`] unless `radix ≥ 2`,
+    /// `stride ≥ 1`, `radix · stride ≤ n`, `values.len() == radix · n` and
+    /// every value is finite — what `with_plan` requires of a CSR before it
+    /// stores the diagonals.
+    ///
+    /// # Panics
+    /// Panics if `plan.tile_cols` or `plan.block_rows` is zero.
+    pub fn from_diagonals(
+        n: usize,
+        radix: usize,
+        stride: usize,
+        values: Vec<T>,
+        plan: KernelPlan,
+    ) -> Result<Self, SparseError> {
+        check_plan(plan);
+        let diags = CyclicDiagonals::from_parts(n, radix, stride, values)?;
+        Ok(PreparedWeights {
+            storage: Storage::Cyclic(diags),
+            plan,
+        })
     }
 
     /// The plan every product on this matrix runs under.
@@ -331,20 +362,35 @@ impl<T: Scalar> PreparedWeights<T> {
 
     /// Mutable access to the stored values, in storage order; the pattern
     /// stays fixed, which is exactly the "train values on a frozen
-    /// topology" regime of the paper. The diagonal storage is unaffected.
-    /// CSC tiles of a CSR-stored matrix hold a reordered **copy** of the
-    /// values, so they are dropped here; call [`PreparedWeights::tile`]
-    /// again after the update if tiled inference is still wanted.
+    /// topology" regime of the paper. The diagonal storage is unaffected,
+    /// except that a layer whose values were all one value stops
+    /// multiplying by that value alone and reads its diagonals again (the
+    /// same bits). CSC tiles of a CSR-stored matrix hold a reordered
+    /// **copy** of the values, so they are dropped here; call
+    /// [`PreparedWeights::tile`] again after the update if tiled inference
+    /// is still wanted.
     ///
     /// **Non-finite values.** [`PreparedWeights::with_plan`] keeps a
     /// matrix that holds a `NaN` or `±∞` in CSR, but a value written here
-    /// stays in the storage it is written to. The diagonal storage's
-    /// gathers multiply zero activations through, and `0 · NaN` and
-    /// `0 · ±∞` are `NaN`. So a non-finite `W[i, j]` makes column `j` of
-    /// `X · W` and column `i` of `X · Wᵀ` `NaN` in every batch row, all-zero
-    /// rows included. The exception is a forward block that the plan's
-    /// `act_sparse_percent` sends to the zero-skipping scatter: there an
-    /// all-zero row's output stays finite.
+    /// stays in the storage it is written to. Say it is `W[i, j]`; `0 · NaN`
+    /// and `0 · ±∞` are `NaN`.
+    ///
+    /// * **Diagonal storage.** The gathers multiply zero activations
+    ///   through, so column `j` of `X · W` and column `i` of `X · Wᵀ` are
+    ///   non-finite in every batch row, `NaN` in all-zero rows. The
+    ///   exception is a forward block that the plan's `act_sparse_percent`
+    ///   sends to the zero-skipping scatter: there an all-zero row's output
+    ///   stays finite.
+    /// * **CSR storage.** The forward product scatters and skips zero
+    ///   activations (the tiles are dropped here, and `tile` refuses a
+    ///   non-finite value), so column `j` of `X · W` is non-finite exactly
+    ///   in the rows where `x[b, i] ≠ 0`, and an all-zero row's output
+    ///   stays finite. The transposed product gathers through zeros, so
+    ///   column `i` of `X · Wᵀ` is non-finite in every row, `NaN` in
+    ///   all-zero rows.
+    ///
+    /// On either storage the weight gradient does not read the values, and
+    /// no other column changes.
     pub fn values_mut(&mut self) -> &mut [T] {
         match &mut self.storage {
             Storage::Cyclic(d) => d.values_mut(),
@@ -1221,6 +1267,129 @@ mod tests {
                     m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
                 };
                 assert_eq!(bits(&out), bits(&expect), "{bad} {par:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_diagonals_is_the_detected_storage() {
+        // `regular()` is Σ_{t<3} P^t on 12 nodes.
+        let detected = PreparedWeights::with_plan(regular(), tiled_plan());
+        let values = detected.values().to_vec();
+        let built = PreparedWeights::from_diagonals(12, 3, 1, values, tiled_plan()).unwrap();
+        assert_eq!(built, detected);
+        assert_eq!((built.cyclic(), built.plan()), (Some((3, 1)), tiled_plan()));
+        assert_eq!(built.to_csr(), regular());
+        let x = batch(5, 12);
+        let (mut a, mut b) = (DenseMatrix::default(), DenseMatrix::default());
+        for par in PARS {
+            built.spmm(&x, &mut a, &Epilogue::identity(), par).unwrap();
+            detected
+                .spmm(&x, &mut b, &Epilogue::identity(), par)
+                .unwrap();
+            assert_eq!(a, b, "{par:?}");
+        }
+        // What `with_plan` requires before it stores diagonals: r ≥ 2,
+        // ν ≥ 1, r·ν ≤ n, r·n values, all finite.
+        for (r, nu, len, v) in [
+            (1, 1, 12, 1.0),
+            (3, 0, 36, 1.0),
+            (3, 5, 36, 1.0),
+            (3, 1, 35, 1.0),
+            (3, 1, 36, f64::INFINITY),
+            (3, 1, 36, f64::NAN),
+        ] {
+            let got = PreparedWeights::from_diagonals(12, r, nu, vec![v; len], tiled_plan());
+            assert!(
+                matches!(got, Err(SparseError::InvalidStructure(_))),
+                "r={r} nu={nu} len={len} v={v}"
+            );
+        }
+    }
+
+    /// The CSR storage's side of the non-finite contract
+    /// ([`PreparedWeights::values_mut`]): a `NaN` or `±∞` written into
+    /// `W[i, j]` of a CSR-stored matrix. The forward product (a scatter:
+    /// the update drops the tiles and `tile` refuses to rebuild them) is
+    /// non-finite in column `j` of exactly the rows with `x[b, i] ≠ 0`,
+    /// an all-zero row stays `+0.0`; the transposed product is non-finite
+    /// in column `i` of every row, `NaN` in the all-zero row; the weight
+    /// gradient does not change. Both products equal the naive oracles
+    /// (`NaN` payloads aside).
+    #[test]
+    fn non_finite_value_in_csr_storage() {
+        // Constant degree 3, but row 0's columns {0, 5, 10} would need
+        // r·ν = 15 > 12: CSR/ELL. And the irregular CSR.
+        let mut coo = crate::CooMatrix::new(12, 12);
+        for (i, j, _) in CyclicShift::radix_submatrix::<u64>(12, 3, 1).iter() {
+            coo.push(i, 5 * j % 12, (i * 3 + j) as f64 * 0.25 - 1.1);
+        }
+        let ell: CsrMatrix<f64> = coo.to_csr();
+        let canon = |m: &DenseMatrix<f64>| -> Vec<u64> {
+            let nan = f64::NAN.to_bits();
+            m.as_slice()
+                .iter()
+                .map(|v| if v.is_nan() { nan } else { v.to_bits() })
+                .collect()
+        };
+        for w in [ell, irregular()] {
+            let e = w.nnz() / 2;
+            let i = (0..w.nrows()).find(|&r| w.indptr()[r + 1] > e).unwrap();
+            let j = w.indices()[e];
+            // Rows: all zero; all nonzero; nonzero except `x[i]`.
+            let n = w.nrows();
+            let mut x = DenseMatrix::zeros(3, n);
+            for c in 0..n {
+                x.set(1, c, c as f64 * 0.5 + 0.75);
+                if c != i {
+                    x.set(2, c, 1.25 - c as f64 * 0.5);
+                }
+            }
+            let plan = KernelPlan {
+                tile_cols: 1,
+                ..KernelPlan::default()
+            };
+            let mut p = PreparedWeights::with_plan(w.clone(), plan);
+            assert_eq!(p.cyclic(), None);
+            let mut grads = vec![0.0; w.nnz()];
+            p.weight_grads(&x, &x, &mut grads, Par::Serial).unwrap();
+            assert!(p.tile());
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                p.values_mut()[e] = bad;
+                assert!(!p.tile() && !p.is_tiled(), "{bad}");
+                let mut bad_w = w.clone();
+                bad_w.data_mut()[e] = bad;
+                let mut out = DenseMatrix::default();
+                for par in PARS {
+                    let case = format!("{bad} W[{i}, {j}] {par:?}");
+                    p.spmm(&x, &mut out, &Epilogue::identity(), par).unwrap();
+                    assert_eq!(
+                        canon(&out),
+                        canon(&dense_spmm(&x, &bad_w).unwrap()),
+                        "{case}"
+                    );
+                    for b in 0..3 {
+                        for c in 0..n {
+                            let hit = c == j && x.get(b, i) != 0.0;
+                            assert_eq!(!out.get(b, c).is_finite(), hit, "{case} X·W ({b}, {c})");
+                        }
+                    }
+                    assert!(out.row(0).iter().all(|v| v.to_bits() == 0), "{case}");
+                    p.spmm_transposed(&x, &mut out, &Epilogue::identity(), par)
+                        .unwrap();
+                    let oracle = dense_spmm_transposed(&x, &bad_w).unwrap();
+                    assert_eq!(canon(&out), canon(&oracle), "{case}");
+                    for b in 0..3 {
+                        for c in 0..n {
+                            let v = out.get(b, c);
+                            assert_eq!(!v.is_finite(), c == i, "{case} X·Wᵀ ({b}, {c})");
+                        }
+                    }
+                    assert!(out.get(0, i).is_nan(), "{case}");
+                    let mut g = vec![0.0; w.nnz()];
+                    p.weight_grads(&x, &x, &mut g, par).unwrap();
+                    assert_eq!(g, grads, "{case}");
+                }
             }
         }
     }

@@ -66,6 +66,7 @@ use crate::csr::CsrMatrix;
 #[cfg(test)]
 use crate::dense::DenseMatrix;
 use crate::dense::DenseView;
+use crate::error::SparseError;
 use crate::kernel::epilogue::Epilogue;
 use crate::kernel::heuristic::KernelPlan;
 use crate::kernel::lanes;
@@ -322,7 +323,12 @@ fn avx2_available() -> bool {
 ///
 /// Storage order is `diags[t·n + j] = W[(j − t·ν) mod n, j]`;
 /// [`CyclicDiagonals::for_each_csr_entry`] maps it to CSR order.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A layer whose every value is one finite, nonzero `w` (a Graph Challenge
+/// layer) is marked as such, and its forward product multiplies by `w`
+/// held in a register instead of loading the diagonals: the same products
+/// in the same order, so the same bits, with half the loads.
+#[derive(Debug, Clone)]
 pub(crate) struct CyclicDiagonals<T> {
     /// Nodes per side (the matrix is `n × n`).
     n: usize,
@@ -332,9 +338,80 @@ pub(crate) struct CyclicDiagonals<T> {
     stride: usize,
     /// `diags[t·n + j] = W[(j − t·ν) mod n, j]`.
     diags: Vec<T>,
+    /// `Some(w)` while every value in `diags` is the finite, nonzero `w`
+    /// (equal such values have equal bits); set where the diagonals are
+    /// built, cleared by [`CyclicDiagonals::values_mut`].
+    uniform: Option<T>,
+}
+
+/// The matrix, not how its forward product reads it: `uniform` follows
+/// from `diags` or is cleared, so it does not take part.
+impl<T: PartialEq> PartialEq for CyclicDiagonals<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.n, self.radix, self.stride) == (other.n, other.radix, other.stride)
+            && self.diags == other.diags
+    }
+}
+
+/// Whether `w · 0 == 0` for every value — the law multiplying zero
+/// activations through relies on; it fails for ±∞ and NaN only.
+pub(crate) fn all_finite<T: Scalar>(values: &[T]) -> bool {
+    values.iter().all(|w| w.mul(T::ZERO).is_zero())
+}
+
+/// The one finite, nonzero value every element of `values` equals, if
+/// there is one.
+fn uniform_value<T: Scalar>(values: &[T]) -> Option<T> {
+    let &w = values.first()?;
+    (!w.is_zero() && all_finite(&[w]) && values.iter().all(|&v| v == w)).then_some(w)
 }
 
 impl<T: Scalar> CyclicDiagonals<T> {
+    /// The storage of `Σ_{t<radix} P^(t·stride)` on `n` nodes from its
+    /// diagonals in storage order, under the rules [`CyclicDiagonals::detect`]
+    /// checks of a CSR plus the finite values the diagonal kernels need:
+    /// `radix ≥ 2`, `stride ≥ 1`, `radix · stride ≤ n`, `radix · n`
+    /// values, all finite.
+    pub(crate) fn from_parts(
+        n: usize,
+        radix: usize,
+        stride: usize,
+        diags: Vec<T>,
+    ) -> Result<Self, SparseError> {
+        let invalid = |why: String| {
+            Err(SparseError::InvalidStructure(format!(
+                "diagonals of Σ P^(t·ν) with n = {n}, r = {radix}, ν = {stride}: {why}"
+            )))
+        };
+        if radix < 2 {
+            return invalid("r < 2".into());
+        }
+        if stride == 0 {
+            return invalid("ν = 0".into());
+        }
+        if radix.checked_mul(stride).is_none_or(|span| span > n) {
+            return invalid("r·ν > n".into());
+        }
+        if Some(diags.len()) != radix.checked_mul(n) {
+            return invalid(format!("{} values, r·n required", diags.len()));
+        }
+        if !all_finite(&diags) {
+            return invalid("a value is not finite".into());
+        }
+        Ok(Self::assemble(n, radix, stride, diags))
+    }
+
+    /// The storage over checked parts, with its uniform value recorded.
+    fn assemble(n: usize, radix: usize, stride: usize, diags: Vec<T>) -> Self {
+        CyclicDiagonals {
+            n,
+            radix,
+            stride,
+            uniform: uniform_value(&diags),
+            diags,
+        }
+    }
+
     /// Checks, in one `O(nnz)` pass, that `csr` is exactly
     /// `Σ_{t<r} P^(t·ν)` for some `r ≥ 2`, `ν ≥ 1`, `r·ν ≤ n` — row 0
     /// fixes `r` and `ν`, and every row `i` must then hold the columns
@@ -378,12 +455,7 @@ impl<T: Scalar> CyclicDiagonals<T> {
                 t = if t + 1 < radix { t + 1 } else { 0 };
             }
         }
-        Some(CyclicDiagonals {
-            n,
-            radix,
-            stride,
-            diags,
-        })
+        Some(Self::assemble(n, radix, stride, diags))
     }
 
     /// Nodes per side.
@@ -403,8 +475,10 @@ impl<T: Scalar> CyclicDiagonals<T> {
 
     /// Mutable diagonals: the pattern is implied, so any values are valid.
     /// A non-finite value reaches every row of the gathers, zero rows
-    /// included ([`crate::PreparedWeights::values_mut`]).
+    /// included ([`crate::PreparedWeights::values_mut`]). The forward
+    /// product reads the diagonals from here on, not one broadcast value.
     pub(crate) fn values_mut(&mut self) -> &mut [T] {
+        self.uniform = None;
         &mut self.diags
     }
 
@@ -487,10 +561,30 @@ impl<T: Scalar> CyclicDiagonals<T> {
     }
 
     /// The forward tile loop with its fused epilogue, inlined whole into
-    /// each copy.
+    /// each copy — twice, once per weight source: the broadcast value of
+    /// a uniform layer, or the stored diagonals.
     #[inline(always)]
     fn gather_block_body<F: Fn(T) -> T + Sync>(
         &self,
+        tile_cols: usize,
+        x: DenseView<'_, T>,
+        x_start: usize,
+        rows: usize,
+        out: &mut [T],
+        epi: &Epilogue<'_, T, F>,
+    ) {
+        match self.uniform {
+            Some(w) => self.gather_tiles(Broadcast(w), tile_cols, x, x_start, rows, out, epi),
+            None => self.gather_tiles(&self.diags[..], tile_cols, x, x_start, rows, out, epi),
+        }
+    }
+
+    /// [`CyclicDiagonals::gather_block_body`] reading its weights from `w`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn gather_tiles<S: TermWeights<T>, F: Fn(T) -> T + Sync>(
+        &self,
+        w: S,
         tile_cols: usize,
         x: DenseView<'_, T>,
         x_start: usize,
@@ -507,7 +601,7 @@ impl<T: Scalar> CyclicDiagonals<T> {
             out,
             epi,
             #[inline(always)]
-            |base, xrow, oseg| self.gather_tile_row(base, xrow, oseg),
+            |base, xrow, oseg| self.gather_tile_row(w, base, xrow, oseg),
         );
     }
 
@@ -515,7 +609,7 @@ impl<T: Scalar> CyclicDiagonals<T> {
     /// + oseg.len())`, cut at the segment boundaries it spans, each piece
     /// down the [`CYCLIC_BLOCK`] cascade.
     #[inline(always)]
-    fn gather_tile_row(&self, base: usize, xrow: &[T], oseg: &mut [T]) {
+    fn gather_tile_row<S: TermWeights<T>>(&self, w: S, base: usize, xrow: &[T], oseg: &mut [T]) {
         debug_assert_eq!(xrow.len(), self.n, "activation row width");
         let end = base + oseg.len();
         let mut lo = base;
@@ -527,10 +621,12 @@ impl<T: Scalar> CyclicDiagonals<T> {
                 end
             };
             let piece = &mut oseg[lo - base..hi - base];
-            let mut done = self.blocks::<CYCLIC_BLOCK>(k, lo, xrow, piece);
-            done += self.blocks::<{ CYCLIC_BLOCK / 2 }>(k, lo + done, xrow, &mut piece[done..]);
-            done += self.blocks::<{ lanes::LANE_WIDTH }>(k, lo + done, xrow, &mut piece[done..]);
-            self.blocks::<1>(k, lo + done, xrow, &mut piece[done..]);
+            let mut done = self.blocks::<CYCLIC_BLOCK, S>(w, k, lo, xrow, piece);
+            done +=
+                self.blocks::<{ CYCLIC_BLOCK / 2 }, S>(w, k, lo + done, xrow, &mut piece[done..]);
+            done +=
+                self.blocks::<{ lanes::LANE_WIDTH }, S>(w, k, lo + done, xrow, &mut piece[done..]);
+            self.blocks::<1, S>(w, k, lo + done, xrow, &mut piece[done..]);
             lo = hi;
         }
     }
@@ -538,18 +634,35 @@ impl<T: Scalar> CyclicDiagonals<T> {
     /// Computes the whole `W`-column blocks of `out` (output columns
     /// `[lo, lo + out.len())`, all inside segment `k`), returning how
     /// many columns that covered. Each block starts at zero and adds its
-    /// `r` terms in the segment's ascending-source order, lane-wise.
+    /// `r` terms in the segment's ascending-source order, lane-wise, the
+    /// weights of term `t` read from `w` at storage index `t·n + j`.
+    /// Within each of the two runs (unwrapped `t = k, …, 0`, wrapped
+    /// `t = r−1, …, k+1`) the source offset `s` rises by `ν` per term, so
+    /// it is stepped rather than recomputed: one bounds check and no
+    /// multiply per term (the 64-wide broadcast block read 78 → 91 G
+    /// `infer_batch` edges/s for it, two 8 s runs on a 2-vCPU AVX2 box).
     #[inline(always)]
-    fn blocks<const W: usize>(&self, k: usize, lo: usize, xrow: &[T], out: &mut [T]) -> usize {
+    fn blocks<const W: usize, S: TermWeights<T>>(
+        &self,
+        w: S,
+        k: usize,
+        lo: usize,
+        xrow: &[T],
+        out: &mut [T],
+    ) -> usize {
         let (n, nu) = (self.n, self.stride);
         let mut j = lo;
         for o in out.chunks_exact_mut(W) {
             let mut acc = [T::ZERO; W];
+            let mut s = j - k * nu;
             for t in (0..k + 1).rev() {
-                add_term(&mut acc, &xrow[j - t * nu..], &self.diags[t * n + j..]);
+                w.add_term(&mut acc, &xrow[s..s + W], t * n + j);
+                s += nu;
             }
+            let mut s = j + n - (self.radix - 1) * nu;
             for t in (k + 1..self.radix).rev() {
-                add_term(&mut acc, &xrow[j + n - t * nu..], &self.diags[t * n + j..]);
+                w.add_term(&mut acc, &xrow[s..s + W], t * n + j);
+                s += nu;
             }
             o.copy_from_slice(&acc);
             j += W;
@@ -781,6 +894,35 @@ impl<T: Scalar> CyclicDiagonals<T> {
 fn add_term<T: Scalar, const W: usize>(acc: &mut [T; W], xs: &[T], ds: &[T]) {
     for ((a, &x), &d) in acc.iter_mut().zip(&xs[..W]).zip(&ds[..W]) {
         *a = a.add(x.mul(d));
+    }
+}
+
+/// Where the forward shift-add reads a term's weights: the stored
+/// diagonals (`&[T]`, every layer), or one value held in a register
+/// ([`Broadcast`], a uniform layer). Both multiply each activation by the
+/// same weight bits, so they give the same sums.
+trait TermWeights<T>: Copy {
+    /// `acc[l] += xs[l] · w[at + l]` over the first `W` activations.
+    fn add_term<const W: usize>(self, acc: &mut [T; W], xs: &[T], at: usize);
+}
+
+impl<T: Scalar> TermWeights<T> for &[T] {
+    #[inline(always)]
+    fn add_term<const W: usize>(self, acc: &mut [T; W], xs: &[T], at: usize) {
+        add_term(acc, xs, &self[at..at + W]);
+    }
+}
+
+/// Every weight is this one value.
+#[derive(Clone, Copy)]
+struct Broadcast<T>(T);
+
+impl<T: Scalar> TermWeights<T> for Broadcast<T> {
+    #[inline(always)]
+    fn add_term<const W: usize>(self, acc: &mut [T; W], xs: &[T], _at: usize) {
+        for (a, &x) in acc.iter_mut().zip(&xs[..W]) {
+            *a = a.add(x.mul(self.0));
+        }
     }
 }
 
@@ -1188,16 +1330,40 @@ mod tests {
     }
 
     fn diagonals<T: Float>(n: usize, radix: usize, stride: usize) -> CyclicDiagonals<T> {
-        CyclicDiagonals {
+        CyclicDiagonals::assemble(
             n,
             radix,
             stride,
-            diags: mixed(radix * n, (n * 31 + radix * 7 + stride) as u64),
-        }
+            mixed(radix * n, (n * 31 + radix * 7 + stride) as u64),
+        )
     }
 
     fn bits<T: Float>(v: &[T]) -> Vec<u64> {
         v.iter().map(|&x| x.bits()).collect()
+    }
+
+    /// `(n, r, ν)` shapes whose segments run every step of the block
+    /// cascade and cross the wrap.
+    const SHAPES: [(usize, usize, &[usize]); 3] = [
+        (4096, 16, &[1, 16, 256]),
+        (1024, 32, &[1, 32]),
+        (100, 3, &[7]),
+    ];
+
+    /// `(rows, tile_cols)`: one row to a partial 32-row block, at tile
+    /// widths that divide no `n`.
+    const ROWS_TILES: [(usize, usize); 4] = [(1, 1000), (3, 37), (33, 1000), (33, 4099)];
+
+    /// The Graph Challenge's `clamp(·, 0, 32)`.
+    fn challenge_clamp<T: Float>(v: T) -> T {
+        let top = T::of(32.0);
+        if v < T::ZERO {
+            T::ZERO
+        } else if v > top {
+            top
+        } else {
+            v
+        }
     }
 
     /// Each diagonal kernel, run through its `#[inline(always)]` body from
@@ -1209,28 +1375,13 @@ mod tests {
     /// build vectorizes neither copy, so this test has teeth in release
     /// (`make verify-mt` runs this crate's suite there).
     fn copies_agree<T: Float>() {
-        // The Graph Challenge's `clamp(·, 0, 32)`.
-        let clamp = |v: T| {
-            let top = T::of(32.0);
-            if v < T::ZERO {
-                T::ZERO
-            } else if v > top {
-                top
-            } else {
-                v
-            }
-        };
-        for (n, radix, strides) in [
-            (4096, 16, &[1, 16, 256][..]),
-            (1024, 32, &[1, 32]),
-            (100, 3, &[7]),
-        ] {
+        for (n, radix, strides) in SHAPES {
             for &stride in strides {
                 let d = diagonals::<T>(n, radix, stride);
                 let bias = mixed::<T>(n, 5);
                 let per_output = Epilogue::bias(Bias::PerOutput(&bias));
-                let challenge = Epilogue::new(Bias::Uniform(T::of(-0.3)), clamp);
-                for (rows, tile_cols) in [(1, 1000), (3, 37), (33, 1000), (33, 4099)] {
+                let challenge = Epilogue::new(Bias::Uniform(T::of(-0.3)), challenge_clamp);
+                for (rows, tile_cols) in ROWS_TILES {
                     let case = format!("n={n} r={radix} nu={stride} rows={rows} tile={tile_cols}");
                     let x = DenseMatrix::from_vec(rows + 1, n, mixed(n * (rows + 1), 11)).unwrap();
                     let delta = DenseMatrix::from_vec(rows, n, mixed(n * rows, 13)).unwrap();
@@ -1274,6 +1425,139 @@ mod tests {
     #[test]
     fn wide_copy_matches_baseline_bitwise_f64() {
         copies_agree::<f64>();
+    }
+
+    /// The forward block through the baseline body and through the
+    /// dispatched entry (the AVX2 copy where the CPU has it), as bits.
+    fn forward_bits<T: Float, F: Fn(T) -> T + Sync>(
+        d: &CyclicDiagonals<T>,
+        tile_cols: usize,
+        x: DenseView<'_, T>,
+        rows: usize,
+        epi: &Epilogue<'_, T, F>,
+    ) -> [Vec<u64>; 2] {
+        let n = d.n;
+        let (mut body, mut dispatched) = (vec![T::of(9.0); rows * n], vec![T::of(7.0); rows * n]);
+        d.gather_block_body(tile_cols, x, 1, rows, &mut body, epi);
+        d.gather_block(tile_cols, x, 1, rows, &mut dispatched, epi);
+        [bits(&body), bits(&dispatched)]
+    }
+
+    /// A layer whose every value is one `w` runs its forward product on
+    /// the broadcast `w` and gives the bits of the per-edge path over the
+    /// same diagonals, on both copies. Writing one value through
+    /// `values_mut` drops it to the per-edge path: its result is then the
+    /// CSC gather's over the edited matrix. `w` has a full mantissa, so a
+    /// change of term order changes the rounded sums.
+    fn broadcast_matches_per_edge<T: Float>() {
+        for (n, radix, strides) in SHAPES {
+            for &stride in strides {
+                let w = mixed::<T>(1, 23)[0];
+                let uniform = CyclicDiagonals::from_parts(n, radix, stride, vec![w; radix * n])
+                    .expect("valid parameters");
+                assert_eq!(uniform.uniform.map(Float::bits), Some(w.bits()));
+                let mut per_edge = uniform.clone();
+                per_edge.values_mut();
+                assert!(per_edge.uniform.is_none(), "values_mut clears the mark");
+                assert_eq!(per_edge, uniform, "the mark is not part of the matrix");
+                let mut edited = uniform.clone();
+                let at = (radix / 2) * n + n / 3;
+                edited.values_mut()[at] = T::of(1.5);
+                let bias = mixed::<T>(n, 5);
+                let per_output = Epilogue::bias(Bias::PerOutput(&bias));
+                let challenge = Epilogue::new(Bias::Uniform(T::of(-0.3)), challenge_clamp);
+                for (rows, tile_cols) in ROWS_TILES {
+                    let case = format!("n={n} r={radix} nu={stride} rows={rows} tile={tile_cols}");
+                    let x = DenseMatrix::from_vec(rows + 1, n, mixed(n * (rows + 1), 11)).unwrap();
+                    let x = x.view();
+                    let [body, dispatched] = forward_bits(&uniform, tile_cols, x, rows, &challenge);
+                    let expect = forward_bits(&per_edge, tile_cols, x, rows, &challenge);
+                    assert_eq!(
+                        [&body, &dispatched],
+                        [&expect[0], &expect[1]],
+                        "clamp {case}"
+                    );
+                    assert_eq!(body, dispatched, "clamp copies {case}");
+                    let broadcast = forward_bits(&uniform, tile_cols, x, rows, &per_output);
+                    let expect = forward_bits(&per_edge, tile_cols, x, rows, &per_output);
+                    assert_eq!(broadcast, expect, "bias {case}");
+                    assert_eq!(broadcast[0], broadcast[1], "bias copies {case}");
+                    let mut csc = vec![T::of(5.0); rows * n];
+                    ColumnTiles::build(&edited.to_csr(), tile_cols).gather_block(
+                        x,
+                        1,
+                        rows,
+                        &mut csc,
+                        &per_output,
+                    );
+                    let [body, dispatched] = forward_bits(&edited, tile_cols, x, rows, &per_output);
+                    assert_eq!([&body, &dispatched], [&bits(&csc); 2], "edited {case}");
+                    assert_ne!(body, broadcast[0], "the edit shows {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn broadcast_weight_matches_per_edge_bitwise_f32() {
+        broadcast_matches_per_edge::<f32>();
+    }
+
+    #[test]
+    fn broadcast_weight_matches_per_edge_bitwise_f64() {
+        broadcast_matches_per_edge::<f64>();
+    }
+
+    #[test]
+    fn uniform_value_is_recorded_where_diagonals_are_built() {
+        let (n, r, nu) = (24, 3, 4);
+        let same = |v: f64| CyclicShift::radix_submatrix::<u64>(n, r, nu).map(|_| v);
+        // `detect` and `from_parts` both record it; the two are one matrix.
+        let detected = CyclicDiagonals::detect(&same(-0.375)).expect("a sum of shifts");
+        let built = CyclicDiagonals::from_parts(n, r, nu, vec![-0.375; r * n]).unwrap();
+        assert_eq!(
+            (detected.uniform, built.uniform),
+            (Some(-0.375), Some(-0.375))
+        );
+        assert_eq!(detected, built);
+        // Distinct values, zeros and non-finite values are never one
+        // broadcast weight.
+        assert_eq!(
+            CyclicDiagonals::detect(&cyclic(n, r, nu)).unwrap().uniform,
+            None
+        );
+        for bad in [0.0, -0.0, f64::INFINITY, f64::NAN] {
+            assert_eq!(uniform_value(&[bad; 6]), None, "{bad}");
+        }
+        let mut values = vec![2.5; r * n];
+        values[r * n - 1] = 2.25;
+        assert_eq!(
+            CyclicDiagonals::from_parts(n, r, nu, values)
+                .unwrap()
+                .uniform,
+            None
+        );
+    }
+
+    #[test]
+    fn from_parts_checks_what_detect_checks() {
+        let err = |n, r, nu, len: usize, v: f64| {
+            let got = CyclicDiagonals::from_parts(n, r, nu, vec![v; len]);
+            assert!(
+                matches!(got, Err(SparseError::InvalidStructure(_))),
+                "{n} {r} {nu} {len} {v}"
+            );
+        };
+        err(12, 1, 1, 12, 1.0); // r < 2
+        err(12, 3, 0, 36, 1.0); // ν = 0
+        err(12, 4, 4, 48, 1.0); // r·ν > n
+        err(12, usize::MAX, 2, 12, 1.0); // r·ν overflows
+        err(12, 3, 4, 35, 1.0); // not r·n values
+        err(12, 3, 4, 36, f64::NAN);
+        err(12, 3, 4, 36, f64::NEG_INFINITY);
+        // r·ν = n is the largest place value a system has.
+        let d = CyclicDiagonals::from_parts(12, 3, 4, vec![1.0; 36]).unwrap();
+        assert_eq!(CyclicDiagonals::detect(&d.to_csr()), Some(d));
     }
 
     /// The diagonals multiply zero activations through: a non-finite value
