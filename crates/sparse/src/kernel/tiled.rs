@@ -637,10 +637,11 @@ impl<T: Scalar> CyclicDiagonals<T> {
     /// `r` terms in the segment's ascending-source order, lane-wise, the
     /// weights of term `t` read from `w` at storage index `t·n + j`.
     /// Within each of the two runs (unwrapped `t = k, …, 0`, wrapped
-    /// `t = r−1, …, k+1`) the source offset `s` rises by `ν` per term, so
-    /// it is stepped rather than recomputed: one bounds check and no
-    /// multiply per term (the 64-wide broadcast block read 78 → 91 G
-    /// `infer_batch` edges/s for it, two 8 s runs on a 2-vCPU AVX2 box).
+    /// `t = r−1, …, k+1`) the activation offset `s` rises by `ν` per
+    /// term, so it is stepped rather than recomputed: one bounds check on
+    /// `x` and no multiply for it per term (the 64-wide broadcast block
+    /// read 78 → 91 G `infer_batch` edges/s for it, two 8 s runs on a
+    /// 2-vCPU AVX2 box).
     #[inline(always)]
     fn blocks<const W: usize, S: TermWeights<T>>(
         &self,
