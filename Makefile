@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify verify-mt verify-serve verify-chaos verify-recovery verify-steal serve-smoke build test fmt fmt-check clippy doc benchmark-smoke ab calibrate calibrate-smoke profile-check clean
+.PHONY: verify verify-mt verify-serve verify-chaos verify-recovery verify-steal serve-smoke build test fmt fmt-check clippy doc benchmark-smoke ab clean
 
 ## Tier-1 verify: exactly what CI's main job runs.
 verify:
@@ -136,29 +136,6 @@ CHANGE ?= HEAD
 PAIRS ?= 10
 ab:
 	scripts/ab.sh "$(PARENT)" "$(CHANGE)" "$(PAIRS)"
-
-## Autotune this machine: sweep tile width x block rows x fuse depth x
-## activation-sparsity threshold together on two fixed layer shapes
-## (one process, one loop over KernelPlan values) and write the winner to
-## ./RADIX_PROFILE.json (merged at this pool width; override the path
-## with RADIX_PROFILE). The kernels load the profile at startup; RADIX_*
-## env vars still outrank it.
-calibrate:
-	$(CARGO) run --release -p radix-bench --bin calibrate
-
-## Budgeted CI smoke of the autotuner: quick candidate grid, tiny shapes,
-## 3-iteration timings, profile written to a scratch path so a checkout
-## never gains an untracked root file. Proves the sweep -> persist ->
-## reload plumbing end to end; the numbers are noise.
-calibrate-smoke:
-	RADIX_CALIBRATE_QUICK=1 RADIX_PROFILE=target/RADIX_PROFILE.json \
-		$(CARGO) run --release -p radix-bench --bin calibrate
-
-## Round-trip the tuning profile at RADIX_PROFILE (default
-## ./RADIX_PROFILE.json) through the kernels' own loader: typed error +
-## nonzero exit when missing/truncated/corrupt.
-profile-check:
-	$(CARGO) run --release -p radix-bench --bin profile_check
 
 clean:
 	$(CARGO) clean

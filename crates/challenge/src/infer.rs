@@ -9,11 +9,8 @@
 //! square RadiX-Net layer, a sum of cyclic shifts, so it is stored as its
 //! value diagonals and every product runs as index-free shift-adds over
 //! them, with the bias + ReLU + `YMAX` clamp fused into the kernel as an
-//! [`Epilogue`]. Each row block runs the activation-sparsity dispatch:
-//! deep Challenge layers whose post-ReLU activations fall below the
-//! plan's `act_sparse_percent` nonzero fraction switch from the
-//! branch-free gather to a zero-skipping scatter, block by block, with
-//! identical results.
+//! [`Epilogue`]. Every row block gathers, however sparse its post-ReLU
+//! activations.
 //!
 //! The forward pass runs a **multi-layer tile-fused schedule**: instead of
 //! finishing each layer on the whole batch before starting the next (a
@@ -22,11 +19,11 @@
 //! default 2) and each `block_rows`-row block of the batch is pushed
 //! through the whole group while its activations are still cache-hot.
 //!
-//! Tile width, block rows, fuse depth and both thresholds are the
+//! Tile width, block rows, fuse depth and the pool threshold are the
 //! network's [`KernelPlan`]: the process-wide one
-//! ([`KernelPlan::process`] — `RADIX_*` environment > tuning profile >
-//! default) unless [`ChallengeNetwork::from_layers_with_plan`] is given
-//! another. Group outputs ping-pong between the two main
+//! ([`KernelPlan::process`] — `RADIX_*` environment > default) unless
+//! [`ChallengeNetwork::from_layers_with_plan`] is given another. Group
+//! outputs ping-pong between the two main
 //! [`InferWorkspace`] buffers exactly as before; the within-group
 //! intermediates live in small per-worker scratch ping-pongs. Every row's
 //! arithmetic is unchanged, so results stay bitwise identical to the

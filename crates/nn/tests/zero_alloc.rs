@@ -52,8 +52,8 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// A deterministic mixed-sparsity batch (some exact zeros, exercising the
-/// activation-sparsity dispatch's counting path).
+/// A deterministic mixed-sparsity batch (some exact zeros, which the
+/// gathers multiply through and the CSR scatter skips).
 fn batch(rows: usize, cols: usize) -> DenseMatrix<f32> {
     let mut x = DenseMatrix::zeros(rows, cols);
     for i in 0..rows {

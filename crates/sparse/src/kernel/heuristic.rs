@@ -1,17 +1,16 @@
 //! The kernel tunables as one value: [`KernelPlan`].
 //!
-//! Five knobs shape how the prepared kernels run — column-tile width,
-//! row-block grain, the activation-sparsity crossover, the
-//! serial-vs-pool work threshold, and the fused-schedule group depth.
+//! Four knobs shape how the prepared kernels run — column-tile width,
+//! row-block grain, the serial-vs-pool work threshold, and the
+//! fused-schedule group depth.
 //! They travel together as a [`KernelPlan`], stored in every
 //! [`crate::kernel::PreparedWeights`] (and in `radix-challenge`'s
 //! network), so two matrices in one process can run under different
 //! plans and a sweep is a plain loop over plan values.
 //!
 //! The process-wide plan, [`KernelPlan::process`], is resolved **once**:
-//! each knob from its `RADIX_*` environment variable, else the persisted
-//! tuning profile's run at this pool width
-//! ([`crate::kernel::profile`]), else the built-in default. Constructors
+//! each knob from its `RADIX_*` environment variable, else the built-in
+//! default. Constructors
 //! that take no plan (`PreparedWeights::from_csr`, `SparseLinear::new`,
 //! `ChallengeNetwork::from_layers`) use it; [`crate::kernel::tile_cols`]
 //! and [`crate::kernel::block_rows`] are one-line views of it.
@@ -19,7 +18,6 @@
 use std::ops::RangeInclusive;
 use std::sync::OnceLock;
 
-use crate::kernel::profile::{active_profile, resolve_knob, TuningProfile};
 use crate::kernel::tiled::{DEFAULT_BLOCK_ROWS, DEFAULT_TILE_COLS};
 
 /// Default work threshold (rows × nnz multiply-adds) above which kernels
@@ -27,23 +25,14 @@ use crate::kernel::tiled::{DEFAULT_BLOCK_ROWS, DEFAULT_TILE_COLS};
 /// cheaper than roughly one thread-spawn round trip stays serial.
 pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 15;
 
-/// Default activation-sparsity crossover: row blocks whose input
-/// activations are at most this percent nonzero (i.e. at least 90%
-/// zeros) take the zero-skipping scatter path instead of the tiled
-/// gather. Chosen conservatively — the gather's branch-free stream wins
-/// until activations are *very* sparse — and re-measurable on the current
-/// machine with `make calibrate`.
-pub const DEFAULT_ACT_SPARSE_PERCENT: usize = 10;
-
 /// Default number of consecutive layers `radix-challenge`'s forward pass
 /// fuses per row block.
 pub const DEFAULT_FUSE_LAYERS: usize = 2;
 
-/// Largest `tile_cols` / `block_rows` the environment or a profile may
-/// ask for: far above any useful tile or block (layers are at most a few
-/// 10⁴ wide), far below where `block rows × layer width` could overflow.
-/// Out-of-range environment values are ignored like unparseable ones;
-/// out-of-range profile values are [`crate::kernel::ProfileError::Malformed`].
+/// Largest `tile_cols` / `block_rows` the environment may ask for: far
+/// above any useful tile or block (layers are at most a few 10⁴ wide), far
+/// below where `block rows × layer width` could overflow. Out-of-range
+/// values are ignored like unparseable ones.
 pub const MAX_TILE_OR_BLOCK: usize = 1 << 20;
 
 /// How a product is dispatched.
@@ -70,12 +59,6 @@ pub struct KernelPlan {
     /// Batch rows per tile-major block, and per fused-group block
     /// (`RADIX_BLOCK_ROWS`).
     pub block_rows: usize,
-    /// Activation-sparsity crossover, as a percent of nonzero
-    /// activations (`RADIX_ACT_SPARSE_THRESHOLD`): a tiled forward row
-    /// block at or below it scatters over its nonzeros instead of
-    /// gathering. `0` disables the scatter (always gather); `100` or more
-    /// forces it.
-    pub act_sparse_percent: usize,
     /// Multiply-add count (`rows × nnz`) at which [`Par::Auto`] goes to
     /// the pool (`RADIX_PAR_THRESHOLD`).
     pub par_threshold: usize,
@@ -85,12 +68,11 @@ pub struct KernelPlan {
 }
 
 impl Default for KernelPlan {
-    /// The built-in defaults, ignoring environment and profile.
+    /// The built-in defaults, ignoring the environment.
     fn default() -> Self {
         KernelPlan {
             tile_cols: DEFAULT_TILE_COLS,
             block_rows: DEFAULT_BLOCK_ROWS,
-            act_sparse_percent: DEFAULT_ACT_SPARSE_PERCENT,
             par_threshold: DEFAULT_PAR_THRESHOLD,
             fuse_layers: DEFAULT_FUSE_LAYERS,
         }
@@ -99,61 +81,32 @@ impl Default for KernelPlan {
 
 impl KernelPlan {
     /// The process-wide plan: resolved on first call from the environment
-    /// and the tuning profile ([`KernelPlan::resolve`]) and cached for
-    /// the process lifetime — the only knob cache there is.
+    /// ([`KernelPlan::resolve`]) and cached for the process lifetime — the
+    /// only knob cache there is.
     #[must_use]
     pub fn process() -> KernelPlan {
         static PLAN: OnceLock<KernelPlan> = OnceLock::new();
-        *PLAN.get_or_init(|| {
-            KernelPlan::resolve(|name| std::env::var(name).ok(), active_profile().as_ref())
-        })
+        *PLAN.get_or_init(|| KernelPlan::resolve(|name| std::env::var(name).ok()))
     }
 
-    /// Resolves every knob with the precedence **environment > profile >
-    /// default**. `env` looks a variable up by name (tests pass a
-    /// closure instead of mutating the process environment). A value
-    /// that does not parse, or lies outside its knob's range, is ignored
-    /// — the next level decides.
+    /// Resolves every knob with the precedence **environment > default**.
+    /// `env` looks a variable up by name (tests pass a closure instead of
+    /// mutating the process environment). A value that does not parse, or
+    /// lies outside its knob's range, is ignored — the default decides.
     #[must_use]
-    pub fn resolve(
-        env: impl Fn(&str) -> Option<String>,
-        profile: Option<&TuningProfile>,
-    ) -> KernelPlan {
-        let knob =
-            |name: &str, range: RangeInclusive<usize>, prof: Option<usize>, default: usize| {
-                let env = env(name)
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|v| range.contains(v));
-                resolve_knob(env, prof, default)
-            };
+    pub fn resolve(env: impl Fn(&str) -> Option<String>) -> KernelPlan {
+        let knob = |name: &str, range: RangeInclusive<usize>, default: usize| {
+            env(name)
+                .and_then(|v| v.parse::<usize>().ok())
+                .filter(|v| range.contains(v))
+                .unwrap_or(default)
+        };
         let d = KernelPlan::default();
         KernelPlan {
-            tile_cols: knob(
-                "RADIX_TILE_COLS",
-                1..=MAX_TILE_OR_BLOCK,
-                profile.and_then(|p| p.tile_cols),
-                d.tile_cols,
-            ),
-            block_rows: knob(
-                "RADIX_BLOCK_ROWS",
-                1..=MAX_TILE_OR_BLOCK,
-                profile.and_then(|p| p.block_rows),
-                d.block_rows,
-            ),
-            // An explicit 0 is meaningful here: it turns the scatter off.
-            act_sparse_percent: knob(
-                "RADIX_ACT_SPARSE_THRESHOLD",
-                0..=usize::MAX,
-                profile.and_then(|p| p.act_sparse_percent),
-                d.act_sparse_percent,
-            ),
-            par_threshold: knob("RADIX_PAR_THRESHOLD", 1..=usize::MAX, None, d.par_threshold),
-            fuse_layers: knob(
-                "RADIX_FUSE_LAYERS",
-                1..=usize::MAX,
-                profile.and_then(|p| p.fuse_layers),
-                d.fuse_layers,
-            ),
+            tile_cols: knob("RADIX_TILE_COLS", 1..=MAX_TILE_OR_BLOCK, d.tile_cols),
+            block_rows: knob("RADIX_BLOCK_ROWS", 1..=MAX_TILE_OR_BLOCK, d.block_rows),
+            par_threshold: knob("RADIX_PAR_THRESHOLD", 1..=usize::MAX, d.par_threshold),
+            fuse_layers: knob("RADIX_FUSE_LAYERS", 1..=usize::MAX, d.fuse_layers),
         }
     }
 
@@ -225,39 +178,22 @@ mod tests {
     }
 
     #[test]
-    fn act_sparse_percent_is_stable_across_calls() {
-        assert_eq!(
-            KernelPlan::process().act_sparse_percent,
-            KernelPlan::process().act_sparse_percent
-        );
-    }
-
-    #[test]
-    fn resolve_takes_env_over_profile_over_default() {
-        let profile = TuningProfile {
-            threads: 2,
-            tile_cols: Some(512),
-            fuse_layers: Some(4),
-            act_sparse_percent: Some(25),
-            block_rows: None,
-        };
+    fn resolve_takes_env_over_default() {
         let env = [
             ("RADIX_TILE_COLS", "8"),
-            ("RADIX_ACT_SPARSE_THRESHOLD", "0"),
             ("RADIX_PAR_THRESHOLD", "1"),
+            ("RADIX_FUSE_LAYERS", "4"),
         ];
-        let plan = KernelPlan::resolve(env_of(&env), Some(&profile));
         assert_eq!(
-            plan,
+            KernelPlan::resolve(env_of(&env)),
             KernelPlan {
-                tile_cols: 8,                   // env beats profile
-                block_rows: DEFAULT_BLOCK_ROWS, // nobody has an opinion
-                act_sparse_percent: 0,          // an explicit 0 counts
-                par_threshold: 1,               // env only
-                fuse_layers: 4,                 // profile beats default
+                tile_cols: 8,
+                block_rows: DEFAULT_BLOCK_ROWS, // unset: the default
+                par_threshold: 1,
+                fuse_layers: 4,
             }
         );
-        assert_eq!(KernelPlan::resolve(|_| None, None), KernelPlan::default());
+        assert_eq!(KernelPlan::resolve(|_| None), KernelPlan::default());
     }
 
     #[test]
@@ -271,14 +207,11 @@ mod tests {
             ("RADIX_FUSE_LAYERS", "0"),
             ("RADIX_PAR_THRESHOLD", "lots"),
         ];
-        assert_eq!(
-            KernelPlan::resolve(env_of(&env), None),
-            KernelPlan::default()
-        );
+        assert_eq!(KernelPlan::resolve(env_of(&env)), KernelPlan::default());
         // The bound itself is in range.
         let env = [("RADIX_BLOCK_ROWS", "1048576")];
         assert_eq!(
-            KernelPlan::resolve(env_of(&env), None).block_rows,
+            KernelPlan::resolve(env_of(&env)).block_rows,
             MAX_TILE_OR_BLOCK
         );
     }

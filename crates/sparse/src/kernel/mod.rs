@@ -25,11 +25,11 @@
 //!   decided by the work threshold — and dispatch through the rayon shim's
 //!   persistent worker pool with zero heap allocation. On the diagonals
 //!   all of them run as unit-stride shift-adds,
-//! * [`KernelPlan`] — the five tunables (tile width, block rows,
-//!   activation-sparsity crossover, pool threshold, fuse depth) as one
-//!   value stored in each [`PreparedWeights`]. [`KernelPlan::process`]
-//!   resolves the process-wide plan once (environment > tuning profile >
-//!   default); [`PreparedWeights::with_plan`] takes any other,
+//! * [`KernelPlan`] — the four tunables (tile width, block rows, pool
+//!   threshold, fuse depth) as one value stored in each
+//!   [`PreparedWeights`]. [`KernelPlan::process`] resolves the
+//!   process-wide plan once (environment > default);
+//!   [`PreparedWeights::with_plan`] takes any other,
 //! * **column tiling** — the diagonal storage is tile-major at every
 //!   width; [`PreparedWeights::tile`] gives a CSR-stored matrix a
 //!   tile-contiguous CSC copy of its entries (one-time pass at the plan's
@@ -38,10 +38,6 @@
 //!   The transposed product needs no such pass: the transpose's rows are
 //!   the storage's own (diagonals or CSR/ELL), so it tiles **zero-copy**
 //!   whenever `W` has more rows than one tile,
-//! * **activation-sparsity dispatch** — per row block of a gathering
-//!   forward product, a cheap nonzero count picks the branch-free gather
-//!   (dense activations) or the zero-skipping scatter (post-ReLU sparse
-//!   activations), crossover the plan's `act_sparse_percent`,
 //! * [`Epilogue`] / [`Bias`] — bias + elementwise map fused into the
 //!   kernel's per-row (per-tile, when tiled) finish, eliminating the
 //!   separate output pass,
@@ -56,19 +52,13 @@ mod heuristic;
 mod lanes;
 mod pingpong;
 mod prepared;
-pub mod profile;
 mod tiled;
 
 pub use epilogue::{Bias, Epilogue};
 pub use heuristic::{
-    env_usize, KernelPlan, Par, DEFAULT_ACT_SPARSE_PERCENT, DEFAULT_FUSE_LAYERS,
-    DEFAULT_PAR_THRESHOLD, MAX_TILE_OR_BLOCK,
+    env_usize, KernelPlan, Par, DEFAULT_FUSE_LAYERS, DEFAULT_PAR_THRESHOLD, MAX_TILE_OR_BLOCK,
 };
 pub use lanes::LANE_WIDTH;
 pub use pingpong::PingPong;
 pub use prepared::PreparedWeights;
-pub use profile::{
-    active_profile, emit_profile, load_profile, parse_profile, profile_path, resolve_knob,
-    ProfileError, TuningProfile, DEFAULT_PROFILE_PATH, PROFILE_SCHEMA,
-};
 pub use tiled::{block_rows, tile_cols, DEFAULT_BLOCK_ROWS, DEFAULT_TILE_COLS};

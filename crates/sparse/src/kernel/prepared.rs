@@ -377,10 +377,7 @@ impl<T: Scalar> PreparedWeights<T> {
     ///
     /// * **Diagonal storage.** The gathers multiply zero activations
     ///   through, so column `j` of `X · W` and column `i` of `X · Wᵀ` are
-    ///   non-finite in every batch row, `NaN` in all-zero rows. The
-    ///   exception is a forward block that the plan's `act_sparse_percent`
-    ///   sends to the zero-skipping scatter: there an all-zero row's output
-    ///   stays finite.
+    ///   non-finite in every batch row, `NaN` in all-zero rows.
     /// * **CSR storage.** The forward product scatters and skips zero
     ///   activations (the tiles are dropped here, and `tile` refuses a
     ///   non-finite value), so column `j` of `X · W` is non-finite exactly
@@ -486,12 +483,10 @@ impl<T: Scalar> PreparedWeights<T> {
     /// owned [`DenseMatrix`] or a zero-copy [`DenseView`] row range.
     ///
     /// The diagonal storage and a tiled CSR ([`PreparedWeights::tile`])
-    /// cut the batch into `block_rows`-row blocks when wider than a tile,
-    /// each running the tile-major gather or — for a block whose
-    /// activations are almost all zeros — the zero-skipping scatter (see
-    /// [`PreparedWeights::spmm_rows_to`]); an untiled CSR runs the scatter
-    /// row walk. Results are equal on every path (see `kernel::tiled` for
-    /// the zero-activation fine print).
+    /// run the tile-major gather, in `block_rows`-row blocks when wider
+    /// than a tile; an untiled CSR runs the zero-skipping scatter row
+    /// walk. Results are equal on every path (see `kernel::tiled` for the
+    /// zero-activation fine print).
     ///
     /// # Errors
     /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() != self.nrows()`.
@@ -529,11 +524,7 @@ impl<T: Scalar> PreparedWeights<T> {
     /// This is the building block of multi-layer fusion: a caller can chain
     /// several layers over one row block (keeping the block's activations
     /// cache-resident) and point the last layer's output straight into its
-    /// slice of a larger matrix. On the diagonal storage or a tiled CSR
-    /// the block counts its nonzero activations against the plan's
-    /// `act_sparse_percent`: a mostly-zero block scatters over its
-    /// nonzeros instead of gathering — which is how the fused Challenge
-    /// schedule picks up the sparse-activation switch layer by layer.
+    /// slice of a larger matrix.
     ///
     /// # Errors
     /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() !=
@@ -559,10 +550,7 @@ impl<T: Scalar> PreparedWeights<T> {
     }
 
     /// One row block of the forward product: the tile-major gather when
-    /// the storage has one and the block's activations are dense, else
-    /// the zero-skipping scatter. The nonzero count is skipped where the
-    /// plan's `act_sparse_percent` decides alone (`0`: always gather,
-    /// `≥ 100`: always scatter).
+    /// the storage has one, else the zero-skipping scatter.
     fn forward_block<F: Fn(T) -> T + Sync>(
         &self,
         x: DenseView<'_, T>,
@@ -571,20 +559,11 @@ impl<T: Scalar> PreparedWeights<T> {
         out: &mut [T],
         epi: &Epilogue<'_, T, F>,
     ) {
-        let scatter = || match self.plan.act_sparse_percent {
-            0 => false,
-            // `nnz > total·pct/100 (real)` ⟺ `nnz > ⌊total·pct/100⌋`
-            // for integer nnz, so the floored limit is exact.
-            pct @ 1..=99 => block_is_sparse(x, x_start, rows, rows * x.ncols() * pct / 100),
-            _ => true,
-        };
-        let tile_cols = self.plan.tile_cols;
         match &self.storage {
-            Storage::Cyclic(d) if scatter() => d.scatter_rows(x, x_start, rows, out, epi),
-            Storage::Cyclic(d) => d.gather_block(tile_cols, x, x_start, rows, out, epi),
+            Storage::Cyclic(d) => d.gather_block(self.plan.tile_cols, x, x_start, rows, out, epi),
             Storage::Csr {
                 tiles: Some(tiles), ..
-            } if !scatter() => tiles.gather_block(x, x_start, rows, out, epi),
+            } => tiles.gather_block(x, x_start, rows, out, epi),
             Storage::Csr { csr, degree, .. } => {
                 scatter_rows(csr, *degree, x, x_start, rows, out, epi);
             }
@@ -757,32 +736,6 @@ fn for_each_block<T: Send>(
     }
 }
 
-/// Whether the activation block rows `[start, start + rows)` hold at most
-/// `limit` nonzeros — the activation-sparsity dispatch test. The
-/// per-row inner count is branch-free (vectorizable), and the running
-/// total early-exits at the first row boundary past `limit`: a **dense**
-/// block (the common case) is rejected after scanning only ~`limit`
-/// elements — about `pct`% of the block, ~1% of the product's
-/// multiply-adds — while a genuinely sparse block pays one full pass
-/// (`1/degree` of the product work), which the scatter's savings dwarf.
-fn block_is_sparse<T: Scalar>(
-    x: DenseView<'_, T>,
-    start: usize,
-    rows: usize,
-    limit: usize,
-) -> bool {
-    let mut nnz = 0usize;
-    for b in start..start + rows {
-        for v in x.row(b) {
-            nnz += usize::from(!v.is_zero());
-        }
-        if nnz > limit {
-            return false;
-        }
-    }
-    true
-}
-
 impl<T: Scalar> From<CsrMatrix<T>> for PreparedWeights<T> {
     fn from(csr: CsrMatrix<T>) -> Self {
         PreparedWeights::from_csr(csr)
@@ -935,20 +888,16 @@ mod tests {
 
     /// The plans every equivalence test below sweeps: tile widths under,
     /// at and over the test matrices' 3 and 12 columns × block grains from
-    /// one row to far past any batch × the activation dispatch forced to
-    /// gather (0), counting (10) and forced to scatter (100).
+    /// one row to far past any batch.
     fn plans() -> Vec<KernelPlan> {
         let mut plans = Vec::new();
         for tile_cols in [1, 4, 5, 11, 12] {
             for block_rows in [1, 5, 32, usize::MAX] {
-                for act_sparse_percent in [0, 10, 100] {
-                    plans.push(KernelPlan {
-                        tile_cols,
-                        block_rows,
-                        act_sparse_percent,
-                        ..KernelPlan::default()
-                    });
-                }
+                plans.push(KernelPlan {
+                    tile_cols,
+                    block_rows,
+                    ..KernelPlan::default()
+                });
             }
         }
         plans
@@ -1394,6 +1343,53 @@ mod tests {
         }
     }
 
+    /// The diagonal storage's side of the non-finite contract
+    /// ([`PreparedWeights::values_mut`]): a `NaN` or `±∞` written into
+    /// `W[i, j]` of a sum of cyclic shifts. The forward product gathers
+    /// through zero activations on every row block, however sparse, so
+    /// column `j` of `X · W` is non-finite in every row and `NaN` in the
+    /// all-zero one; every other column is the naive product's.
+    #[test]
+    fn non_finite_value_in_diagonal_storage() {
+        // Σ_{t<3} P^(4t) on 64 nodes; storage slot t·n + j is W[(j − 4t)
+        // mod n, j].
+        let n = 64;
+        let w = CyclicShift::radix_submatrix::<u64>(n, 3, 4).map(|v| v as f64 * 0.5);
+        let (t, j) = (2, 10);
+        let i = (j + n - 4 * t) % n;
+        // At most one nonzero per row (≤ 10% of every block at any grain):
+        // row 0 all zero, row 1 nonzero at `x[i]`, the rest elsewhere.
+        let mut x = DenseMatrix::zeros(12, n);
+        x.set(1, i, 1.5);
+        for b in 2..12 {
+            x.set(b, (5 * b) % n, 0.25 * b as f64 - 0.75);
+        }
+        let naive = dense_spmm(&x, &w).unwrap();
+        for plan in [KernelPlan::default(), tiled_plan()] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut p = PreparedWeights::with_plan(w.clone(), plan);
+                p.values_mut()[t * n + j] = bad;
+                assert_eq!(p.cyclic(), Some((3, 4)));
+                let mut out = DenseMatrix::default();
+                for par in PARS {
+                    let case = format!("{bad} W[{i}, {j}] {par:?} tile {}", plan.tile_cols);
+                    p.spmm(&x, &mut out, &Epilogue::identity(), par).unwrap();
+                    for b in 0..x.nrows() {
+                        for c in 0..n {
+                            let v = out.get(b, c);
+                            if c == j {
+                                assert!(!v.is_finite(), "{case} ({b}, {c})");
+                            } else {
+                                assert_eq!(v, naive.get(b, c), "{case} ({b}, {c})");
+                            }
+                        }
+                    }
+                    assert!(out.get(0, j).is_nan(), "{case}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn tiled_degenerate_shapes() {
         // Zero-row batch through the tiled path.
@@ -1455,9 +1451,10 @@ mod tests {
     #[test]
     fn forced_activation_schedules_match_untiled() {
         let w = regular();
-        // A batch sparse enough that the count takes the scatter path on
-        // every block; the forced schedules (`act_sparse_percent` 0 and
-        // 100 in `plans`) must agree regardless.
+        // A batch whose every row block is far below 10% nonzero, with
+        // all-zero rows: the gather multiplies those zeros through under
+        // every plan and must equal the naive row walk, a scatter that
+        // skips them.
         let mut x = DenseMatrix::zeros(40, 12);
         for i in 0..40 {
             if i % 4 == 0 {
@@ -1465,30 +1462,13 @@ mod tests {
             }
         }
         let epi = Epilogue::new(Bias::Uniform(0.25), |v: f64| v.max(0.0));
-        let mut expect = DenseMatrix::default();
-        PreparedWeights::from_csr(w.clone())
-            .spmm(&x, &mut expect, &epi, Par::Serial)
-            .unwrap();
-        assert_forward_eq(&w, &x, &epi, &expect);
-    }
-
-    #[test]
-    fn block_is_sparse_thresholds_exactly() {
-        let x = batch(6, 12); // zeros wherever (i + j) % 3 == 0
-        let mut nnz = 0usize;
-        for i in 2..5 {
-            for j in 0..12 {
-                if x.get(i, j) != 0.0 {
-                    nnz += 1;
-                }
+        let mut expect = dense_spmm(&x, &w).unwrap();
+        for b in 0..expect.nrows() {
+            for v in expect.row_mut(b) {
+                *v = (*v + 0.25).max(0.0);
             }
         }
-        assert!(nnz > 1, "test batch must have several nonzeros");
-        // Exactly at the count: sparse. One below: dense (early exit).
-        assert!(block_is_sparse(x.view(), 2, 3, nnz));
-        assert!(!block_is_sparse(x.view(), 2, 3, nnz - 1));
-        // Empty block is trivially sparse.
-        assert!(block_is_sparse(x.view(), 0, 0, 0));
+        assert_forward_eq(&w, &x, &epi, &expect);
     }
 
     #[test]

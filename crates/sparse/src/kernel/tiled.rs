@@ -39,19 +39,10 @@
 //! transposed product and the weight gradient, all three as unit-stride
 //! shift-adds over the diagonals, each compiled twice — baseline x86-64
 //! and AVX2 — and picked from the CPU at run time ([`avx2_available`]).
-//!
-//! Multiplying zeros through is the right call for *dense* activations,
-//! but deep ReLU networks routinely produce blocks that are > 90% zeros,
-//! where the gather burns its bandwidth on additive identities. The
-//! activation-sparsity dispatch restores the zero-skip selectively: a
-//! cheap per-row-block nonzero count on the input activations picks the
-//! gather (dense blocks) or the zero-skipping scatter (sparse blocks) —
-//! the untiled ELL/CSR row walk, at the cost of read-modify-write output
-//! traffic. Accumulation order is ascending source row under **both**
-//! schedules, so results are equal whichever is picked (up to the sign of
-//! an all-zero sum). The crossover is the plan's `act_sparse_percent`
-//! ([`crate::kernel::KernelPlan`], `RADIX_ACT_SPARSE_THRESHOLD`, measured
-//! by `make calibrate`): `0` always gathers, `100` always scatters.
+//! Both layouts gather on every row block, however sparse its
+//! activations: on the Graph Challenge forward pass the gather outruns a
+//! zero-skipping scatter even on dying rows at ≤ 10% nonzero, whose
+//! read-modify-write output traffic costs more than the zeros it skips.
 //!
 //! The same tile-major treatment also serves the **transposed** products
 //! of the backward/training pass: `X · Wᵀ` gathers over the columns of
@@ -73,8 +64,7 @@ use crate::kernel::lanes;
 use crate::scalar::Scalar;
 
 /// Default output-column tile width (elements). Chosen by measuring the
-/// `n=16384, deg=8` Graph-Challenge config with `make calibrate` (which
-/// re-measures on the current machine): 1024-column tiles keep a tile's
+/// `n=16384, deg=8` Graph-Challenge config: 1024-column tiles keep a tile's
 /// entry list and output segment cache-resident while the per-tile column
 /// loop stays long enough to amortize the row-block setup; 512–2048 all
 /// measure within a few percent.
@@ -669,37 +659,6 @@ impl<T: Scalar> CyclicDiagonals<T> {
             j += W;
         }
         j - lo
-    }
-
-    /// One row block of `epi(X · W)` as a zero-skipping scatter — the
-    /// schedule for mostly-zero activation blocks. Zero-fill, then each
-    /// row's **nonzero** sources, ascending, add `x[i] · diag[t][(i + tν)
-    /// mod n]` into their `r` columns: every output element receives its
-    /// terms in ascending source row, as from the ELL scatter.
-    pub(crate) fn scatter_rows<F: Fn(T) -> T + Sync>(
-        &self,
-        x: DenseView<'_, T>,
-        x_start: usize,
-        rows: usize,
-        out: &mut [T],
-        epi: &Epilogue<'_, T, F>,
-    ) {
-        let (n, nu) = (self.n, self.stride);
-        debug_assert_eq!(out.len(), rows * n, "output block size");
-        out.fill(T::ZERO);
-        for (b, orow) in out.chunks_mut(n).enumerate() {
-            for (i, &xv) in x.row(x_start + b).iter().enumerate() {
-                if xv.is_zero() {
-                    continue;
-                }
-                let u = self.unwrapped(i);
-                for t in 0..self.radix {
-                    let j = if t < u { i + t * nu } else { i + t * nu - n };
-                    orow[j] = orow[j].add(xv.mul(self.diags[t * n + j]));
-                }
-            }
-            epi.apply_row(orow);
-        }
     }
 
     /// Rows `[x_start, x_start + rows)` of `epi(X · Wᵀ)` into `out`

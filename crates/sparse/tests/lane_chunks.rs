@@ -133,13 +133,10 @@ fn irregular_matrix() -> impl Strategy<Value = CsrMatrix<f64>> {
     })
 }
 
-/// `w` prepared (not yet tiled) under a plan with `tile_cols`-wide tiles
-/// and the forward gather forced (`act_sparse_percent: 0`), so the
-/// lane-chunked per-column dot always runs.
+/// `w` prepared (not yet tiled) under a plan with `tile_cols`-wide tiles.
 fn prepared_at(w: &CsrMatrix<f64>, tile_cols: usize) -> PreparedWeights<f64> {
     let plan = KernelPlan {
         tile_cols,
-        act_sparse_percent: 0,
         ..KernelPlan::default()
     };
     PreparedWeights::with_plan(w.clone(), plan)

@@ -211,8 +211,6 @@ fn assert_bits_eq<T: Float>(
 ///
 /// * `tile_cols` ∈ {1, 3, 8, one tile spanning everything} ∪ `extra_tile`,
 /// * `block_rows` ∈ {1, 5, 32},
-/// * `act_sparse_percent` ∈ {0 (always gather), 10 (count), 100 (always
-///   scatter)},
 ///
 /// serially and on the pool, on the storage [`expected_cyclic`] says —
 /// the index-free cyclic diagonals at every width, or the CSR with CSC
@@ -252,44 +250,41 @@ fn check_plans<T: Float>(
     let mut out = DenseMatrix::default();
     for tile_cols in tiles {
         for block_rows in [1, 5, 32] {
-            for act_sparse_percent in [0, 10, 100] {
-                let plan = KernelPlan {
-                    tile_cols,
-                    block_rows,
-                    act_sparse_percent,
-                    ..KernelPlan::default()
-                };
-                let mut p = PreparedWeights::with_plan(w.clone(), plan);
-                prop_assert_eq!(p.tile(), w.ncols() > tile_cols, "tile() under {:?}", plan);
-                prop_assert_eq!(p.cyclic(), cyclic, "cyclic() under {:?}", plan);
-                for par in [Par::Serial, Par::Pool] {
-                    let what = |call: &str| format!("{call} {par:?} under {plan:?}");
-                    match op {
-                        Op::Forward => {
-                            p.spmm(x, &mut out, &epi, par).unwrap();
-                            assert_bits_eq(&out, &expect, &|| what("spmm"))?;
-                            assemble_from_row_blocks(&p, x, &epi, par, &mut out);
-                            assert_bits_eq(&out, &expect, &|| what("spmm_rows_to"))?;
-                        }
-                        Op::Transposed => {
-                            p.spmm_transposed(x, &mut out, &epi, par).unwrap();
-                            assert_bits_eq(&out, &expect, &|| what("spmm_transposed"))?;
-                        }
-                        Op::WeightGrads => {
-                            let mut g = vec![T::ZERO; p.nnz()];
-                            p.weight_grads(x, &delta, &mut g, par).unwrap();
-                            for (k, (a, b)) in
-                                p.to_csr_order(&g).iter().zip(expect.as_slice()).enumerate()
-                            {
-                                prop_assert!(
-                                    a.bits() == b.bits(),
-                                    "{}: gradient {} differs ({} vs {})",
-                                    what("weight_grads"),
-                                    k,
-                                    a,
-                                    b
-                                );
-                            }
+            let plan = KernelPlan {
+                tile_cols,
+                block_rows,
+                ..KernelPlan::default()
+            };
+            let mut p = PreparedWeights::with_plan(w.clone(), plan);
+            prop_assert_eq!(p.tile(), w.ncols() > tile_cols, "tile() under {:?}", plan);
+            prop_assert_eq!(p.cyclic(), cyclic, "cyclic() under {:?}", plan);
+            for par in [Par::Serial, Par::Pool] {
+                let what = |call: &str| format!("{call} {par:?} under {plan:?}");
+                match op {
+                    Op::Forward => {
+                        p.spmm(x, &mut out, &epi, par).unwrap();
+                        assert_bits_eq(&out, &expect, &|| what("spmm"))?;
+                        assemble_from_row_blocks(&p, x, &epi, par, &mut out);
+                        assert_bits_eq(&out, &expect, &|| what("spmm_rows_to"))?;
+                    }
+                    Op::Transposed => {
+                        p.spmm_transposed(x, &mut out, &epi, par).unwrap();
+                        assert_bits_eq(&out, &expect, &|| what("spmm_transposed"))?;
+                    }
+                    Op::WeightGrads => {
+                        let mut g = vec![T::ZERO; p.nnz()];
+                        p.weight_grads(x, &delta, &mut g, par).unwrap();
+                        for (k, (a, b)) in
+                            p.to_csr_order(&g).iter().zip(expect.as_slice()).enumerate()
+                        {
+                            prop_assert!(
+                                a.bits() == b.bits(),
+                                "{}: gradient {} differs ({} vs {})",
+                                what("weight_grads"),
+                                k,
+                                a,
+                                b
+                            );
                         }
                     }
                 }
