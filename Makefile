@@ -26,7 +26,9 @@ verify:
 ## forward product against the per-edge one in their real (vectorized)
 ## codegen; `radix-challenge --test properties`
 ## for the live-row compaction oracle, whose pool blocks hold other rows
-## at each pool width than on one thread.
+## at each pool width than on one thread, and again in release, where the
+## rows it folds to a constant are checked against the vectorized kernels
+## that would have computed them.
 POOL_THREADS ?= 4
 verify-mt:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p rayon
@@ -36,6 +38,7 @@ verify-mt:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --lib infer
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q --release -p radix-challenge --lib infer
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test properties
+	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q --release -p radix-challenge --test properties
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test zero_alloc
 
 ## The serving-engine suites under a forced multi-thread worker pool —

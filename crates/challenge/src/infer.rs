@@ -29,21 +29,30 @@
 //! arithmetic is unchanged, so results stay bitwise identical to the
 //! layer-by-layer schedule.
 //!
-//! The forward pass also keeps a **live-row set**. The Challenge answer
-//! is the set of rows still nonzero after the last layer, and many rows
-//! die within a layer or two. A row whose activations all compare `== 0.0`
-//! (a `-0.0` element included) is a fixed point of every later layer when
-//! each weight is finite and the epilogue maps a `+0.0` accumulator to
-//! `+0.0` bits: the gather starts each sum at `+0` and adds `±0` terms,
-//! the scatter skips zero activations and keeps its `+0` fill, and the
-//! epilogue then writes `+0.0` again. That holds for every bias `≤ 0`
-//! (`-0.0` included) and fails for a positive one; the network checks it
-//! once at construction. Under the check, after each fused group but the
-//! last, such rows leave the batch: the live rows move, in ascending
+//! The forward pass also keeps a **live-row set**. Paper eq. (2) gives
+//! every column of a RadiX layer exactly `r` sources, and a Challenge
+//! layer gives them all one weight `w`, so a row whose elements all hold
+//! one value `c` maps to a row whose elements all hold `epi(Σ_r c·w)`:
+//! one scalar per layer. Rows reach such a **constant** fast — a dying
+//! row all zero within a layer or two, a saturating one all `YMAX` a few
+//! layers later — and then only that scalar is left to compute.
+//!
+//! After each fused group but the last, a row leaves the batch when
+//! every element has the bits of one finite `c` (an all-`±0` row counts
+//! as `+0`) and `c` can be folded through every remaining layer by the
+//! kernels' own operations: through a layer whose values are all finite,
+//! a zero `c` gives `epi(+0)` (the gather starts each sum at `+0` and
+//! adds `±0` terms; the scatter skips zero activations and keeps its
+//! `+0` fill); through a layer stored as `r` value diagonals whose values
+//! all have the bits of one finite `w`, any `c` gives
+//! `epi(+0 + c·w + … + c·w)` with `r` terms. Any other layer may not keep
+//! the row constant, so the row stays. The live rows move, in ascending
 //! order, to the front of the group output, and the next group runs on
-//! them alone. After the last group the dead rows are written back as
-//! `+0.0`, so every output bit equals the uncompacted schedule's. A NaN
-//! or ±∞ element never compares equal to zero, so its row always stays.
+//! them alone. After the last group each departed row is written back as
+//! its folded value, so every output bit equals the uncompacted
+//! schedule's. A NaN or ±∞ element is never a finite constant, so its row
+//! always stays. What a layer offers the fold (all values finite; one
+//! uniform `(w, r)`) is read off its stored values once, at construction.
 //!
 //! After the workspace warm-up the timed region performs **zero heap
 //! allocation**, for the serial *and* the pool-parallel schedule
@@ -75,9 +84,38 @@ pub struct ChallengeNetwork {
     /// The plan every layer was prepared under; the forward schedule
     /// reads its `fuse_layers`, `block_rows` and `par_threshold`.
     plan: KernelPlan,
-    /// Whether an all-zero row stays all `+0.0` through every layer, so
-    /// the forward pass may drop it (see the module docs).
-    drops_dead_rows: bool,
+    /// What each layer offers the constant-row fold (see the module
+    /// docs), one per layer.
+    facts: Vec<LayerFacts>,
+}
+
+/// What one layer does to a row whose elements all hold one value, read
+/// off its stored values — not off the kernel's broadcast record, which
+/// `values_mut` clears, so equal networks drop the same rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LayerFacts {
+    /// Every stored value is finite, so a zero row's products are `±0`.
+    finite: bool,
+    /// `Some((w, r))` when the layer is stored as `r` value diagonals
+    /// and every value has the bits of the finite `w`: each output column
+    /// adds `r` products `c·w` of a constant row.
+    uniform: Option<(f32, usize)>,
+}
+
+impl LayerFacts {
+    fn of(w: &PreparedWeights<f32>) -> Self {
+        let values = w.values();
+        let uniform = match (w.cyclic(), values.first()) {
+            (Some((r, _)), Some(&v)) if v.is_finite() && same_bits(values, v, u32::MAX) => {
+                Some((v, r))
+            }
+            _ => None,
+        };
+        LayerFacts {
+            finite: uniform.is_some() || values.iter().all(|v| v.is_finite()),
+            uniform,
+        }
+    }
 }
 
 /// Ping-pong activation buffers for allocation-free Challenge inference.
@@ -87,12 +125,14 @@ pub struct ChallengeNetwork {
 /// with the `radix-nn` forward workspace; `scratch` holds one small
 /// per-worker ping-pong for the within-group intermediates of the fused
 /// schedule (index = pool worker slot, so parallel blocks never share);
-/// `live` holds the batch index of each row still computed.
+/// `live` holds the batch index of each row still computed, and
+/// `settled[b]` the output value of batch row `b` once it has left.
 #[derive(Debug, Clone, Default)]
 pub struct InferWorkspace {
     buffers: PingPong<f32>,
     scratch: Vec<PingPong<f32>>,
     live: Vec<usize>,
+    settled: Vec<f32>,
 }
 
 impl InferWorkspace {
@@ -121,13 +161,14 @@ impl InferWorkspace {
             buffers: PingPong::with_capacity(batch, widest),
             scratch,
             live: Vec::with_capacity(batch),
+            settled: Vec::with_capacity(batch),
         }
     }
 
     /// How many rows of the most recent forward pass entered its last
-    /// layer group: the batch minus the rows dropped as all-zero after an
-    /// earlier group. The output is the same either way, so this count is
-    /// the only trace of the compaction.
+    /// layer group: the batch minus the rows that left as constant rows
+    /// after an earlier group. The output is the same either way, so this
+    /// count is the only trace of the compaction.
     #[must_use]
     pub fn live_rows(&self) -> usize {
         self.live.len()
@@ -154,7 +195,7 @@ pub struct InferenceStats {
     pub seconds: f64,
     /// Total input edges processed (`batch · Σ nnz(W_l)`), the Challenge
     /// count: every row is charged every layer, including the layers a
-    /// dead row skipped.
+    /// constant row skipped.
     pub edges_processed: u64,
     /// Edge-processing rate (edges / second), the Challenge metric.
     pub rate: f64,
@@ -275,20 +316,13 @@ impl ChallengeNetwork {
         for pair in layers.windows(2) {
             assert_eq!(pair[0].ncols(), pair[1].nrows(), "layers must chain");
         }
-        // The kernels' own arithmetic on a `+0` accumulator, `v + bias`
-        // then the clamp, must give `+0.0` bits. (The clamp panics below
-        // a `YMAX` of 0, as the kernels would.)
-        let zero_stays_zero = ymax >= 0.0 && clamp_to(ymax)(Scalar::add(0.0, bias)).to_bits() == 0;
-        let drops_dead_rows = zero_stays_zero
-            && layers
-                .iter()
-                .all(|w| w.values().iter().all(|v| v.is_finite()));
+        let facts = layers.iter().map(LayerFacts::of).collect();
         ChallengeNetwork {
             layers,
             bias,
             ymax,
             plan,
-            drops_dead_rows,
+            facts,
         }
     }
 
@@ -356,15 +390,17 @@ impl ChallengeNetwork {
     /// stay cache-hot (see `forward_group`). Returns the final output,
     /// which lives inside the workspace.
     ///
-    /// When the network's bias maps a zero accumulator to `+0.0` and every
-    /// weight is finite (checked once at construction), rows that are all
-    /// zero after a group leave the batch: the survivors are compacted, in
+    /// Constant rows leave the batch after each group but the last (see
+    /// the module docs): a row whose elements all hold one finite value,
+    /// when that value folds through every remaining layer, has its output
+    /// value kept in the workspace; the survivors are compacted, in
     /// ascending order, to the front of the group output, their batch
     /// indices kept in the workspace, and the next group (with its pool
     /// threshold) sees only them. The last group's output is expanded back
-    /// to the full batch with the dropped rows `+0.0`, so the result is
-    /// bitwise the uncompacted one. [`InferWorkspace::live_rows`] reports
-    /// how many rows reached the last group.
+    /// to the full batch with each departed row filled with its value, so
+    /// the result is bitwise the uncompacted one.
+    /// [`InferWorkspace::live_rows`] reports how many rows reached the last
+    /// group.
     ///
     /// # Panics
     /// Panics if `x.ncols() != n_in()`.
@@ -384,27 +420,28 @@ impl ChallengeNetwork {
             buffers,
             scratch,
             live,
+            settled,
         } = ws;
         // One fused-block scratch pair per pool worker slot; reaches its
         // high-water mark on the first (warm-up) pass.
         scratch.resize_with(rayon::current_num_threads(), PingPong::new);
         live.clear();
         live.extend(0..batch);
+        // Only a departed row's entry is read, and it is written when the
+        // row leaves.
+        settled.resize(batch, 0.0);
         let epi = self.epilogue();
         buffers.run(x, groups, |g, src, dst| {
             let lo = g * depth;
             let hi = (lo + depth).min(nlayers);
             let group = &self.layers[lo..hi];
             forward_group(group, src, dst, &epi, par, self.plan, scratch);
-            if !self.drops_dead_rows {
-                return;
-            }
             // After the last group there is nothing left to skip: the
             // output goes back to the full batch.
             if g + 1 < groups {
-                drop_dead_rows(dst, live);
+                self.drop_constant_rows(dst, live, settled, hi);
             } else {
-                restore_dead_rows(dst, live, batch);
+                restore_constant_rows(dst, live, settled);
             }
         })
     }
@@ -444,57 +481,121 @@ fn clamp_to(ymax: f32) -> impl Fn(f32) -> f32 + Sync + Copy {
     move |v: f32| v.clamp(0.0, ymax)
 }
 
-/// Whether every element of `row` compares `== 0.0` (`±0.0`; never NaN
-/// or ±∞): `v == 0.0` ⟺ the bits without the sign are zero, OR-reduced a
-/// chunk at a time so the scan vectorizes and a live row exits early.
-fn row_is_zero(row: &[f32]) -> bool {
-    row.chunks(64)
-        .all(|c| c.iter().fold(0, |acc, v| acc | (v.to_bits() << 1)) == 0)
+/// Whether every element of `values` has the bits of `c` wherever `mask`
+/// has a one: differences OR-reduced a chunk at a time, so the scan
+/// vectorizes and a mismatch exits early.
+fn same_bits(values: &[f32], c: f32, mask: u32) -> bool {
+    let c = c.to_bits();
+    values
+        .chunks(64)
+        .all(|ch| ch.iter().fold(0, |acc, v| acc | (v.to_bits() ^ c)) & mask == 0)
 }
 
-/// Drops the all-zero rows of a group output whose row `k` is batch row
-/// `live[k]`: the survivors move, in order, to the front of `m`, `live`
-/// keeps their batch indices, and `m` shrinks to them (capacity kept).
-fn drop_dead_rows(m: &mut DenseMatrix<f32>, live: &mut Vec<usize>) {
-    let cols = m.ncols();
-    let mut kept = 0;
-    for k in 0..live.len() {
-        if row_is_zero(m.row(k)) {
-            continue;
-        }
-        if kept != k {
-            m.as_mut_slice()
-                .copy_within(k * cols..(k + 1) * cols, kept * cols);
-            live[kept] = live[k];
-        }
-        kept += 1;
+/// The one finite value every element of `row` holds, if there is one:
+/// every element with the bits of one finite `c`, or every element `±0`
+/// (read as `+0`, as is an empty row). NaN and ±∞ are never constants.
+fn constant_of(row: &[f32]) -> Option<f32> {
+    let Some(&first) = row.first() else {
+        return Some(0.0);
+    };
+    if first == 0.0 {
+        // Without the sign bit: `+0` and `-0` mix.
+        same_bits(row, 0.0, !(1 << 31)).then_some(0.0)
+    } else {
+        (first.is_finite() && same_bits(row, first, u32::MAX)).then_some(first)
     }
-    live.truncate(kept);
-    m.resize_for_overwrite(kept, cols);
+}
+
+impl ChallengeNetwork {
+    /// The value every output element of a row takes when every element
+    /// of its input to layer `from` holds `c`, folded through layers
+    /// `from..` by the kernels' own operations (see the module docs);
+    /// `None` when a layer may not keep the row constant.
+    fn settle(&self, c: f32, from: usize) -> Option<f32> {
+        let clamp = clamp_to(self.ymax);
+        self.facts[from..].iter().try_fold(c, |c, f| {
+            let acc = if c == 0.0 && f.finite {
+                0.0
+            } else {
+                let (w, r) = f.uniform?;
+                (0..r).fold(0.0, |acc: f32, _| Scalar::add(acc, Scalar::mul(c, w)))
+            };
+            Some(clamp(Scalar::add(acc, self.bias)))
+        })
+    }
+
+    /// Drops the constant rows of a group output whose row `k` is batch
+    /// row `live[k]` and whose next layer is `from`: each leaving row's
+    /// output value goes to `settled`, the survivors move, in order, to
+    /// the front of `m`, `live` keeps their batch indices, and `m` shrinks
+    /// to them (capacity kept). Rows tend to share their constant, so the
+    /// last fold is reused when the next row holds the same bits.
+    fn drop_constant_rows(
+        &self,
+        m: &mut DenseMatrix<f32>,
+        live: &mut Vec<usize>,
+        settled: &mut [f32],
+        from: usize,
+    ) {
+        let cols = m.ncols();
+        let mut last: Option<(u32, Option<f32>)> = None;
+        let mut kept = 0;
+        for k in 0..live.len() {
+            let value = constant_of(m.row(k)).and_then(|c| match last {
+                Some((bits, v)) if bits == c.to_bits() => v,
+                _ => {
+                    let v = self.settle(c, from);
+                    last = Some((c.to_bits(), v));
+                    v
+                }
+            });
+            if let Some(v) = value {
+                settled[live[k]] = v;
+                continue;
+            }
+            if kept != k {
+                m.as_mut_slice()
+                    .copy_within(k * cols..(k + 1) * cols, kept * cols);
+                live[kept] = live[k];
+            }
+            kept += 1;
+        }
+        live.truncate(kept);
+        m.resize_for_overwrite(kept, cols);
+    }
 }
 
 /// Expands a compacted last-group output (row `k` is batch row
-/// `live[k]`) back to all `batch` rows, the dropped ones `+0.0`. Growing
-/// within capacity zero-fills the new tail; rows then move back to their
-/// batch index last-first (`live[k] ≥ k`, so no row is overwritten
-/// before it moves), zeroing each gap below the old length on the way.
-fn restore_dead_rows(m: &mut DenseMatrix<f32>, live: &[usize], batch: usize) {
-    let n = live.len();
-    if n == batch {
+/// `live[k]`) back to all `settled.len()` batch rows, each departed row
+/// `b` filled with `settled[b]`. Rows move back to their batch index
+/// last-first (`live[k] ≥ k`, so no row is overwritten before it moves),
+/// filling each gap above the moved row on the way.
+fn restore_constant_rows(m: &mut DenseMatrix<f32>, live: &[usize], settled: &[f32]) {
+    let batch = settled.len();
+    if live.len() == batch {
         return;
     }
     let cols = m.ncols();
     m.resize_for_overwrite(batch, cols);
+    if cols == 0 {
+        return;
+    }
     let data = m.as_mut_slice();
+    let fill = |data: &mut [f32], rows: std::ops::Range<usize>| {
+        let block = &mut data[rows.start * cols..rows.end * cols];
+        for (row, &v) in block.chunks_exact_mut(cols).zip(&settled[rows]) {
+            row.fill(v);
+        }
+    };
     let mut end = batch;
     for (k, &to) in live.iter().enumerate().rev() {
-        data[(to + 1).min(n) * cols..end.min(n) * cols].fill(0.0);
+        fill(data, to + 1..end);
         if to != k {
             data.copy_within(k * cols..(k + 1) * cols, to * cols);
         }
         end = to;
     }
-    data[..end.min(n) * cols].fill(0.0);
+    fill(data, 0..end);
 }
 
 /// Applies one fused layer group to the whole batch, `src → dst`.
@@ -802,7 +903,7 @@ mod tests {
             if !config.weight.is_nan() {
                 assert_eq!(net, oracle, "{case}");
             }
-            assert_eq!(net.drops_dead_rows, oracle.drops_dead_rows, "{case}");
+            assert_eq!(net.facts, oracle.facts, "{case}");
             for (a, b) in net.layers().iter().zip(oracle.layers()) {
                 assert_eq!(a.cyclic(), b.cyclic(), "{case}");
                 let value_bits = |w: &PreparedWeights<f32>| -> Vec<u32> {
@@ -812,7 +913,11 @@ mod tests {
             }
             let finite = config.weight.is_finite() && config.weight != 0.0;
             assert_eq!(net.layers()[0].cyclic().is_some(), finite, "{case}");
-            assert_eq!(net.drops_dead_rows, config.weight.is_finite(), "{case}");
+            let uniform = finite.then_some((config.weight, config.radix));
+            for f in &net.facts {
+                assert_eq!(f.finite, config.weight.is_finite(), "{case}");
+                assert_eq!(f.uniform, uniform, "{case}");
+            }
             // Saturating and dying rows, so compaction drops some.
             let x = sparse_binary_batch(40, net.n_in(), 0.4, 7);
             for parallel in [false, true] {
@@ -826,6 +931,141 @@ mod tests {
             }
         }
         assert!(dropped, "some batch must lose rows to compaction");
+    }
+
+    /// The activations entering each layer and the output (`acts[l]` is
+    /// layer `l`'s input), one whole-batch product at a time: a schedule
+    /// that never drops a row.
+    fn layer_by_layer(net: &ChallengeNetwork, x: &DenseMatrix<f32>) -> Vec<DenseMatrix<f32>> {
+        let epi = net.epilogue();
+        let mut acts = vec![x.clone()];
+        for w in net.layers() {
+            let mut next = DenseMatrix::default();
+            w.spmm(acts.last().unwrap(), &mut next, &epi, Par::Serial)
+                .unwrap();
+            acts.push(next);
+        }
+        acts
+    }
+
+    /// Whether `row` is all `±0`, or all one finite value's bits.
+    fn zero_or_finite_constant(row: &[f32]) -> (bool, bool) {
+        let zero = row.iter().all(|&v| v == 0.0);
+        let constant = row[0].is_finite() && row.iter().all(|v| v.to_bits() == row[0].to_bits());
+        (zero, zero || constant)
+    }
+
+    /// 4096 wide, 12 layers, gain 2 against a −0.30 bias: a 0.4-dense
+    /// binary row saturates at `YMAX` within a few layers, a sparser one
+    /// dies. Saturating, dying and constant rows, an all-`-0.0` row, a
+    /// `±0` row, a row with one NaN (it spreads to every element, so the
+    /// row stays), an all-NaN row and a saturating row with one `+∞`.
+    fn constant_row_batch() -> (ChallengeConfig, DenseMatrix<f32>) {
+        let config = ChallengeConfig::preset(16, 3, 4);
+        let n = config.neurons();
+        let saturating = sparse_binary_batch(4, n, 0.4, 11);
+        let dying = sparse_binary_batch(3, n, 0.0005, 12);
+        let mut rows: Vec<Vec<f32>> = (0..3)
+            .flat_map(|i| [saturating.row(i).to_vec(), dying.row(i).to_vec()])
+            .collect();
+        let mut signed_zero = vec![0.0f32; n];
+        signed_zero[n / 3] = -0.0;
+        let mut nan = vec![0.5f32; n];
+        nan[n / 2] = f32::NAN;
+        let mut inf = saturating.row(3).to_vec();
+        inf[7] = f32::INFINITY;
+        rows.extend([
+            vec![0.5; n],
+            vec![-0.0; n],
+            signed_zero,
+            nan,
+            vec![f32::NAN; n],
+            inf,
+        ]);
+        let batch = rows.len();
+        (
+            config,
+            DenseMatrix::from_vec(batch, n, rows.concat()).unwrap(),
+        )
+    }
+
+    #[test]
+    fn constant_rows_leave_and_the_bits_match_layer_by_layer() {
+        // Every layer of the Challenge net is uniform, so a row leaves
+        // once it is zero or one finite constant after a group but the
+        // last; the output is the uncompacted one, bit for bit, and the
+        // CSR-built network (per-edge forward) drops the same rows.
+        let (config, x) = constant_row_batch();
+        let net = ChallengeNetwork::from_config(&config).unwrap();
+        let oracle = csr_built(&config);
+        let acts = layer_by_layer(&net, &x);
+        let expect = bits(acts.last().unwrap());
+        let depth = net.plan().fuse_layers;
+        let groups = net.layers().len().div_ceil(depth);
+        let live = if groups > 1 {
+            let last_in = &acts[(groups - 1) * depth];
+            (0..x.nrows())
+                .filter(|&b| !zero_or_finite_constant(last_in.row(b)).1)
+                .count()
+        } else {
+            x.nrows()
+        };
+        if depth <= 4 {
+            // The batch's point: some rows leave, NaN rows stay.
+            assert!(0 < live && live < x.nrows(), "live {live}");
+        }
+        for parallel in [false, true] {
+            let mut ws = InferWorkspace::new();
+            assert_eq!(bits(net.forward_with(&x, parallel, &mut ws)), expect);
+            assert_eq!(ws.live_rows(), live, "parallel {parallel}");
+            assert_eq!(bits(oracle.forward_with(&x, parallel, &mut ws)), expect);
+            assert_eq!(ws.live_rows(), live, "oracle, parallel {parallel}");
+        }
+    }
+
+    #[test]
+    fn a_non_uniform_last_layer_keeps_constant_rows_live() {
+        // One edited value in the last layer: a constant row no longer
+        // folds through it, so the saturated rows are computed to the
+        // end. A finite edit still lets the zero rows leave; a NaN, which
+        // the gather multiplies into zero rows too, keeps them as well.
+        // The bits match either way.
+        let (config, x) = constant_row_batch();
+        let base = ChallengeNetwork::from_config(&config).unwrap();
+        for (edit, finite) in [(0.0625, true), (f32::NAN, false)] {
+            let mut layers = base.layers().to_vec();
+            layers.last_mut().unwrap().values_mut()[5] = edit;
+            let net =
+                ChallengeNetwork::from_prepared(layers, base.bias(), base.ymax(), base.plan());
+            let (last_facts, rest) = net.facts.split_last().unwrap();
+            assert!(rest.iter().all(|f| f.uniform.is_some()));
+            let uniform = None;
+            assert_eq!(*last_facts, LayerFacts { finite, uniform });
+            let acts = layer_by_layer(&net, &x);
+            let expect = bits(acts.last().unwrap());
+            let depth = net.plan().fuse_layers;
+            let groups = net.layers().len().div_ceil(depth);
+            let last_in = &acts[(groups - 1) * depth];
+            let (zero, constant): (Vec<bool>, Vec<bool>) = (0..x.nrows())
+                .map(|b| zero_or_finite_constant(last_in.row(b)))
+                .unzip();
+            let live = if groups > 1 && finite {
+                zero.iter().filter(|&&z| !z).count()
+            } else {
+                x.nrows()
+            };
+            if depth <= 4 {
+                // Constant-32 rows, and zero rows, are in the batch.
+                assert!((0..x.nrows()).any(|b| constant[b] && !zero[b]));
+                assert!(zero.iter().any(|&z| z));
+            }
+            for parallel in [false, true] {
+                let mut ws = InferWorkspace::new();
+                let y = bits(net.forward_with(&x, parallel, &mut ws));
+                assert_eq!(y, expect, "edit {edit}, parallel {parallel}");
+                assert_eq!(ws.live_rows(), live, "edit {edit}, parallel {parallel}");
+            }
+        }
     }
 
     #[test]

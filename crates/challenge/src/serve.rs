@@ -1181,18 +1181,21 @@ impl ServeEngine {
 /// The warm-up block: drives a fresh workspace to its high-water mark and
 /// measures what a full block costs, in microseconds.
 ///
-/// The block is all-ones rows, which stay live through every layer on the
-/// Challenge presets (gain 2 against a −0.30 bias saturates them at
-/// `YMAX`). An all-zero block would leave the forward pass after its first
-/// layer group and time near zero, and the admission predictor would then
-/// admit requests that are served late.
+/// The block is all-NaN rows. A NaN is never a finite constant, so these
+/// rows stay in the forward pass through every layer on every network and
+/// cost what any other row costs there. A block of zero or saturating
+/// rows would leave the forward pass as constant rows after a layer group
+/// or a few and time short, and the admission predictor would then admit
+/// requests that are served late.
 fn warm_up(
     net: &ChallengeNetwork,
     config: &ServeConfig,
     fault: &FaultInjector,
 ) -> (InferWorkspace, u64) {
     let mut ws = InferWorkspace::for_network(net, config.max_batch);
-    let warm = DenseMatrix::ones(config.max_batch, net.n_in());
+    let (rows, cols) = (config.max_batch, net.n_in());
+    let warm = DenseMatrix::from_vec(rows, cols, vec![f32::NAN; rows * cols])
+        .expect("rows × cols elements");
     let t = Instant::now();
     let _ = net.forward_with(&warm, config.parallel, &mut ws);
     // An injected compute delay slows every engine-loop block, so the

@@ -27,17 +27,25 @@ fn bits(m: &DenseMatrix<f32>) -> (usize, usize, Vec<u32>) {
     )
 }
 
-/// Rows holding at least one element `!= 0.0` (NaN included).
-fn nonzero_rows(m: &DenseMatrix<f32>) -> usize {
+/// Rows that are neither all `±0` nor all one finite value's bits (a
+/// NaN or ±∞ element makes a row count).
+fn non_constant_rows(m: &DenseMatrix<f32>) -> usize {
     (0..m.nrows())
-        .filter(|&i| m.row(i).iter().any(|&v| v != 0.0))
+        .filter(|&i| {
+            let row = m.row(i);
+            let zero = row.iter().all(|&v| v == 0.0);
+            let constant =
+                row[0].is_finite() && row.iter().all(|v| v.to_bits() == row[0].to_bits());
+            !(zero || constant)
+        })
         .count()
 }
 
 /// A `-0.0` row and a negative row, then a row holding one NaN and a
 /// row holding one +∞. The first compares equal to zero everywhere; the
 /// first layer clamps the second to zero, which a positive bias then
-/// lifts off zero again; the last two never compare equal to zero.
+/// lifts to the constant `bias`; the last two never compare equal to
+/// zero.
 fn special_rows(n: usize) -> Vec<Vec<f32>> {
     let mut nan = vec![0.0; n];
     nan[n / 2] = f32::NAN;
@@ -90,10 +98,11 @@ fn mixed_rows(
 /// Runs `x` through `config`'s layers at every fuse depth × block grain ×
 /// bias (negative, `-0.0`, `+0.0`, positive), serial and on the pool, and
 /// checks each against a layer-by-layer reference that never drops a
-/// row: the output bit for bit, and `live_rows()` against the rows the
-/// reference still holds nonzero when the last group starts (the whole
-/// batch when there is one group or the bias is positive). Returns the
-/// `(fuse_layers, bias, live_rows)` triples seen.
+/// row: the output bit for bit, and `live_rows()` against the rows that
+/// are neither zero nor one finite constant in the reference when the
+/// last group starts (every layer is uniform, so any such row folds
+/// through the rest; the whole batch when there is one group). Returns
+/// the `(fuse_layers, bias, live_rows)` triples seen.
 fn assert_compaction_exact(
     config: &ChallengeConfig,
     x: &DenseMatrix<f32>,
@@ -114,8 +123,8 @@ fn assert_compaction_exact(
         let expect = bits(acts.last().unwrap());
         for fuse_layers in [1usize, 2, 3, 4] {
             let groups = csrs.len().div_ceil(fuse_layers);
-            let live = if groups > 1 && bias <= 0.0 {
-                nonzero_rows(&acts[(groups - 1) * fuse_layers])
+            let live = if groups > 1 {
+                non_constant_rows(&acts[(groups - 1) * fuse_layers])
             } else {
                 x.nrows()
             };
@@ -165,22 +174,24 @@ fn compaction_edge_batches_match_reference() {
     let seen = assert_compaction_exact(&config, &DenseMatrix::zeros(0, n));
     assert!(seen.iter().all(|&(_, _, live)| live == 0));
 
-    // Every row dies in the first layer under the −0.30 bias; the
-    // zero, `-0.0` and negative rows under every bias that allows
-    // dropping.
+    // Every row dies in the first layer under the −0.30 bias. Under
+    // every bias each row is zero or one finite constant (a positive
+    // bias lifts a zero row to the constant `bias`) by the last group's
+    // input, and every layer is uniform, so every row leaves.
     let dying = [(false, 0.0), (false, 0.05), (false, 0.1)];
     let mut specials = special_rows(n);
     let never_zero = specials.split_off(2);
     let x = mixed_rows(n, &dying, specials, Some(7));
     let seen = assert_compaction_exact(&config, &x);
     assert_eq!(live_at(&seen, 2, -0.30), 0);
-    assert_eq!(live_at(&seen, 2, 0.0), 2);
-    assert_eq!(live_at(&seen, 2, 0.1), 5);
+    assert_eq!(live_at(&seen, 2, 0.0), 0);
+    assert_eq!(live_at(&seen, 2, 0.1), 0);
 
-    // No row dies: saturating rows, a NaN row and a +∞ row.
+    // No row dies: saturating rows and a +∞ row leave as the constant
+    // `YMAX`; a NaN row is never a finite constant and stays.
     let x = mixed_rows(n, &[(true, 0.0), (true, 1.0)], never_zero, Some(3));
     let seen = assert_compaction_exact(&config, &x);
-    assert!(seen.iter().all(|&(_, _, live)| live == 4));
+    assert!(seen.iter().all(|&(_, _, live)| live == 1));
 }
 
 proptest! {
@@ -197,9 +208,7 @@ proptest! {
         let n = config.neurons();
         let extra = if specials { special_rows(n) } else { Vec::new() };
         let x = mixed_rows(n, &rows, extra, shuffle.then_some(seed));
-        let seen = assert_compaction_exact(&config, &x);
-        // A positive bias never drops a row.
-        prop_assert!(seen.iter().filter(|s| s.1 > 0.0).all(|s| s.2 == x.nrows()));
+        assert_compaction_exact(&config, &x);
     }
 
     #[test]

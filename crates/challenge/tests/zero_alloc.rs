@@ -159,18 +159,23 @@ fn inference_timed_region_is_allocation_free() {
     assert_eq!(net.forward_with(&x3, true, &mut ws3), &par_reference);
 
     // Part 4: live-row compaction. Three batches of one size through one
-    // warmed workspace: half the rows die in the first group, every row
-    // dies, no row dies. Dropping rows shrinks the buffers and expanding
-    // back only refills capacity they already have, so no pass — serial
-    // or pool, in any order of the three — may allocate.
+    // warmed workspace: half the rows stay to the last group, every row
+    // leaves, no row leaves. Dropping rows shrinks the buffers and
+    // expanding back only refills capacity they already have, so no pass
+    // — serial or pool, in any order of the three — may allocate.
     let n = net.n_in();
+    // Saturates at `YMAX`: leaves as that constant a few groups in.
     let saturating = vec![1.0f32; n];
-    // Gain 2 on 0.01 stays far below the −0.30 bias: dead after layer 0.
+    // Gain 2 on 0.01 stays far below the −0.30 bias: zero after layer 0.
     let dying = vec![0.01f32; n];
-    let batch_of = |alive: usize| {
+    // Never a finite constant: stays to the last group.
+    let nan = vec![f32::NAN; n];
+    let batch_of = |staying: usize| {
         let data: Vec<f32> = (0..batch3)
             .flat_map(|i| {
-                if i % 2 == 0 && i / 2 < alive {
+                if i % 2 == 0 && i / 2 < staying {
+                    nan.clone()
+                } else if i % 3 == 0 {
                     saturating.clone()
                 } else {
                     dying.clone()
@@ -183,7 +188,7 @@ fn inference_timed_region_is_allocation_free() {
         (batch_of(batch3 / 2), batch3 / 2),
         (batch_of(0), 0),
         (
-            DenseMatrix::from_vec(batch3, n, saturating.repeat(batch3)).unwrap(),
+            DenseMatrix::from_vec(batch3, n, nan.repeat(batch3)).unwrap(),
             batch3,
         ),
     ];

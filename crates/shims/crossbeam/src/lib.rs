@@ -1,19 +1,12 @@
-//! Offline, API-compatible stand-in for the parts of `crossbeam` this
-//! workspace uses: bounded MPMC-ish channels ([`channel::bounded`]) and
-//! scoped threads ([`scope`]).
+//! Offline, API-compatible stand-in for the part of `crossbeam` this
+//! workspace uses: bounded MPMC-ish channels ([`channel::bounded`]).
 //!
 //! Channels are backed by [`std::sync::mpsc::sync_channel`] (bounded,
 //! blocking, disconnect-on-drop — the same semantics the serving engine's
-//! wake channel relies on), and scoped threads by
-//! [`std::thread::scope`]. The one semantic difference from real crossbeam:
-//! if a spawned thread panics, [`scope`] propagates the panic instead of
-//! returning `Err`, which is strictly stricter than the `.expect(…)` the
-//! call sites apply to the result anyway.
+//! wake channel relies on).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::any::Any;
 
 /// Bounded blocking channels (mirroring `crossbeam::channel`).
 pub mod channel {
@@ -182,37 +175,6 @@ pub mod channel {
     }
 }
 
-/// A scope handle passed to [`scope`] closures and nested spawns.
-pub struct Scope<'scope, 'env> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a thread that may borrow from the enclosing scope; the closure
-    /// receives the scope handle again so it can spawn further threads.
-    pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let inner = self.inner;
-        inner.spawn(move || f(&Scope { inner }))
-    }
-}
-
-/// Runs `f` with a scope handle, joining every spawned thread before
-/// returning (mirroring `crossbeam::scope`).
-///
-/// # Errors
-/// Never returns `Err` in this shim; a panicking child thread propagates its
-/// panic out of `scope` instead (see the crate docs).
-pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel::bounded;
@@ -220,16 +182,15 @@ mod tests {
     #[test]
     fn channel_roundtrip_in_order() {
         let (tx, rx) = bounded::<usize>(2);
-        super::scope(|scope| {
-            scope.spawn(move |_| {
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
                 for i in 0..10 {
                     tx.send(i).unwrap();
                 }
             });
             let got: Vec<usize> = rx.into_iter().collect();
             assert_eq!(got, (0..10).collect::<Vec<_>>());
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -306,14 +267,13 @@ mod tests {
     fn recv_timeout_wakes_on_late_arrival() {
         use std::time::Duration;
         let (tx, rx) = bounded::<u8>(1);
-        super::scope(|scope| {
-            scope.spawn(move |_| {
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
                 tx.send(42).unwrap();
             });
             assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(42));
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -329,10 +289,10 @@ mod tests {
         const PER_SENDER: usize = 100;
         let (tx, rx) = bounded::<usize>(8);
         let mut got = vec![0usize; SENDERS * PER_SENDER];
-        super::scope(|scope| {
+        std::thread::scope(|scope| {
             for s in 0..SENDERS {
                 let tx = tx.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..PER_SENDER {
                         tx.send(s * PER_SENDER + i).unwrap();
                     }
@@ -350,8 +310,7 @@ mod tests {
                     Err(TryRecvError::Disconnected) => break,
                 }
             }
-        })
-        .unwrap();
+        });
         assert!(
             got.iter().all(|&c| c == 1),
             "every message delivered exactly once, none lost at disconnect"
@@ -370,10 +329,10 @@ mod tests {
         const PER_SENDER: usize = 50;
         let (tx, rx) = bounded::<usize>(4);
         let mut seen = [false; SENDERS * PER_SENDER];
-        super::scope(|scope| {
+        std::thread::scope(|scope| {
             for s in 0..SENDERS {
                 let tx = tx.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..PER_SENDER {
                         tx.send(s * PER_SENDER + i).unwrap();
                     }
@@ -384,21 +343,7 @@ mod tests {
                 assert!(!seen[v], "duplicate delivery of {v}");
                 seen[v] = true;
             }
-        })
-        .unwrap();
+        });
         assert!(seen.iter().all(|&s| s), "iterator ended before draining");
-    }
-
-    #[test]
-    fn nested_spawn_via_scope_handle() {
-        let out = super::scope(|scope| {
-            let h = scope.spawn(|inner| {
-                let h2 = inner.spawn(|_| 21usize);
-                h2.join().unwrap() * 2
-            });
-            h.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(out, 42);
     }
 }
