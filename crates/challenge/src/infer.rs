@@ -948,7 +948,8 @@ mod tests {
         acts
     }
 
-    /// Whether `row` is all `±0`, or all one finite value's bits.
+    /// Whether `row` is all `±0`, and whether it is all `±0` or all one
+    /// finite value's bits.
     fn zero_or_finite_constant(row: &[f32]) -> (bool, bool) {
         let zero = row.iter().all(|&v| v == 0.0);
         let constant = row[0].is_finite() && row.iter().all(|v| v.to_bits() == row[0].to_bits());
