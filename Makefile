@@ -15,12 +15,12 @@ verify:
 ## Single-thread runs silently skip the pool dispatch paths; this doesn't.
 ## `radix-sparse` is here for `check_plans`' `Par::Pool` leg (both storage
 ## layouts — cyclic diagonals and CSR/ELL with its CSC tiles — × every
-## plan × all four products), which otherwise only sees the default
+## plan × all three products), which otherwise only sees the default
 ## width, and runs a second time in release: a debug build vectorizes
 ## neither copy of the diagonal kernels (baseline and AVX2, picked from
 ## the CPU at run time), so only there does their same-bits test compare
-## two different codegens; `radix-challenge --lib infer` for the fused
-## schedule's pool leg, which runs RadiX layers on the diagonal storage at
+## two different codegens; `radix-challenge --lib infer` for the
+## per-layer pool leg, which runs RadiX layers on the diagonal storage at
 ## every width, narrower than a tile included, and again in release, where
 ## its parameter-built-vs-CSR-built oracle runs uniform layers' broadcast
 ## forward product against the per-edge one in their real (vectorized)

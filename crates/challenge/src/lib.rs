@@ -12,11 +12,10 @@
 //!   `Y ← clamp(ReLU(Y·W + b), 0, YMAX)` with Rayon row parallelism and
 //!   edges/second reporting (the Challenge metric). Layers are prepared
 //!   weights (`radix_sparse::kernel`) stored as their cyclic-shift value
-//!   diagonals, with the nonlinearity fused in; the forward pass fuses
-//!   the `fuse_layers` of its `radix_sparse::KernelPlan` (the
+//!   diagonals, with the nonlinearity fused in; the forward pass runs one
+//!   layer at a time under its `radix_sparse::KernelPlan` (the
 //!   process-wide one unless [`ChallengeNetwork::from_layers_with_plan`]
-//!   is given another) consecutive layers per row block so intermediate
-//!   activations stay cache-hot, and group outputs ping-pong through an
+//!   is given another), and layer outputs ping-pong through an
 //!   [`InferWorkspace`] so the timed region performs zero heap allocation
 //!   after warm-up (serial and pool-parallel),
 //! * [`ServeEngine`] — an async serving front-end: concurrent clients

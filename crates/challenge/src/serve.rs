@@ -1,11 +1,11 @@
 //! Asynchronous inference serving: many concurrent clients, one engine,
-//! work-conserving micro-batching onto the fused tiled kernels.
+//! work-conserving micro-batching onto the tiled kernels.
 //!
 //! This turns the batch pipeline into a *service*. Clients submit
 //! single-row inference requests from any number of threads through a
 //! clonable [`ServeClient`]; a dedicated engine thread coalesces them into
-//! row blocks of at most [`ServeConfig::max_batch`] rows (the fused
-//! schedule's tile height), runs each block through
+//! row blocks of at most [`ServeConfig::max_batch`] rows (the kernels'
+//! row-block height), runs each block through
 //! [`ChallengeNetwork::forward_with`] on the persistent worker pool, and
 //! demuxes every row's result back to its requester in submission order.
 //! The engine never holds a request back hoping for company: whatever is
@@ -28,7 +28,7 @@
 //!   │                            │   at once; park when idle      │
 //!   │                            │ shed rows past their deadline  │
 //!   │                            │ gather live rows → batch       │
-//!   │                            │ forward_with ───────────────▶  │ fused
+//!   │                            │ forward_with ───────────────▶  │ per-layer
 //!   │                            │                 ◀───────────── │ tiled
 //!   │ ◀─ result + notify ─────── │ demux rows → slots, in order   │
 //!   │ return slot to free list   │                                │
@@ -111,7 +111,7 @@ const DEFAULT_SLOT_BLOCKS: usize = 4;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Rows per coalesced block — flush threshold of the micro-batcher.
-    /// Defaults to `RADIX_SERVE_BATCH` or 32, the fused schedule's row
+    /// Defaults to `RADIX_SERVE_BATCH` or 32, the kernels' default row
     /// block, so a full micro-batch is exactly one tile block.
     pub max_batch: usize,
     /// End-to-end latency target per request, in microseconds
@@ -129,8 +129,8 @@ pub struct ServeConfig {
     /// Bound of the request channel (`RADIX_SERVE_QUEUE`, default
     /// `slots`) — the second backpressure stage.
     pub queue: usize,
-    /// Whether block execution uses the pool-parallel fused kernels
-    /// (default) or the serial schedule. Results are bitwise identical
+    /// Whether block execution runs each layer's product on the pool
+    /// (default) or on the engine thread. Results are bitwise identical
     /// either way; serial avoids pool contention when the caller runs
     /// several engines.
     pub parallel: bool,
@@ -1067,7 +1067,7 @@ pub struct ServeEngine;
 impl ServeEngine {
     /// Starts an engine serving `net` with `config`, returning its control
     /// handle. Pre-allocates every steady-state buffer (slots, batch
-    /// matrix, workspace), warms the fused kernels with one full block to
+    /// matrix, workspace), warms the kernels with one full block to
     /// both reach the workspace high-water mark and *measure* block
     /// compute cost — the unit of work of the deadline-admission predictor
     /// and the flush-time shed pass.
@@ -1184,8 +1184,8 @@ impl ServeEngine {
 /// The block is all-NaN rows. A NaN is never a finite constant, so these
 /// rows stay in the forward pass through every layer on every network and
 /// cost what any other row costs there. A block of zero or saturating
-/// rows would leave the forward pass as constant rows after a layer group
-/// or a few and time short, and the admission predictor would then admit
+/// rows would leave the forward pass as constant rows after a layer or a
+/// few and time short, and the admission predictor would then admit
 /// requests that are served late.
 fn warm_up(
     net: &ChallengeNetwork,
@@ -1294,7 +1294,7 @@ impl EngineLoop {
     }
 
     /// Flush: shed expired requests, gather the survivors' rows, run the
-    /// fused forward pass, demux results back to their slots in
+    /// forward pass, demux results back to their slots in
     /// submission order.
     fn execute(&mut self) {
         // Injected faults fire before any slot is touched, so a panic

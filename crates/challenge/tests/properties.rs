@@ -95,18 +95,19 @@ fn mixed_rows(
     DenseMatrix::from_vec(batch, n, all.concat()).unwrap()
 }
 
-/// Runs `x` through `config`'s layers at every fuse depth × block grain ×
-/// bias (negative, `-0.0`, `+0.0`, positive), serial and on the pool, and
+/// Runs `x` through `config`'s layers at every block grain × bias
+/// (negative, `-0.0`, `+0.0`, positive), serial and on the pool, and
 /// checks each against a layer-by-layer reference that never drops a
-/// row: the output bit for bit, and `live_rows()` against the rows that
-/// are neither zero nor one finite constant in the reference when the
-/// last group starts (every layer is uniform, so any such row folds
-/// through the rest; the whole batch when there is one group). Returns
-/// the `(fuse_layers, bias, live_rows)` triples seen.
+/// row: the output bit for bit, `live_rows()` against the rows that are
+/// neither zero nor one finite constant in the reference's input to the
+/// last layer (every layer is uniform, so any such row folds through the
+/// rest; the whole batch when there is one layer), and `row_layers()`
+/// against the batch plus, for every later layer, those rows of its
+/// input. Returns the `(bias, live_rows, row_layers)` triples seen.
 fn assert_compaction_exact(
     config: &ChallengeConfig,
     x: &DenseMatrix<f32>,
-) -> Vec<(usize, f32, usize)> {
+) -> Vec<(f32, usize, usize)> {
     let base = ChallengeNetwork::from_config(config).unwrap();
     let csrs: Vec<CsrMatrix<f32>> = base.layers().iter().map(|l| l.to_csr()).collect();
     let ymax = config.ymax;
@@ -121,77 +122,77 @@ fn assert_compaction_exact(
             acts.push(next);
         }
         let expect = bits(acts.last().unwrap());
-        for fuse_layers in [1usize, 2, 3, 4] {
-            let groups = csrs.len().div_ceil(fuse_layers);
-            let live = if groups > 1 {
-                non_constant_rows(&acts[(groups - 1) * fuse_layers])
-            } else {
-                x.nrows()
+        let nlayers = csrs.len();
+        let live = if nlayers > 1 {
+            non_constant_rows(&acts[nlayers - 1])
+        } else {
+            x.nrows()
+        };
+        let row_layers = x.nrows()
+            + (1..nlayers)
+                .map(|l| non_constant_rows(&acts[l]))
+                .sum::<usize>();
+        for block_rows in [1usize, 7, 32] {
+            let plan = KernelPlan {
+                block_rows,
+                tile_cols: 8,
+                ..KernelPlan::default()
             };
-            for block_rows in [1usize, 7, 32] {
-                let plan = KernelPlan {
-                    fuse_layers,
-                    block_rows,
-                    tile_cols: 8,
-                    ..KernelPlan::default()
-                };
-                let net = ChallengeNetwork::from_layers_with_plan(csrs.clone(), bias, ymax, plan);
-                for parallel in [false, true] {
-                    let mut ws = InferWorkspace::new();
-                    let y = net.forward_with(x, parallel, &mut ws);
-                    assert_eq!(
-                        bits(y),
-                        expect,
-                        "bias {bias}, parallel {parallel}, {plan:?}"
-                    );
-                    assert_eq!(
-                        ws.live_rows(),
-                        live,
-                        "bias {bias}, parallel {parallel}, {plan:?}"
-                    );
-                }
+            let net = ChallengeNetwork::from_layers_with_plan(csrs.clone(), bias, ymax, plan);
+            for parallel in [false, true] {
+                let mut ws = InferWorkspace::new();
+                let y = net.forward_with(x, parallel, &mut ws);
+                let what = format!("bias {bias}, parallel {parallel}, {plan:?}");
+                assert_eq!(bits(y), expect, "{what}");
+                assert_eq!(ws.live_rows(), live, "{what}");
+                assert_eq!(ws.row_layers(), row_layers, "{what}");
             }
-            seen.push((fuse_layers, bias, live));
         }
+        seen.push((bias, live, row_layers));
     }
     seen
 }
 
 #[test]
 fn compaction_edge_batches_match_reference() {
-    // 16 neurons, 8 layers: at fuse depth 2 the last group starts after
-    // layer 6.
+    // 16 neurons, 8 layers: the last layer's input is layer 7's output.
     let config = ChallengeConfig::preset(2, 4, 2);
     let n = config.neurons();
-    let live_at = |seen: &[(usize, f32, usize)], fuse: usize, bias: f32| {
+    let at = |seen: &[(f32, usize, usize)], bias: f32| {
         seen.iter()
-            .find(|&&(f, b, _)| f == fuse && b.to_bits() == bias.to_bits())
-            .map(|&(_, _, live)| live)
+            .find(|&&(b, _, _)| b.to_bits() == bias.to_bits())
+            .map(|&(_, live, row_layers)| (live, row_layers))
             .unwrap()
     };
 
     // No rows at all.
     let seen = assert_compaction_exact(&config, &DenseMatrix::zeros(0, n));
-    assert!(seen.iter().all(|&(_, _, live)| live == 0));
+    assert!(seen
+        .iter()
+        .all(|&(_, live, row_layers)| live == 0 && row_layers == 0));
 
     // Every row dies in the first layer under the −0.30 bias. Under
     // every bias each row is zero or one finite constant (a positive
-    // bias lifts a zero row to the constant `bias`) by the last group's
+    // bias lifts a zero row to the constant `bias`) by the last layer's
     // input, and every layer is uniform, so every row leaves.
     let dying = [(false, 0.0), (false, 0.05), (false, 0.1)];
     let mut specials = special_rows(n);
     let never_zero = specials.split_off(2);
     let x = mixed_rows(n, &dying, specials, Some(7));
     let seen = assert_compaction_exact(&config, &x);
-    assert_eq!(live_at(&seen, 2, -0.30), 0);
-    assert_eq!(live_at(&seen, 2, 0.0), 0);
-    assert_eq!(live_at(&seen, 2, 0.1), 0);
+    // Under −0.30 the five rows are computed by the first layer only.
+    assert_eq!(at(&seen, -0.30), (0, 5));
+    assert_eq!(at(&seen, 0.0).0, 0);
+    assert_eq!(at(&seen, 0.1).0, 0);
 
     // No row dies: saturating rows and a +∞ row leave as the constant
-    // `YMAX`; a NaN row is never a finite constant and stays.
+    // `YMAX`; a NaN row is never a finite constant and stays, through
+    // all 8 layers, against 6 row-layers for the other three rows.
     let x = mixed_rows(n, &[(true, 0.0), (true, 1.0)], never_zero, Some(3));
     let seen = assert_compaction_exact(&config, &x);
-    assert!(seen.iter().all(|&(_, _, live)| live == 1));
+    assert!(seen
+        .iter()
+        .all(|&(_, live, row_layers)| live == 1 && row_layers == 14));
 }
 
 proptest! {

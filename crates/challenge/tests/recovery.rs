@@ -273,7 +273,6 @@ fn reload_keeps_the_engines_kernel_plan() {
         let plan = KernelPlan {
             tile_cols: 4, // splits the 16-wide hidden layers
             block_rows: 3,
-            fuse_layers: 3,
             ..KernelPlan::default()
         };
         assert_ne!(plan, KernelPlan::process());

@@ -121,12 +121,10 @@ fn inference_timed_region_is_allocation_free() {
     );
 
     // Part 3: the pool-parallel cache-tiled path. The layers are tiled
-    // (RADIX_TILE_COLS=8 < 32 columns); the batch spans several fused row
-    // blocks, so multi-layer groups dispatch blocks to the 4-thread pool
-    // (per-worker scratch ping-pongs) and single-layer groups run the
-    // pool-parallel tiled product. Warm-up pays for pool spawn and
-    // per-worker scratch growth; after that, repeated parallel passes must
-    // allocate nothing.
+    // (RADIX_TILE_COLS=8 < 32 columns); the batch spans several row
+    // blocks, so every layer dispatches its blocks to the 4-thread pool
+    // through the pool-parallel tiled product. Warm-up pays for pool
+    // spawn; after that, repeated parallel passes must allocate nothing.
     assert!(
         net.layers().iter().all(|w| w.is_tiled()),
         "test layers must take the tiled path"
@@ -135,7 +133,7 @@ fn inference_timed_region_is_allocation_free() {
         net.layers().iter().all(|w| w.cyclic().is_some()),
         "radix-2 layers must tile index-free: that gather is what part 3 proves allocation-free"
     );
-    let batch3 = 80usize; // > 2 fuse blocks of 32 rows
+    let batch3 = 80usize; // > 2 row blocks of 32 rows
     let x3 = sparse_binary_batch(batch3, net.n_in(), 0.5, 11);
     let serial_reference = net.forward(&x3, false);
     let mut ws3 = InferWorkspace::for_network(&net, batch3);

@@ -1,9 +1,8 @@
 //! The kernel tunables as one value: [`KernelPlan`].
 //!
-//! Four knobs shape how the prepared kernels run — column-tile width,
-//! row-block grain, the serial-vs-pool work threshold, and the
-//! fused-schedule group depth.
-//! They travel together as a [`KernelPlan`], stored in every
+//! Three knobs shape how the prepared kernels run — column-tile width,
+//! row-block grain, and the serial-vs-pool work threshold. They travel
+//! together as a [`KernelPlan`], stored in every
 //! [`crate::kernel::PreparedWeights`] (and in `radix-challenge`'s
 //! network), so two matrices in one process can run under different
 //! plans and a sweep is a plain loop over plan values.
@@ -24,10 +23,6 @@ use crate::kernel::tiled::{DEFAULT_BLOCK_ROWS, DEFAULT_TILE_COLS};
 /// switch to their Rayon-parallel variants. Chosen so that a product
 /// cheaper than roughly one thread-spawn round trip stays serial.
 pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 15;
-
-/// Default number of consecutive layers `radix-challenge`'s forward pass
-/// fuses per row block.
-pub const DEFAULT_FUSE_LAYERS: usize = 2;
 
 /// Largest `tile_cols` / `block_rows` the environment may ask for: far
 /// above any useful tile or block (layers are at most a few 10⁴ wide), far
@@ -56,15 +51,11 @@ pub struct KernelPlan {
     /// Output-column tile width of the cache-blocked schedules
     /// (`RADIX_TILE_COLS`): matrices wider than this are tiled.
     pub tile_cols: usize,
-    /// Batch rows per tile-major block, and per fused-group block
-    /// (`RADIX_BLOCK_ROWS`).
+    /// Batch rows per tile-major block (`RADIX_BLOCK_ROWS`).
     pub block_rows: usize,
     /// Multiply-add count (`rows × nnz`) at which [`Par::Auto`] goes to
     /// the pool (`RADIX_PAR_THRESHOLD`).
     pub par_threshold: usize,
-    /// Consecutive layers `radix-challenge` pushes each row block through
-    /// before moving on (`RADIX_FUSE_LAYERS`; 1 disables fusion).
-    pub fuse_layers: usize,
 }
 
 impl Default for KernelPlan {
@@ -74,7 +65,6 @@ impl Default for KernelPlan {
             tile_cols: DEFAULT_TILE_COLS,
             block_rows: DEFAULT_BLOCK_ROWS,
             par_threshold: DEFAULT_PAR_THRESHOLD,
-            fuse_layers: DEFAULT_FUSE_LAYERS,
         }
     }
 }
@@ -106,7 +96,6 @@ impl KernelPlan {
             tile_cols: knob("RADIX_TILE_COLS", 1..=MAX_TILE_OR_BLOCK, d.tile_cols),
             block_rows: knob("RADIX_BLOCK_ROWS", 1..=MAX_TILE_OR_BLOCK, d.block_rows),
             par_threshold: knob("RADIX_PAR_THRESHOLD", 1..=usize::MAX, d.par_threshold),
-            fuse_layers: knob("RADIX_FUSE_LAYERS", 1..=usize::MAX, d.fuse_layers),
         }
     }
 
@@ -179,18 +168,13 @@ mod tests {
 
     #[test]
     fn resolve_takes_env_over_default() {
-        let env = [
-            ("RADIX_TILE_COLS", "8"),
-            ("RADIX_PAR_THRESHOLD", "1"),
-            ("RADIX_FUSE_LAYERS", "4"),
-        ];
+        let env = [("RADIX_TILE_COLS", "8"), ("RADIX_PAR_THRESHOLD", "1")];
         assert_eq!(
             KernelPlan::resolve(env_of(&env)),
             KernelPlan {
                 tile_cols: 8,
                 block_rows: DEFAULT_BLOCK_ROWS, // unset: the default
                 par_threshold: 1,
-                fuse_layers: 4,
             }
         );
         assert_eq!(KernelPlan::resolve(|_| None), KernelPlan::default());
@@ -198,13 +182,12 @@ mod tests {
 
     #[test]
     fn resolve_ignores_unparseable_zero_and_out_of_range_env_values() {
-        // RADIX_BLOCK_ROWS=2^62 must never reach the fused pool path:
+        // RADIX_BLOCK_ROWS=2^62 must never reach a pool path:
         // `block_rows × width` would wrap to a zero chunk size and panic
         // the first pool-parallel block.
         let env = [
             ("RADIX_BLOCK_ROWS", "4611686018427387904"),
             ("RADIX_TILE_COLS", "1048577"),
-            ("RADIX_FUSE_LAYERS", "0"),
             ("RADIX_PAR_THRESHOLD", "lots"),
         ];
         assert_eq!(KernelPlan::resolve(env_of(&env)), KernelPlan::default());

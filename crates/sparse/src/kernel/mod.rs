@@ -17,16 +17,15 @@
 //!   ones with CSR row slicing,
 //! * **three products and a gradient** — [`PreparedWeights::spmm`]
 //!   (`X · W`), [`PreparedWeights::spmm_transposed`] (`X · Wᵀ`, the
-//!   backward/training orientation), [`PreparedWeights::spmm_rows_to`]
-//!   (one row block of `X · W`, what multi-layer fusion chains layers
-//!   through) and [`PreparedWeights::weight_grads`] (`Σ_b x[b, i]·δ[b, j]`
-//!   per stored entry). Each writes into a reusable buffer instead of
-//!   allocating; the whole-batch calls take a [`Par`] — serial, pool, or
-//!   decided by the work threshold — and dispatch through the rayon shim's
-//!   persistent worker pool with zero heap allocation. On the diagonals
-//!   all of them run as unit-stride shift-adds,
-//! * [`KernelPlan`] — the four tunables (tile width, block rows, pool
-//!   threshold, fuse depth) as one value stored in each
+//!   backward/training orientation) and
+//!   [`PreparedWeights::weight_grads`] (`Σ_b x[b, i]·δ[b, j]` per stored
+//!   entry). Each writes into a reusable buffer instead of allocating and
+//!   takes a [`Par`] — serial, pool, or decided by the work threshold —
+//!   dispatching through the rayon shim's persistent worker pool with
+//!   zero heap allocation. On the diagonals all of them run as
+//!   unit-stride shift-adds,
+//! * [`KernelPlan`] — the three tunables (tile width, block rows, pool
+//!   threshold) as one value stored in each
 //!   [`PreparedWeights`]. [`KernelPlan::process`] resolves the
 //!   process-wide plan once (environment > default);
 //!   [`PreparedWeights::with_plan`] takes any other,
@@ -55,9 +54,7 @@ mod prepared;
 mod tiled;
 
 pub use epilogue::{Bias, Epilogue};
-pub use heuristic::{
-    env_usize, KernelPlan, Par, DEFAULT_FUSE_LAYERS, DEFAULT_PAR_THRESHOLD, MAX_TILE_OR_BLOCK,
-};
+pub use heuristic::{env_usize, KernelPlan, Par, DEFAULT_PAR_THRESHOLD, MAX_TILE_OR_BLOCK};
 pub use lanes::LANE_WIDTH;
 pub use pingpong::PingPong;
 pub use prepared::PreparedWeights;

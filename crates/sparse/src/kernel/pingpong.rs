@@ -84,16 +84,6 @@ impl<T: Scalar> PingPong<T> {
         &self.ping
     }
 
-    /// Mutable access to both buffers at once, for callers that drive a
-    /// custom alternation instead of [`PingPong::run`] — e.g. the
-    /// multi-layer tile fusion in `radix-challenge`, which chains a group
-    /// of layers over one row block through these buffers before writing
-    /// the group output elsewhere. The buffers keep their allocations, so
-    /// resize-in-place reuse still applies.
-    pub fn buffers_mut(&mut self) -> (&mut DenseMatrix<T>, &mut DenseMatrix<T>) {
-        (&mut self.ping, &mut self.pong)
-    }
-
     /// Takes the most recent output out of the workspace (leaving an
     /// empty buffer that will regrow on next use).
     #[must_use]

@@ -17,8 +17,7 @@
 //!
 //! There is one product per orientation — [`PreparedWeights::spmm`]
 //! (`X · W`) and [`PreparedWeights::spmm_transposed`] (`X · Wᵀ`) — plus
-//! the row-block building block [`PreparedWeights::spmm_rows_to`] and the
-//! weight gradient [`PreparedWeights::weight_grads`]. Each writes into a
+//! the weight gradient [`PreparedWeights::weight_grads`]. Each writes into a
 //! caller-provided buffer (resized in place, reusing its allocation); the
 //! products take an [`Epilogue`] fused into the loop, so a layer step is
 //! one pass over the output instead of "allocate, product, second pass
@@ -513,39 +512,6 @@ impl<T: Scalar> PreparedWeights<T> {
                 self.forward_block(x, start, rows, block, epi);
             },
         );
-        Ok(())
-    }
-
-    /// Computes rows `[x_start, x_start + rows)` of `epi(X · W)` into a
-    /// raw row-major output block (`rows × self.ncols()` elements) — the
-    /// block [`PreparedWeights::spmm`] is made of. Every element of the
-    /// block is written, so stale contents are fine.
-    ///
-    /// This is the building block of multi-layer fusion: a caller can chain
-    /// several layers over one row block (keeping the block's activations
-    /// cache-resident) and point the last layer's output straight into its
-    /// slice of a larger matrix.
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ShapeMismatch`] if `x.ncols() !=
-    /// self.nrows()`.
-    ///
-    /// # Panics
-    /// Panics if `x_start + rows > x.nrows()` or `out.len() != rows *
-    /// self.ncols()`.
-    pub fn spmm_rows_to<F: Fn(T) -> T + Sync>(
-        &self,
-        x: &impl AsDenseView<T>,
-        x_start: usize,
-        rows: usize,
-        out: &mut [T],
-        epi: &Epilogue<'_, T, F>,
-    ) -> Result<(), SparseError> {
-        let x = x.as_view();
-        self.check_spmm(x, "prepared spmm_rows_to")?;
-        assert!(x_start + rows <= x.nrows(), "row block out of range");
-        assert_eq!(out.len(), rows * self.ncols(), "output block size");
-        self.forward_block(x, x_start, rows, out, epi);
         Ok(())
     }
 
@@ -1045,7 +1011,6 @@ mod tests {
             assert!(p.spmm(&bad, &mut out, &epi, par).is_err());
             assert!(p.spmm_transposed(&bad, &mut out, &epi, par).is_err());
         }
-        assert!(p.spmm_rows_to(&bad, 0, 1, &mut [0.0; 12], &epi).is_err());
     }
 
     #[test]
@@ -1094,25 +1059,6 @@ mod tests {
         p.spmm(&x, &mut out, &Epilogue::identity(), Par::Serial)
             .unwrap();
         assert_eq!(out, dense_spmm(&x, &regular()).unwrap());
-    }
-
-    #[test]
-    fn spmm_rows_to_matches_full_product_rows() {
-        let w = regular();
-        let x = batch(9, 12);
-        let epi = Epilogue::new(Bias::Uniform(-0.5), |v: f64| v.max(0.0));
-        let mut expect = DenseMatrix::default();
-        PreparedWeights::from_csr(w.clone())
-            .spmm(&x, &mut expect, &epi, Par::Serial)
-            .unwrap();
-        for plan in plans() {
-            let p = prepared(&w, plan);
-            let mut block = vec![99.0f64; 4 * 12];
-            p.spmm_rows_to(&x, 3, 4, &mut block, &epi).unwrap();
-            for (b, row) in block.chunks(12).enumerate() {
-                assert_eq!(row, expect.row(b + 3), "{plan:?} block row {b}");
-            }
-        }
     }
 
     /// A plan whose 4-column tiles split the 12-column test matrix.

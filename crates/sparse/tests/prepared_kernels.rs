@@ -1,6 +1,6 @@
 //! Property-based equivalence suite for the prepared-kernel engine
-//! (`radix_sparse::kernel`): on random inputs, the three prepared products
-//! — `spmm`, `spmm_transposed`, `spmm_rows_to` — and the weight gradient
+//! (`radix_sparse::kernel`): on random inputs, the two prepared products
+//! — `spmm` and `spmm_transposed` — and the weight gradient
 //! `weight_grads`; diagonal storage, ELL fast path and CSR fallback;
 //! serial and on the pool; with and without an epilogue — must produce
 //! **bitwise-identical** output to the naive path (`dense_spmm` /
@@ -110,8 +110,7 @@ fn relu<T: Float>(v: T) -> T {
 /// Which product the oracle checks.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// `X · W`: `spmm`, and the same product assembled from uneven
-    /// `spmm_rows_to` blocks.
+    /// `X · W`: `spmm`, into a buffer holding stale values.
     Forward,
     /// `X · Wᵀ`: `spmm_transposed`.
     Transposed,
@@ -217,9 +216,9 @@ fn assert_bits_eq<T: Float>(
 /// tiles built wherever the plan's width allows — and compares each
 /// result on `to_bits` against the naive two-pass reference (the
 /// gradient, in CSR order, against [`naive_weight_grads`] with no zero
-/// exemption). `Op::Forward` also assembles the product from uneven
-/// `spmm_rows_to` blocks, walked in order (`Par::Serial`) or handed to
-/// the pool (`Par::Pool`) the way the fused Challenge schedule does.
+/// exemption). `Op::Forward` writes into a buffer pre-filled with a
+/// sentinel, so a block the product leaves unwritten shows; the block
+/// grains leave a short last block at most batch sizes.
 fn check_plans<T: Float>(
     op: Op,
     w: &CsrMatrix<T>,
@@ -262,10 +261,16 @@ fn check_plans<T: Float>(
                 let what = |call: &str| format!("{call} {par:?} under {plan:?}");
                 match op {
                     Op::Forward => {
+                        // Stale contents must not matter: every block is
+                        // fully written.
+                        out = DenseMatrix::from_vec(
+                            x.nrows(),
+                            w.ncols(),
+                            vec![T::of(9.0); x.nrows() * w.ncols()],
+                        )
+                        .unwrap();
                         p.spmm(x, &mut out, &epi, par).unwrap();
                         assert_bits_eq(&out, &expect, &|| what("spmm"))?;
-                        assemble_from_row_blocks(&p, x, &epi, par, &mut out);
-                        assert_bits_eq(&out, &expect, &|| what("spmm_rows_to"))?;
                     }
                     Op::Transposed => {
                         p.spmm_transposed(x, &mut out, &epi, par).unwrap();
@@ -292,36 +297,6 @@ fn check_plans<T: Float>(
         }
     }
     Ok(())
-}
-
-/// `epi(X · W)` assembled from `spmm_rows_to` over uneven row blocks
-/// (half the batch, so the last block is short for odd batches).
-fn assemble_from_row_blocks<T: Float>(
-    p: &PreparedWeights<T>,
-    x: &DenseMatrix<T>,
-    epi: &Epilogue<'_, T, fn(T) -> T>,
-    par: Par,
-    out: &mut DenseMatrix<T>,
-) {
-    let ncols = p.ncols();
-    // Stale contents must not matter: every block is fully written.
-    *out = DenseMatrix::from_vec(x.nrows(), ncols, vec![T::of(9.0); x.nrows() * ncols]).unwrap();
-    if out.as_slice().is_empty() {
-        return;
-    }
-    let brows = (x.nrows() / 2).max(1);
-    let block = |blk: usize, chunk: &mut [T]| {
-        p.spmm_rows_to(x, blk * brows, chunk.len() / ncols, chunk, epi)
-            .unwrap();
-    };
-    match par {
-        Par::Pool => rayon::for_each_chunk_mut(out.as_mut_slice(), brows * ncols, block),
-        _ => {
-            for (blk, chunk) in out.as_mut_slice().chunks_mut(brows * ncols).enumerate() {
-                block(blk, chunk);
-            }
-        }
-    }
 }
 
 /// What `cyclic()` must report wherever tiles are built, read straight
@@ -667,8 +642,8 @@ fn cyclic_layers_match_naive<T: Float>() {
     }
 }
 
-/// The diagonal storage at every width: all four products — forward,
-/// row blocks, transposed, weight gradient — ± the fused epilogue, at
+/// The diagonal storage at every width: all three products — forward,
+/// transposed, weight gradient — ± the fused epilogue, at
 /// tile widths below and above `n` (`check_plans` sweeps 1, 3, 8 and one
 /// spanning everything, plus a width that straddles segments), on a
 /// batch holding `+0.0`, `-0.0` and nonzero values (and so does `δ`). The sizes run the
