@@ -53,22 +53,24 @@ verify-serve:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test zero_alloc_serve
 
 ## The fault-injection suites under a forced multi-thread worker pool —
-## run by CI's `pool-suites` job (POOL_THREADS=2 and 4 there): the fault
-## module's unit tests, the rayon shim's panic-payload propagation, and
+## run by CI's `pool-suites` job (POOL_THREADS=2 and 4 there): the unit
+## tests of radix-nn's fault module (the one fault plan serving and
+## training share), the rayon shim's panic-payload propagation, and
 ## the chaos integration suite (injected engine panics mid-traffic,
 ## supervised restart, deadline shedding under compute delays, the
 ## shutdown-under-chaos accounting stress, and the random-fault-schedule
 ## proptest; the supervisor's coverage lives there too).
 verify-chaos:
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p rayon panic
-	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --lib fault
+	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-nn --lib fault
 	RADIX_POOL_THREADS=$(POOL_THREADS) $(CARGO) test -q -p radix-challenge --test chaos
 
 ## The crash-safe-training suites under a forced multi-thread worker pool
 ## — run by CI's `pool-suites` job on its POOL_THREADS=2 leg: the checkpoint
 ## codec round-trip + corruption fuzz (truncations, byte flips, torn
 ## writes, stale temp files), the kill-at-batch-N bitwise-identical
-## resume proptest, the train supervisor's unit coverage, and the
+## resume proptest, the train supervisor's unit coverage (with the
+## restart policy both supervisors share), and the
 ## end-to-end train-crash / checkpoint-fallback / serve-hot-reload
 ## integration suite.
 verify-recovery:

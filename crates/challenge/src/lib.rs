@@ -26,9 +26,10 @@
 //!   of the API: every request resolves to exactly one typed
 //!   [`ServeError`] outcome (width/finiteness validation, deadline sheds,
 //!   overload rejection, engine death), [`ServeSupervisor`] restarts a
-//!   crashed engine with bounded backoff, and the `fault` module injects
-//!   deterministic faults (engine panics, compute delays, release stalls)
-//!   for the chaos suites,
+//!   crashed engine with bounded backoff, and a [`FaultInjector`] built in
+//!   code from a [`FaultPlan`] (both `radix_nn::fault`'s, re-exported)
+//!   injects deterministic faults (engine panics, compute delays, release
+//!   stalls) for the chaos suites,
 //! * [`OnlineSession`] — live train-while-serve on the one process-wide
 //!   pool: crash-supervised checkpointed fine-tuning on the submitter
 //!   thread, serve flushes on the scheduler's high-priority lane, and a
@@ -40,7 +41,6 @@
 
 pub mod catalog;
 pub mod config;
-pub mod fault;
 pub mod infer;
 pub mod online;
 pub mod serve;
@@ -48,11 +48,12 @@ pub mod supervise;
 
 pub use catalog::{challenge_ladder, CatalogEntry};
 pub use config::ChallengeConfig;
-pub use fault::{FaultInjector, FaultPlan};
 pub use infer::{fuse_layers, ChallengeNetwork, InferWorkspace, InferenceStats};
 pub use online::{OnlineConfig, OnlineError, OnlineReport, OnlineSession, PublishStats};
+pub use radix_nn::fault::{FaultInjector, FaultPlan};
+pub use radix_nn::RestartPolicy;
 pub use serve::{
     MicroBatcher, ReloadError, ServeClient, ServeConfig, ServeEngine, ServeError, ServeHandle,
     ServeStats,
 };
-pub use supervise::{RestartPolicy, ServeSupervisor, SupervisorClient, SupervisorHandle};
+pub use supervise::{ServeSupervisor, SupervisorClient, SupervisorHandle};

@@ -52,7 +52,7 @@ use std::time::Duration;
 
 use radix_nn::{
     train_regressor_checkpointed, CheckpointError, Checkpointer, History, Network, Optimizer,
-    TrainConfig, TrainRestartPolicy, TrainSuperviseError, TrainSupervisor,
+    RestartPolicy, TrainConfig, TrainSuperviseError, TrainSupervisor,
 };
 use radix_sparse::{DenseMatrix, KernelPlan, PreparedWeights};
 
@@ -82,7 +82,7 @@ pub struct OnlineConfig {
     /// Checkpoint generations retained on disk.
     pub keep: usize,
     /// Restart budget for crashed training attempts.
-    pub restarts: TrainRestartPolicy,
+    pub restarts: RestartPolicy,
     /// How often the publisher re-scans for new generations.
     pub publish_poll: Duration,
 }
@@ -96,7 +96,7 @@ impl Default for OnlineConfig {
             train: TrainConfig::default(),
             publish_every: 0,
             keep: 2,
-            restarts: TrainRestartPolicy::default(),
+            restarts: RestartPolicy::default(),
             publish_poll: DEFAULT_PUBLISH_POLL,
         }
     }
@@ -259,10 +259,12 @@ impl OnlineSession {
         Self::start_with(net, config, ckpt)
     }
 
-    /// [`OnlineSession::start`] with a caller-built [`Checkpointer`] —
-    /// the entry point the chaos suites use to thread a
-    /// `TrainFaultInjector` into the training loop. The checkpointer's
-    /// own cadence and retention are honored as-is.
+    /// [`OnlineSession::start`] with a caller-built [`Checkpointer`],
+    /// whose own cadence and retention are honored as-is. The engine gets
+    /// a clone of the checkpointer's fault injector, so one `FaultPlan`
+    /// set with [`Checkpointer::with_faults`] injects training,
+    /// checkpoint and serving faults at once (the chaos suites' entry
+    /// point); each point keeps its own schedule.
     ///
     /// # Errors
     /// [`OnlineError::NotSparse`] if the network has a dense layer.
@@ -271,29 +273,14 @@ impl OnlineSession {
         config: &OnlineConfig,
         ckpt: Checkpointer,
     ) -> Result<Self, OnlineError> {
-        Self::start_faulted(net, config, ckpt, crate::fault::FaultInjector::from_env())
-    }
-
-    /// [`OnlineSession::start_with`] with an explicit *serving* fault
-    /// injector as well — the full chaos entry point: training faults
-    /// ride the checkpointer, serving faults ride the engine, and the
-    /// suite asserts both failure models hold at once.
-    ///
-    /// # Errors
-    /// [`OnlineError::NotSparse`] if the network has a dense layer.
-    pub fn start_faulted(
-        net: &Network,
-        config: &OnlineConfig,
-        ckpt: Checkpointer,
-        serve_faults: crate::fault::FaultInjector,
-    ) -> Result<Self, OnlineError> {
         let serve_net = ChallengeNetwork::from_prepared(
             sparse_layers(net)?,
             config.bias,
             config.ymax,
             KernelPlan::process(),
         );
-        let handle = ServeEngine::start_with_faults(serve_net, &config.serve, serve_faults);
+        let handle =
+            ServeEngine::start_with_faults(serve_net, &config.serve, ckpt.faults().clone());
         Ok(OnlineSession {
             handle,
             ckpt,

@@ -70,9 +70,10 @@
 //!   the panic message as an error instead of re-panicking); the
 //!   `supervise` module layers bounded-restart recovery on top.
 //!
-//! The `fault` module provides deterministic fault injection (engine
-//! panics, compute delays, slot-release stalls) driving the chaos suites
-//! that pin these guarantees down.
+//! A [`FaultInjector`] passed to [`ServeEngine::start_with_faults`]
+//! injects deterministic faults (engine panics, compute delays,
+//! slot-release stalls), driving the chaos suites that pin these
+//! guarantees down.
 //!
 //! # Backpressure and shutdown
 //!
@@ -91,9 +92,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use radix_nn::fault::FaultInjector;
+use radix_nn::supervise::panic_message;
 use radix_sparse::{DenseMatrix, KernelPlan};
 
-use crate::fault::FaultInjector;
 use crate::infer::{ChallengeNetwork, InferWorkspace};
 
 /// Default end-to-end latency target in microseconds
@@ -223,16 +225,6 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// Extracts a human-readable message from a panic payload (the
-/// `Box<dyn Any>` a `JoinHandle::join` error or `catch_unwind` hands back).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&'static str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "engine panicked with a non-string payload".to_string())
-}
 
 /// Counters the engine accumulates over its lifetime, returned by
 /// [`ServeHandle::shutdown`] (and snapshotted live by
@@ -1072,21 +1064,20 @@ impl ServeEngine {
     /// compute cost — the unit of work of the deadline-admission predictor
     /// and the flush-time shed pass.
     ///
-    /// Fault injection is read from the `RADIX_FAULT_*` environment (see
-    /// [`crate::fault`]); in the default (unset) environment the hooks
-    /// compile to a single branch.
+    /// No fault is injected: the hooks run [`FaultInjector::inactive`],
+    /// one branch each.
     ///
     /// # Panics
     /// Panics if `config.max_batch`, `config.slots`, or `config.queue` is
     /// zero, or if the engine thread cannot be spawned.
     #[must_use]
     pub fn start(net: ChallengeNetwork, config: &ServeConfig) -> ServeHandle {
-        Self::start_with_faults(net, config, FaultInjector::from_env())
+        Self::start_with_faults(net, config, FaultInjector::inactive())
     }
 
-    /// [`ServeEngine::start`] with an explicit fault injector — the
-    /// programmatic entry point the chaos suites use; production callers
-    /// pass [`FaultInjector::inactive`] (or just call `start`).
+    /// [`ServeEngine::start`] with an explicit fault injector — the one
+    /// way to inject serving faults (the chaos suites build theirs from a
+    /// `FaultPlan`).
     ///
     /// # Panics
     /// As [`ServeEngine::start`].

@@ -30,29 +30,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use crate::fault::FaultInjector;
+use radix_nn::fault::FaultInjector;
+use radix_nn::RestartPolicy;
+
 use crate::infer::ChallengeNetwork;
 use crate::serve::{ServeClient, ServeConfig, ServeEngine, ServeError, ServeHandle, ServeStats};
-
-/// How aggressively the supervisor restarts a dead engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestartPolicy {
-    /// Maximum engine restarts over the supervisor's lifetime; once
-    /// exhausted, requests fail fast with [`ServeError::EngineFailed`].
-    pub max_restarts: u32,
-    /// Base backoff slept before restart `n` is `backoff * n` (linear):
-    /// a crash loop decelerates instead of spinning.
-    pub backoff: Duration,
-}
-
-impl Default for RestartPolicy {
-    fn default() -> Self {
-        RestartPolicy {
-            max_restarts: 3,
-            backoff: Duration::from_millis(10),
-        }
-    }
-}
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -72,7 +54,7 @@ struct SupState {
     /// someone else already replaced the generation it saw fail.
     generation: u64,
     /// Restarts performed so far.
-    restarts: u64,
+    restarts: u32,
     /// Retired generations' shared state — kept alive (bounded by the
     /// restart budget) so a straggling client's late counter bump is
     /// still visible to the final accounting.
@@ -127,22 +109,15 @@ impl SupShared {
             Err(ServeError::EngineFailed(msg)) => st.last_error = Some(msg),
             Err(_) => {}
         }
-        if st.restarts >= u64::from(self.policy.max_restarts) {
-            st.exhausted = true;
-            return;
-        }
-        st.restarts += 1;
         // Linear backoff, slept while holding the state lock: requests
         // arriving mid-restart block here and then see the new engine —
         // that blocking *is* the "transparently hit the fresh engine"
         // behavior (they never observe the dead generation).
-        let pause = self
-            .policy
-            .backoff
-            .saturating_mul(u32::try_from(st.restarts).unwrap_or(u32::MAX));
-        if !pause.is_zero() {
-            std::thread::sleep(pause);
+        if !self.policy.admit_restart(st.restarts) {
+            st.exhausted = true;
+            return;
         }
+        st.restarts += 1;
         let handle =
             ServeEngine::start_with_faults(self.net.clone(), &self.config, self.fault.clone());
         st.client = Some(handle.client());
@@ -157,8 +132,8 @@ pub struct ServeSupervisor;
 
 impl ServeSupervisor {
     /// Starts a supervised engine serving `net` under `config`, restarting
-    /// it per `policy` when it dies. Fault injection follows the
-    /// `RADIX_FAULT_*` environment, exactly as [`ServeEngine::start`].
+    /// it per `policy` when it dies. No fault is injected, exactly as
+    /// [`ServeEngine::start`].
     ///
     /// # Panics
     /// As [`ServeEngine::start`] (invalid config, thread spawn failure).
@@ -168,7 +143,7 @@ impl ServeSupervisor {
         config: &ServeConfig,
         policy: RestartPolicy,
     ) -> SupervisorHandle {
-        Self::start_with_faults(net, config, policy, FaultInjector::from_env())
+        Self::start_with_faults(net, config, policy, FaultInjector::inactive())
     }
 
     /// [`ServeSupervisor::start`] with an explicit fault injector. The
@@ -235,7 +210,7 @@ impl SupervisorHandle {
         if let Some(handle) = &st.handle {
             total.absorb(&handle.stats());
         }
-        total.restarts = st.restarts;
+        total.restarts = u64::from(st.restarts);
         total
     }
 
@@ -281,7 +256,7 @@ impl SupervisorHandle {
         for shared in &st.retired {
             total.absorb(&shared.stats.snapshot());
         }
-        total.restarts = st.restarts;
+        total.restarts = u64::from(st.restarts);
         total
     }
 }

@@ -19,9 +19,10 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use radix_challenge::{
-    fault::INJECTED_PANIC_MSG, ChallengeConfig, ChallengeNetwork, FaultInjector, FaultPlan,
-    RestartPolicy, ServeConfig, ServeEngine, ServeError, ServeStats, ServeSupervisor,
+    ChallengeConfig, ChallengeNetwork, FaultInjector, FaultPlan, RestartPolicy, ServeConfig,
+    ServeEngine, ServeError, ServeStats, ServeSupervisor,
 };
+use radix_nn::fault::INJECTED_PANIC_MSG;
 
 mod support;
 use support::with_watchdog;
@@ -47,8 +48,8 @@ fn chaos_config() -> ServeConfig {
 fn injected_panic_fails_in_flight_and_shutdown_reports_it() {
     with_watchdog("panic-shutdown", Duration::from_secs(30), || {
         let fault = FaultInjector::new(FaultPlan {
-            panic_at_batch: Some(1),
-            panic_budget: 1,
+            engine_panic_at_batch: Some(1),
+            engine_panic_budget: 1,
             ..FaultPlan::default()
         });
         let handle = ServeEngine::start_with_faults(small_net(), &chaos_config(), fault);
@@ -85,8 +86,8 @@ fn supervisor_restarts_after_injected_panic() {
             net.forward(&x, false)
         };
         let fault = FaultInjector::new(FaultPlan {
-            panic_at_batch: Some(1),
-            panic_budget: 1,
+            engine_panic_at_batch: Some(1),
+            engine_panic_budget: 1,
             ..FaultPlan::default()
         });
         let sup = ServeSupervisor::start_with_faults(
@@ -120,8 +121,8 @@ fn restart_budget_exhausts_to_fast_failure() {
     with_watchdog("exhaust", Duration::from_secs(60), || {
         let fault = FaultInjector::new(FaultPlan {
             // Panic on every batch, far more times than the restart budget.
-            panic_at_batch: Some(1),
-            panic_budget: 100,
+            engine_panic_at_batch: Some(1),
+            engine_panic_budget: 100,
             ..FaultPlan::default()
         });
         let policy = RestartPolicy {
@@ -226,10 +227,11 @@ fn shutdown_under_chaos_accounting_balances() {
         const CLIENTS: usize = 4;
         const PER_CLIENT: usize = 40;
         let fault = FaultInjector::new(FaultPlan {
-            panic_at_batch: Some(5),
-            panic_budget: 2,
+            engine_panic_at_batch: Some(5),
+            engine_panic_budget: 2,
             compute_delay_us: 200,
             release_stall_us: 50,
+            ..FaultPlan::default()
         });
         let policy = RestartPolicy {
             max_restarts: 4,
@@ -333,8 +335,8 @@ fn repeated_chaos_cycles_stay_clean() {
     with_watchdog("cycles", Duration::from_secs(120), || {
         for cycle in 0..3 {
             let fault = FaultInjector::new(FaultPlan {
-                panic_at_batch: Some(2),
-                panic_budget: 1,
+                engine_panic_at_batch: Some(2),
+                engine_panic_budget: 1,
                 ..FaultPlan::default()
             });
             let sup = ServeSupervisor::start_with_faults(
@@ -442,10 +444,11 @@ proptest! {
         timeout_ms in 1u64..40,
     ) {
         let plan = FaultPlan {
-            panic_at_batch: (panic_at_raw > 0).then_some(panic_at_raw),
-            panic_budget,
+            engine_panic_at_batch: (panic_at_raw > 0).then_some(panic_at_raw),
+            engine_panic_budget: panic_budget,
             compute_delay_us: if compute_delay_raw >= 100 { compute_delay_raw } else { 0 },
             release_stall_us: if release_stall_raw >= 10 { release_stall_raw } else { 0 },
+            ..FaultPlan::default()
         };
         let (tx, rx) = mpsc::channel();
         std::thread::Builder::new()

@@ -29,8 +29,8 @@ use radix_challenge::{
 use radix_data::sparse_binary_batch;
 use radix_net::{MixedRadixSystem, RadixNetSpec};
 use radix_nn::{
-    train_regressor, Activation, Checkpointer, Init, Layer, Loss, Network, Optimizer, TrainConfig,
-    TrainFaultInjector, TrainFaultPlan, TrainRestartPolicy,
+    train_regressor, Activation, Checkpointer, Init, Layer, Loss, Network, Optimizer,
+    RestartPolicy, TrainConfig,
 };
 use radix_sparse::{CsrMatrix, DenseMatrix};
 
@@ -102,7 +102,7 @@ fn online_config() -> OnlineConfig {
         },
         publish_every: 2,
         keep: 3,
-        restarts: TrainRestartPolicy {
+        restarts: RestartPolicy {
             max_restarts: 3,
             backoff: Duration::from_millis(1),
         },
@@ -292,14 +292,13 @@ fn training_resumes_bitwise_under_faults_while_traffic_continues() {
         let mut opt = Optimizer::sgd(0.05);
         let dir = scratch_dir("chaos");
 
-        // Training crashes at global batch 6 (mid-epoch 2, past committed
-        // generations); the engine pays 200 µs extra per flush.
-        let train_faults = TrainFaultInjector::new(TrainFaultPlan {
-            panic_at_batch: Some(6),
-            panic_budget: 1,
-            ..TrainFaultPlan::default()
-        });
-        let serve_faults = FaultInjector::new(FaultPlan {
+        // One plan for both paths, handed to the trainer and the engine
+        // through the checkpointer: training crashes at global batch 6
+        // (mid-epoch 2, past committed generations); the engine pays
+        // 200 µs extra per flush.
+        let faults = FaultInjector::new(FaultPlan {
+            train_panic_at_batch: Some(6),
+            train_panic_budget: 1,
             compute_delay_us: 200,
             ..FaultPlan::default()
         });
@@ -307,9 +306,9 @@ fn training_resumes_bitwise_under_faults_while_traffic_continues() {
             .expect("checkpoint dir")
             .with_every(config.publish_every)
             .with_keep(config.keep)
-            .with_faults(train_faults);
-        let mut session = OnlineSession::start_faulted(&net, &config, ckpt, serve_faults)
-            .expect("sparse net must start serving");
+            .with_faults(faults);
+        let mut session =
+            OnlineSession::start_with(&net, &config, ckpt).expect("sparse net must start serving");
         let client = session.client();
         let rows = sparse_binary_batch(6, client.n_in(), 0.5, 9);
 

@@ -18,8 +18,8 @@ use radix_data::sparse_binary_batch;
 use radix_net::{MixedRadixSystem, RadixNetSpec};
 use radix_nn::{
     checkpoint, train_regressor, train_regressor_checkpointed, Activation, CheckpointError,
-    Checkpointer, Init, Layer, Loss, Network, Optimizer, TrainConfig, TrainFaultInjector,
-    TrainFaultPlan, TrainProgress, TrainRestartPolicy, TrainSupervisor,
+    Checkpointer, FaultInjector, FaultPlan, Init, Layer, Loss, Network, Optimizer, RestartPolicy,
+    TrainConfig, TrainProgress, TrainSupervisor,
 };
 use radix_sparse::{CsrMatrix, DenseMatrix, KernelPlan};
 use support::with_watchdog;
@@ -63,7 +63,7 @@ fn train_config() -> TrainConfig {
 /// Runs the reference (uninterrupted, checkpoint-free) training and the
 /// supervised run under `plan` side by side, and asserts the recovered
 /// result is bitwise identical to the reference.
-fn assert_recovers_bitwise(name: &str, plan: TrainFaultPlan, expected_restarts: u32) {
+fn assert_recovers_bitwise(name: &str, plan: FaultPlan, expected_restarts: u32) {
     let (x, y) = toy_regression();
     let config = train_config();
 
@@ -78,11 +78,11 @@ fn assert_recovers_bitwise(name: &str, plan: TrainFaultPlan, expected_restarts: 
         .expect("create checkpoint dir")
         .with_every(2)
         .with_keep(2)
-        .with_faults(TrainFaultInjector::new(plan));
+        .with_faults(FaultInjector::new(plan));
 
     let mut net = pristine_net;
     let mut opt = pristine_opt;
-    let report = TrainSupervisor::new(TrainRestartPolicy::default())
+    let report = TrainSupervisor::new(RestartPolicy::default())
         .run(&mut net, &mut opt, &mut ckpt, |net, opt, ckpt| {
             train_regressor_checkpointed(net, &x, &y, opt, &config, ckpt)
         })
@@ -113,9 +113,9 @@ fn supervised_training_rides_through_a_torn_checkpoint_write() {
     with_watchdog("torn-write", WATCHDOG, || {
         assert_recovers_bitwise(
             "torn-write",
-            TrainFaultPlan {
+            FaultPlan {
                 torn_write_gen: Some(2),
-                ..TrainFaultPlan::default()
+                ..FaultPlan::default()
             },
             1,
         );
@@ -132,14 +132,14 @@ fn resume_falls_back_past_a_bit_flipped_generation() {
     with_watchdog("bit-flip", WATCHDOG, || {
         assert_recovers_bitwise(
             "bit-flip",
-            TrainFaultPlan {
+            FaultPlan {
                 // Gen 2 (the epoch-0 end save) commits with one bit
                 // flipped; the panic fires two batches later, so recovery
                 // has to reject gen 2 and resume from gen 1.
                 bit_flip_gen: Some(2),
-                panic_at_batch: Some(6),
-                panic_budget: 1,
-                ..TrainFaultPlan::default()
+                train_panic_at_batch: Some(6),
+                train_panic_budget: 1,
+                ..FaultPlan::default()
             },
             1,
         );

@@ -67,7 +67,7 @@ use std::path::{Path, PathBuf};
 use radix_sparse::{CsrMatrix, DenseMatrix, PreparedWeights};
 
 use crate::activation::Activation;
-use crate::fault::{TrainFaultInjector, WriteFault, INJECTED_TRAIN_PANIC_MSG};
+use crate::fault::{FaultInjector, WriteFault, INJECTED_PANIC_MSG};
 use crate::layer::{DenseLinear, Layer, SparseLinear};
 use crate::loss::Loss;
 use crate::network::Network;
@@ -970,10 +970,7 @@ fn write_atomic(path: &Path, bytes: &[u8], fault: WriteFault) -> Result<(), Chec
         f.write_all(&bytes[..keep.min(bytes.len())])?;
         let _ = f.sync_all();
         drop(f);
-        panic!(
-            "{INJECTED_TRAIN_PANIC_MSG}: torn write of {}",
-            tmp.display()
-        );
+        panic!("{INJECTED_PANIC_MSG}: torn write of {}", tmp.display());
     }
     f.write_all(bytes)?;
     f.sync_all()?;
@@ -1026,7 +1023,7 @@ pub struct Checkpointer {
     dir: PathBuf,
     every: usize,
     keep: usize,
-    faults: TrainFaultInjector,
+    faults: FaultInjector,
     next_gen: u64,
 }
 
@@ -1039,9 +1036,8 @@ pub const DEFAULT_CKPT_KEEP: usize = 2;
 impl Checkpointer {
     /// Opens (creating if needed) a checkpoint directory. Cadence and
     /// retention come from `RADIX_CKPT_EVERY` / `RADIX_CKPT_KEEP` (env),
-    /// defaulting to [`DEFAULT_CKPT_EVERY`] / [`DEFAULT_CKPT_KEEP`];
-    /// fault injection from the `RADIX_FAULT_TRAIN_*` /
-    /// `RADIX_FAULT_CKPT_*` environment. Builders override all three.
+    /// defaulting to [`DEFAULT_CKPT_EVERY`] / [`DEFAULT_CKPT_KEEP`]; no
+    /// fault is injected. Builders override all three.
     ///
     /// # Errors
     /// [`CheckpointError::Io`] if the directory cannot be created or
@@ -1058,7 +1054,7 @@ impl Checkpointer {
             dir,
             every: parse("RADIX_CKPT_EVERY").unwrap_or(DEFAULT_CKPT_EVERY),
             keep: parse("RADIX_CKPT_KEEP").unwrap_or(DEFAULT_CKPT_KEEP).max(1),
-            faults: TrainFaultInjector::from_env(),
+            faults: FaultInjector::inactive(),
             next_gen: 1,
         };
         ck.next_gen = ck.generations()?.last().copied().unwrap_or(0) + 1;
@@ -1080,9 +1076,11 @@ impl Checkpointer {
         self
     }
 
-    /// Replaces the fault injector (tests pass explicit plans).
+    /// Replaces the fault injector — the one way to inject training and
+    /// checkpoint faults. An online session hands the same injector to
+    /// its serving engine.
     #[must_use]
-    pub fn with_faults(mut self, faults: TrainFaultInjector) -> Self {
+    pub fn with_faults(mut self, faults: FaultInjector) -> Self {
         self.faults = faults;
         self
     }
@@ -1101,7 +1099,7 @@ impl Checkpointer {
 
     /// The fault injector driving this checkpointer's write hooks.
     #[must_use]
-    pub fn faults(&self) -> &TrainFaultInjector {
+    pub fn faults(&self) -> &FaultInjector {
         &self.faults
     }
 

@@ -22,7 +22,14 @@
 //!   reuses its trace/delta/gradient storage across mini-batches, and the
 //!   sparse layers run `radix_sparse::kernel`'s prepared kernels (index-free
 //!   shift-adds over the diagonals of a RadiX layer, CSR/ELL walks for any
-//!   other pattern) with the bias + activation epilogue fused in.
+//!   other pattern) with the bias + activation epilogue fused in,
+//! * [`Checkpointer`] / [`TrainSupervisor`] — crash-safe training:
+//!   checksummed checkpoint generations that resume bitwise identically,
+//!   and crashed attempts restarted under a [`RestartPolicy`] (the policy
+//!   `radix-challenge`'s serving supervisor uses too),
+//! * [`FaultPlan`] / [`FaultInjector`] — one fault plan, built in code,
+//!   with a named injection point for each fault of the training loop, the
+//!   checkpoint writer and `radix-challenge`'s serving engine.
 //!
 //! ## Quick example
 //!
@@ -57,13 +64,13 @@ pub mod workspace;
 
 pub use activation::Activation;
 pub use checkpoint::{Checkpoint, CheckpointError, Checkpointer, TrainProgress};
-pub use fault::{TrainFaultInjector, TrainFaultPlan, WriteFault, INJECTED_TRAIN_PANIC_MSG};
+pub use fault::{FaultInjector, FaultPlan, WriteFault, INJECTED_PANIC_MSG};
 pub use init::{init_dense, init_sparse, Init};
 pub use layer::{DenseLinear, Layer, LayerGrads, SparseLinear};
 pub use loss::{accuracy, softmax_row, Loss};
 pub use network::{matched_dense_twin, Network, Targets};
 pub use optimizer::Optimizer;
-pub use supervise::{TrainReport, TrainRestartPolicy, TrainSuperviseError, TrainSupervisor};
+pub use supervise::{RestartPolicy, TrainReport, TrainSuperviseError, TrainSupervisor};
 pub use train::{
     clip_gradients, scale_to_max_norm, train_classifier, train_classifier_checkpointed,
     train_regressor, train_regressor_checkpointed, History, TrainConfig,

@@ -12,7 +12,7 @@
 //! itself damaged — torn by a crash mid-write, bit-flipped on disk — the
 //! loader falls back to the previous good generation automatically.
 //!
-//! Restarts are bounded by [`TrainRestartPolicy::max_restarts`]; once the
+//! Restarts are bounded by [`RestartPolicy::max_restarts`]; once the
 //! budget is spent the supervisor returns
 //! [`TrainSuperviseError::RestartsExhausted`] carrying the last panic
 //! message. Because the [`Checkpointer`]'s fault injector shares its
@@ -28,23 +28,42 @@ use crate::network::Network;
 use crate::optimizer::Optimizer;
 use crate::train::History;
 
-/// How aggressively the supervisor retries a crashed training attempt.
+/// How aggressively a supervisor restarts what crashed: a crashed
+/// training attempt here, a dead serving engine in `radix-challenge`'s
+/// `ServeSupervisor`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrainRestartPolicy {
+pub struct RestartPolicy {
     /// Maximum restarts over the supervised run; once exhausted the run
-    /// fails with [`TrainSuperviseError::RestartsExhausted`].
+    /// fails (here with [`TrainSuperviseError::RestartsExhausted`]).
     pub max_restarts: u32,
     /// Base backoff slept before restart `n` is `backoff * n` (linear):
     /// a crash loop decelerates instead of spinning.
     pub backoff: Duration,
 }
 
-impl Default for TrainRestartPolicy {
+impl Default for RestartPolicy {
     fn default() -> Self {
-        TrainRestartPolicy {
+        RestartPolicy {
             max_restarts: 3,
             backoff: Duration::from_millis(10),
         }
+    }
+}
+
+impl RestartPolicy {
+    /// Admits restart number `done + 1` after `done` restarts: `false`
+    /// when the budget is spent; otherwise sleeps that restart's linear
+    /// backoff (`backoff * (done + 1)`) and returns `true`.
+    #[must_use]
+    pub fn admit_restart(&self, done: u32) -> bool {
+        if done >= self.max_restarts {
+            return false;
+        }
+        let pause = self.backoff.saturating_mul(done + 1);
+        if !pause.is_zero() {
+            std::thread::sleep(pause);
+        }
+        true
     }
 }
 
@@ -102,8 +121,10 @@ pub struct TrainReport {
     pub restarts: u32,
 }
 
-/// Extracts the human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts the human-readable message from a panic payload (the
+/// `Box<dyn Any>` a `JoinHandle::join` error or `catch_unwind` hands back).
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -116,13 +137,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// The training supervisor: a restart loop around a checkpointed
 /// training attempt.
 pub struct TrainSupervisor {
-    policy: TrainRestartPolicy,
+    policy: RestartPolicy,
 }
 
 impl TrainSupervisor {
     /// A supervisor with the given restart policy.
     #[must_use]
-    pub fn new(policy: TrainRestartPolicy) -> Self {
+    pub fn new(policy: RestartPolicy) -> Self {
         TrainSupervisor { policy }
     }
 
@@ -173,18 +194,13 @@ impl TrainSupervisor {
                 Ok(Err(e)) => return Err(TrainSuperviseError::Checkpoint(e)),
                 Err(payload) => {
                     let last_panic = panic_message(payload.as_ref());
-                    if restarts >= self.policy.max_restarts {
+                    if !self.policy.admit_restart(restarts) {
                         return Err(TrainSuperviseError::RestartsExhausted {
                             restarts,
                             last_panic,
                         });
                     }
                     restarts += 1;
-                    // Linear backoff: a crash loop decelerates.
-                    let pause = self.policy.backoff.saturating_mul(restarts);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
                 }
             }
         }
@@ -195,7 +211,7 @@ impl TrainSupervisor {
 mod tests {
     use super::*;
     use crate::activation::Activation;
-    use crate::fault::{TrainFaultInjector, TrainFaultPlan, INJECTED_TRAIN_PANIC_MSG};
+    use crate::fault::{FaultInjector, FaultPlan, INJECTED_PANIC_MSG};
     use crate::init::Init;
     use crate::loss::Loss;
     use crate::train::{train_regressor, train_regressor_checkpointed, TrainConfig};
@@ -242,20 +258,20 @@ mod tests {
 
         // Supervised run with a panic injected mid-epoch 2.
         let dir = scratch_dir("recovers");
-        let plan = TrainFaultPlan {
-            panic_at_batch: Some(9),
-            panic_budget: 1,
-            ..TrainFaultPlan::default()
+        let plan = FaultPlan {
+            train_panic_at_batch: Some(9),
+            train_panic_budget: 1,
+            ..FaultPlan::default()
         };
         let mut ck = Checkpointer::new(&dir)
             .unwrap()
             .with_every(2)
-            .with_faults(TrainFaultInjector::new(plan));
+            .with_faults(FaultInjector::new(plan));
         let mut net = Network::dense(&[4, 8, 2], Activation::Tanh, Init::Xavier, Loss::Mse, 3);
         let mut opt = Optimizer::adam(0.01);
-        let report = TrainSupervisor::new(TrainRestartPolicy {
+        let report = TrainSupervisor::new(RestartPolicy {
             backoff: Duration::from_millis(1),
-            ..TrainRestartPolicy::default()
+            ..RestartPolicy::default()
         })
         .run(&mut net, &mut opt, &mut ck, |n, o, c| {
             train_regressor_checkpointed(n, &x, &y, o, &config, c)
@@ -279,17 +295,17 @@ mod tests {
         };
         let dir = scratch_dir("exhausted");
         // More panics scheduled than the restart budget tolerates.
-        let plan = TrainFaultPlan {
-            panic_at_batch: Some(1),
-            panic_budget: 100,
-            ..TrainFaultPlan::default()
+        let plan = FaultPlan {
+            train_panic_at_batch: Some(1),
+            train_panic_budget: 100,
+            ..FaultPlan::default()
         };
         let mut ck = Checkpointer::new(&dir)
             .unwrap()
-            .with_faults(TrainFaultInjector::new(plan));
+            .with_faults(FaultInjector::new(plan));
         let mut net = Network::dense(&[4, 8, 2], Activation::Tanh, Init::Xavier, Loss::Mse, 3);
         let mut opt = Optimizer::sgd(0.1);
-        let err = TrainSupervisor::new(TrainRestartPolicy {
+        let err = TrainSupervisor::new(RestartPolicy {
             max_restarts: 2,
             backoff: Duration::ZERO,
         })
@@ -303,10 +319,7 @@ mod tests {
                 last_panic,
             } => {
                 assert_eq!(restarts, 2);
-                assert!(
-                    last_panic.contains(INJECTED_TRAIN_PANIC_MSG),
-                    "{last_panic}"
-                );
+                assert!(last_panic.contains(INJECTED_PANIC_MSG), "{last_panic}");
             }
             other => panic!("expected RestartsExhausted, got {other}"),
         }
@@ -335,7 +348,7 @@ mod tests {
             ..config.clone()
         };
         let mut ck2 = Checkpointer::new(&dir).unwrap();
-        let err = TrainSupervisor::new(TrainRestartPolicy::default())
+        let err = TrainSupervisor::new(RestartPolicy::default())
             .run(&mut net, &mut opt, &mut ck2, |n, o, c| {
                 train_regressor_checkpointed(n, &x, &y, o, &other, c)
             })

@@ -23,8 +23,8 @@ use radix_net::{MixedRadixSystem, MixedRadixTopology, RadixNetSpec};
 use radix_nn::checkpoint::{decode, encode, load, save};
 use radix_nn::{
     train_classifier, train_classifier_checkpointed, train_regressor, Activation, CheckpointError,
-    Checkpointer, Init, Layer, Loss, Network, Optimizer, TrainConfig, TrainFaultInjector,
-    TrainFaultPlan, TrainProgress, INJECTED_TRAIN_PANIC_MSG,
+    Checkpointer, FaultInjector, FaultPlan, Init, Layer, Loss, Network, Optimizer, TrainConfig,
+    TrainProgress, INJECTED_PANIC_MSG,
 };
 use radix_sparse::DenseMatrix;
 
@@ -235,13 +235,13 @@ fn corrupt_newest_generation_falls_back_to_previous() {
 fn torn_write_fault_leaves_last_good_generation_standing() {
     let (net, opt, progress) = trained_state(2, 11);
     let dir = scratch_dir("torn");
-    let plan = TrainFaultPlan {
+    let plan = FaultPlan {
         torn_write_gen: Some(2),
-        ..TrainFaultPlan::default()
+        ..FaultPlan::default()
     };
     let mut ck = Checkpointer::new(&dir)
         .unwrap()
-        .with_faults(TrainFaultInjector::new(plan));
+        .with_faults(FaultInjector::new(plan));
     let mut opt2 = opt.clone();
     let g1 = ck.save(&net, &mut opt2, &progress).unwrap();
     // Generation 2's write is torn: the save panics mid-write (simulated
@@ -256,7 +256,7 @@ fn torn_write_fault_leaves_last_good_generation_standing() {
         .downcast_ref::<String>()
         .cloned()
         .unwrap_or_default();
-    assert!(msg.contains(INJECTED_TRAIN_PANIC_MSG), "{msg}");
+    assert!(msg.contains(INJECTED_PANIC_MSG), "{msg}");
     // Recovery: the torn temp never became a generation; g1 still loads.
     let ck2 = Checkpointer::new(&dir).unwrap();
     let (loaded_gen, loaded) = ck2.load_latest().unwrap().expect("last good generation");
@@ -346,16 +346,16 @@ proptest! {
 
         // Victim: same run, checkpointed, killed at `kill_batch`.
         let dir = scratch_dir(&format!("kill-{kill_batch}-{every}-{opt_kind}-{seed}"));
-        let plan = TrainFaultPlan {
-            panic_at_batch: Some(kill_batch),
-            panic_budget: 1,
-            ..TrainFaultPlan::default()
+        let plan = FaultPlan {
+            train_panic_at_batch: Some(kill_batch),
+            train_panic_budget: 1,
+            ..FaultPlan::default()
         };
         {
             let mut ck = Checkpointer::new(&dir)
                 .unwrap()
                 .with_every(every)
-                .with_faults(TrainFaultInjector::new(plan));
+                .with_faults(FaultInjector::new(plan));
             let mut net = radix_classifier(seed.wrapping_add(1));
             let mut opt = make_optimizer(opt_kind);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
